@@ -12,16 +12,10 @@ from .analytic_flow import (
 from .engine import (
     DiffusionCoefficient,
     StepPlan,
-    TrajectoryState,
-    drift,
     make_plan,
     make_time_grid,
-    ode_step,
     run_process,
     score_from_velocity,
-    sde_step,
-    stoch_denoise,
-    transform_velocity,
 )
 from .errors import (
     BudgetError,
@@ -60,7 +54,6 @@ from .rewards import (
     target_point_reward,
 )
 from .samplers import (
-    Particle,
     SearchBudget,
     SearchResult,
     best_of_n,

@@ -20,8 +20,10 @@ A trajectory's ``t`` is always the *plan* time (the grid coordinate); for
 the matched-grid modes the latent's physical source time is
 ``latent_time(plan, t)``.
 
-One velocity-oracle call is made per step, and ``nfe_used`` counts exactly
-those calls.
+``denoise_interval`` is the single stepping kernel: ``run_process``, the
+samplers and the diversity protocol all advance latents through it.  It
+makes one velocity-oracle call per step, and ``nfe_used`` counts exactly
+those calls.  ``StepPlan.noisy`` decides which intervals inject noise.
 """
 
 from __future__ import annotations
@@ -74,31 +76,11 @@ class DiffusionCoefficient:
         return cls(norm=0.0, exponent=2.0)
 
 
-@dataclass(frozen=True)
-class TrajectoryState:
-    """A latent point, its plan time, and the velocity calls spent on it."""
-
-    x: np.ndarray
-    t: float
-    nfe_used: int = 0
-
-
-def make_time_grid(steps: int, mode: str = "uniform") -> np.ndarray:
-    """Decreasing time grid from 1 to 0 with ``steps`` intervals.
-
-    ``adaptive`` remaps the uniform grid through t -> sqrt(1 - (1-t)^2),
-    giving finer spacing near t=1 and coarser near t=0.
-    """
+def make_time_grid(steps: int) -> np.ndarray:
+    """Uniform decreasing time grid from 1 to 0 with ``steps`` intervals."""
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    grid = np.linspace(1.0, 0.0, steps + 1)
-    if mode == "uniform":
-        return grid
-    if mode == "adaptive":
-        out = np.sqrt(np.clip(1.0 - (1.0 - grid) ** 2, 0.0, 1.0))
-        out[0], out[-1] = 1.0, 0.0
-        return out
-    raise DomainError(f"unknown grid mode: {mode!r}")
+    return np.linspace(1.0, 0.0, steps + 1)
 
 
 @dataclass(eq=False)
@@ -160,31 +142,23 @@ class StepPlan:
     def is_stochastic(self) -> bool:
         return self.process != "linear-ode" and self.diffusion.norm != 0.0
 
+    def noisy(self, s_right: float) -> bool:
+        """Whether the interval ending at plan time ``s_right`` injects noise:
+        only stochastic plans do, and never on the final interval."""
+        return s_right > _FINAL_EPS and self.is_stochastic()
 
-def make_plan(
-    process: str,
-    steps: int,
-    diffusion: DiffusionCoefficient | None = None,
-    src_schedule: InterpolantSchedule | None = None,
-    dst_schedule: InterpolantSchedule | None = None,
-    grid_mode: str = "uniform",
-) -> StepPlan:
+
+def make_plan(process: str, steps: int) -> StepPlan:
     """Build a StepPlan with the conventional defaults for each mode."""
-    src = src_schedule if src_schedule is not None else InterpolantSchedule("linear")
-    if dst_schedule is not None:
-        dst = dst_schedule
-    elif process in _CONVERTED or process in _MATCHED_GRID:
-        dst = InterpolantSchedule("vp")
-    else:
-        dst = src
-    if diffusion is None:
-        diffusion = DiffusionCoefficient.zero() if process == "linear-ode" else DiffusionCoefficient()
+    src = InterpolantSchedule("linear")
+    dst = InterpolantSchedule("vp") if process in _CONVERTED + _MATCHED_GRID else src
+    diffusion = DiffusionCoefficient.zero() if process == "linear-ode" else DiffusionCoefficient()
     return StepPlan(
         process=process,
         src_schedule=src,
         dst_schedule=dst,
         diffusion=diffusion,
-        grid=make_time_grid(steps, grid_mode),
+        grid=make_time_grid(steps),
     )
 
 
@@ -213,72 +187,6 @@ def score_from_velocity(
     return (alpha * u - alpha_dot * x) / (sigma * denom)
 
 
-def drift(
-    sched: InterpolantSchedule,
-    diffusion: DiffusionCoefficient,
-    t: float,
-    x: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Reverse-SDE drift u - (g^2/2) * score; equals u when g = 0."""
-    g = diffusion(t)
-    if g == 0.0:
-        return u
-    return u - 0.5 * g * g * score_from_velocity(sched, t, x, u)
-
-
-def ode_step(state: TrajectoryState, dt: float, u: np.ndarray) -> TrajectoryState:
-    """One backward Euler step x <- x - u dt; charges the velocity call."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    if dt > state.t + _FINAL_EPS:
-        raise DomainError(f"dt={dt} overshoots t={state.t}")
-    return TrajectoryState(x=state.x - u * dt, t=state.t - dt, nfe_used=state.nfe_used + 1)
-
-
-def sde_step(
-    state: TrajectoryState,
-    dt: float,
-    u: np.ndarray,
-    z: np.ndarray,
-    diffusion: DiffusionCoefficient,
-    sched: InterpolantSchedule,
-) -> TrajectoryState:
-    """One Euler-Maruyama step of the reverse SDE.
-
-    The proposal is Gaussian with mean x - f dt and variance g^2 dt; g is
-    evaluated at the interval's left (noisier) endpoint.
-    """
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    if dt > state.t + _FINAL_EPS:
-        raise DomainError(f"dt={dt} overshoots t={state.t}")
-    if state.t < T_MIN:
-        raise DomainError(f"sde step needs t >= {T_MIN}, got {state.t}")
-    f = drift(sched, diffusion, state.t, state.x, u)
-    g = diffusion(state.t)
-    x_new = state.x - f * dt + g * math.sqrt(dt) * z
-    return TrajectoryState(x=x_new, t=state.t - dt, nfe_used=state.nfe_used + 1)
-
-
-def transform_velocity(
-    src: InterpolantSchedule,
-    dst: InterpolantSchedule,
-    s: float,
-    x_bar: np.ndarray,
-    query,
-) -> np.ndarray:
-    """Velocity of the converted process at (x_bar, s).
-
-    ``query(x, t)`` must return the source velocity.  Exactly one query is
-    issued; identity conversions pass the arguments through untouched.
-    """
-    m = scale_time_transform(src, dst, s)
-    if m.is_identity:
-        return query(x_bar, s)
-    return (m.c_dot / m.c_s) * x_bar + (m.c_s * m.t_dot) * query(x_bar / m.c_s, m.t_s)
-
-
 def denoise_interval(
     plan: StepPlan,
     x: np.ndarray,
@@ -289,64 +197,41 @@ def denoise_interval(
 ) -> np.ndarray:
     """Advance the latent over one grid interval; exactly one velocity call.
 
+    This is the only code that steps a latent: every process, sampler and
+    protocol goes through it.  ``z`` is read only when ``plan.noisy(s_right)``.
     The final interval (landing at time 0) is integrated with g forced to 0
     and the velocity evaluated no lower than T_MIN: 1/sigma is singular at 0
     and with g ~ t^2 the discarded noise is O(T_MIN^2).
     """
-    final = s_right <= _FINAL_EPS
     if plan.process in _MATCHED_GRID:
+        # Source coordinates, stepped between matched source times.
         t_left = plan.latent_time(s_left)
-        t_right = plan.latent_time(s_right)
-        dt = t_left - t_right
+        dt = t_left - plan.latent_time(s_right)
         t_eval = max(t_left, T_MIN)
         u = velocity(x, t_eval)
-        if final or plan.diffusion.norm == 0.0:
-            return x - u * dt
-        if plan.process == "linear-sde-adaptive-time":
-            g = plan.diffusion(t_left)
-        else:  # scaled diffusion on the matched grid
-            m = plan.scale_map(s_left)
-            g = plan.diffusion(s_left) / m.c_s * math.sqrt((s_left - s_right) / dt)
-        f = u - 0.5 * g * g * score_from_velocity(plan.src_schedule, t_eval, x, u)
-        return x - f * dt + g * math.sqrt(dt) * z
-
-    # Conversion family: latent lives in dst coordinates at plan time s.
-    ds = s_left - s_right
-    s_eval = max(s_left, T_MIN)
-    m = plan.scale_map(s_left)
-    if m.is_identity:
-        u = velocity(x, s_eval)
+        sched = plan.src_schedule
     else:
-        u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
-    if final or plan.process == "linear-ode" or plan.diffusion.norm == 0.0:
-        return x - u * ds
-    g = plan.diffusion(s_left)
-    f = u - 0.5 * g * g * score_from_velocity(plan.dst_schedule, s_eval, x, u)
-    return x - f * ds + g * math.sqrt(ds) * z
-
-
-def stoch_denoise(
-    plan: StepPlan,
-    state: TrajectoryState,
-    ds: float,
-    z: np.ndarray | None,
-    velocity,
-    s_next: float | None = None,
-) -> TrajectoryState:
-    """One-step stochastic denoising under the plan's mode.
-
-    Composes the scale-time velocity transform, the score recovery, the
-    reverse-SDE drift, and one Euler-Maruyama step; consumes exactly one
-    velocity evaluation.  ``s_next`` pins the landing time to an exact grid
-    value (otherwise ``state.t - ds`` is used).
-    """
-    if s_next is None:
-        s_next = state.t - ds
-    if s_next < -_FINAL_EPS:
-        raise DomainError(f"step from t={state.t} by ds={ds} lands below 0")
-    s_next = max(s_next, 0.0)
-    x_new = denoise_interval(plan, state.x, state.t, s_next, z, velocity)
-    return TrajectoryState(x=x_new, t=s_next, nfe_used=state.nfe_used + 1)
+        # Conversion family: latent lives in dst coordinates at plan time s.
+        dt = s_left - s_right
+        t_eval = max(s_left, T_MIN)
+        m = plan.scale_map(s_left)
+        if m.is_identity:
+            u = velocity(x, t_eval)
+        else:
+            u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
+        sched = plan.dst_schedule
+    if not plan.noisy(s_right):
+        return x - u * dt
+    if plan.process == "linear-sde-adaptive-time":
+        g = plan.diffusion(t_left)
+    elif plan.process == "linear-sde-scaled-diffusion":
+        g = plan.diffusion(s_left) / plan.scale_map(s_left).c_s * math.sqrt((s_left - s_right) / dt)
+    else:
+        g = plan.diffusion(s_left)
+    # Euler-Maruyama on the reverse SDE, drift u - (g^2/2) * score, with g
+    # taken at the interval's left (noisier) end.
+    f = u - 0.5 * g * g * score_from_velocity(sched, t_eval, x, u)
+    return x - f * dt + g * math.sqrt(dt) * z
 
 
 def run_process(
@@ -358,17 +243,13 @@ def run_process(
     """Integrate the full grid from noise to data.
 
     ``x1`` may be a single point ``(d,)`` or a batch ``(..., d)``; noise is
-    drawn from ``rng`` once per stochastic interval for the whole batch.
+    drawn from ``rng`` once per noisy interval for the whole batch.
     Returns the endpoint and the per-trajectory velocity-call count (one per
     grid interval).
     """
     x = np.asarray(x1, dtype=float)
     grid = plan.grid
-    stochastic = plan.is_stochastic()
     for i in range(plan.steps):
-        s_left, s_right = grid[i], grid[i + 1]
-        z = None
-        if stochastic and s_right > _FINAL_EPS:
-            z = rng.standard_normal(x.shape)
-        x = denoise_interval(plan, x, s_left, s_right, z, velocity)
+        z = rng.standard_normal(x.shape) if plan.noisy(grid[i + 1]) else None
+        x = denoise_interval(plan, x, grid[i], grid[i + 1], z, velocity)
     return x, plan.steps

@@ -26,6 +26,7 @@ columns except wall_ms are identical regardless of harness parallelism.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import time
@@ -87,6 +88,32 @@ class ExperimentConfig:
             raise ConfigError("nfe must be at least steps")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
+        if self.reward.kind == "target-point":
+            shape = self.reward.params["target"].shape
+            if shape != (self.gmm.dim,):
+                raise ConfigError(
+                    f"target-point target has shape {shape}, the gmm has dim {self.gmm.dim}"
+                )
+        _check_sampler_opts(self.sampler, self.sampler_opts)
+
+
+def _check_sampler_opts(sampler: str, opts: dict) -> None:
+    """Reject options the sampler's signature lacks or values whose JSON type
+    differs from the option's default (an int option takes no float)."""
+    params = inspect.signature(SAMPLERS[sampler]).parameters.values()
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    for name, value in opts.items():
+        if name not in defaults:
+            raise ConfigError(
+                f"sampler {sampler!r} has no option {name!r}; "
+                f"its options are {sorted(defaults)}"
+            )
+        kind = type(defaults[name])
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+            raise ConfigError(f"sampler option {name!r} must be {kind.__name__}, got {value!r}")
 
 
 def _gmm_from_dict(doc: dict) -> GaussianMixtureModel:
@@ -130,9 +157,9 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    gmm = _gmm_from_dict(doc["gmm"]) if "gmm" in doc else default_benchmark_gmm()
-    reward = _reward_from_dict(doc.get("reward", {}), gmm)
     try:
+        gmm = _gmm_from_dict(doc["gmm"]) if "gmm" in doc else default_benchmark_gmm()
+        reward = _reward_from_dict(doc.get("reward", {}), gmm)
         return ExperimentConfig(
             gmm=gmm,
             reward=reward,
@@ -201,7 +228,7 @@ def branched_proposals(
     grid = plan.grid
     for i in range(plan.steps):
         z = None
-        if plan.is_stochastic() and grid[i + 1] > 0.0:
+        if plan.noisy(grid[i + 1]):
             z = np.stack(
                 [
                     streams.stream(seed, streams.DIVERSITY, i + 1, j).standard_normal(gmm.dim)
@@ -212,23 +239,14 @@ def branched_proposals(
     return xs
 
 
-def _plan_for(config: ExperimentConfig, process: str | None = None, steps: int | None = None) -> StepPlan:
-    return make_plan(process or config.process, steps or config.steps)
-
-
-def _run_sampler(config: ExperimentConfig, plan: StepPlan, nfe: int, seed: int):
-    budget = SearchBudget.uniform(nfe, plan.steps)
-    sampler = SAMPLERS[config.sampler]
-    result = sampler(plan, config.gmm, config.reward, budget, seed, **config.sampler_opts)
-    return result
-
-
 def run_experiment(config: ExperimentConfig, seed: int, nfe: int | None = None) -> RunRecord:
     """Execute one seeded run and measure branched-proposal diversity."""
     nfe = config.nfe if nfe is None else nfe
-    plan = _plan_for(config)
+    plan = make_plan(config.process, config.steps)
     start = time.perf_counter()
-    result = _run_sampler(config, plan, nfe, seed)
+    budget = SearchBudget.uniform(nfe, plan.steps)
+    sampler = SAMPLERS[config.sampler]
+    result = sampler(plan, config.gmm, config.reward, budget, seed, **config.sampler_opts)
     wall_ms = (time.perf_counter() - start) * 1000.0
     div = diversity_mpd(branched_proposals(plan, config.gmm, seed))
     record = RunRecord(
@@ -331,7 +349,7 @@ def ablate_interpolant(config: ExperimentConfig, jobs: int = 1) -> list[RunRecor
 
 def diversity_record(config: ExperimentConfig, seed: int) -> RunRecord:
     """Diversity-only record: no sampler run; best_reward is the best branch."""
-    plan = _plan_for(config)
+    plan = make_plan(config.process, config.steps)
     start = time.perf_counter()
     endpoints = branched_proposals(plan, config.gmm, seed)
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -53,9 +53,6 @@ class InterpolantSchedule:
                 )
 
 
-LINEAR = InterpolantSchedule("linear")
-
-
 def vp_schedule(beta_min: float = 0.1, beta_max: float = 20.0) -> InterpolantSchedule:
     return InterpolantSchedule("vp", vp_beta_min=beta_min, vp_beta_max=beta_max)
 

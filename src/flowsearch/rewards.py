@@ -93,7 +93,6 @@ class ValueEstimate:
 
     value: float | np.ndarray
     posterior_mean: np.ndarray
-    nfe_charged: int
 
 
 def estimate_value(
@@ -102,21 +101,14 @@ def estimate_value(
     sched: InterpolantSchedule,
     t: float,
     x_t,
-    step_paid: bool = True,
 ) -> ValueEstimate:
     """Value of a latent through its posterior mean.
 
-    ``step_paid`` records whether the velocity evaluation for this latent at
-    this time was already charged to the budget (it is, whenever the latent
-    was produced by a charged denoising step); only a fresh latent, such as
-    the initial noise, costs an extra call.
+    The NFE ledger lives in ``samplers.SearchBudget``: the samplers charge
+    for the velocity evaluation that produced or valued a latent.
     """
     x0 = posterior_mean(gmm, sched, t, np.asarray(x_t, dtype=float))
-    return ValueEstimate(
-        value=evaluate_reward(spec, x0),
-        posterior_mean=x0,
-        nfe_charged=0 if step_paid else 1,
-    )
+    return ValueEstimate(value=evaluate_reward(spec, x0), posterior_mean=x0)
 
 
 def reward_gradient_through_posterior(

@@ -13,6 +13,11 @@ evaluation yields both the proposal and the Tweedie posterior mean.  Only
 valuing a latent nobody stepped to, such as rbf's initial noise, costs an
 extra call.  ``nfe_used`` never exceeds ``total_nfe``.
 
+Every sampler is built on ``_Runner``, which owns the per-step ledger
+(charge the budget and book the step together), the per-step proposal
+noise, stepping through ``engine.denoise_interval`` (the one stepping
+kernel), valuing, and the final highest-reward selection.
+
 Determinism
 -----------
 All randomness is drawn from counter-based streams keyed by
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import rng as streams
 from .analytic_flow import GaussianMixtureModel, velocity_at
-from .engine import StepPlan, TrajectoryState, denoise_interval, deterministic_plan
+from .engine import StepPlan, denoise_interval, deterministic_plan
 from .errors import BudgetError, DomainError
 from .interpolants import T_MIN, eval_schedule
 from .rewards import RewardSpec, estimate_value, evaluate_reward
@@ -45,11 +50,12 @@ def _uniform_split(total: int, parts: int) -> list[int]:
 
 @dataclass
 class SearchBudget:
-    """Total NFE, per-step quotas, and the consumed-NFE ledger."""
+    """Total NFE, step count, and the consumed-NFE ledger.
+
+    Each sampler splits the total into per-step quotas itself."""
 
     total_nfe: int
     steps: int
-    quotas: list[int]
     consumed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,12 +65,10 @@ class SearchBudget:
             raise BudgetError(
                 f"total_nfe={self.total_nfe} cannot cover {self.steps} steps"
             )
-        if len(self.quotas) != self.steps or any(q < 0 for q in self.quotas):
-            raise BudgetError("quotas must be one nonnegative integer per step")
 
     @classmethod
     def uniform(cls, total_nfe: int, steps: int) -> "SearchBudget":
-        return cls(total_nfe=total_nfe, steps=steps, quotas=_uniform_split(total_nfe, steps))
+        return cls(total_nfe=total_nfe, steps=steps)
 
     @property
     def remaining(self) -> int:
@@ -78,19 +82,6 @@ class SearchBudget:
                 f"charge of {n} exceeds budget ({self.consumed}/{self.total_nfe} used)"
             )
         self.consumed += n
-
-
-@dataclass
-class Particle:
-    """One candidate latent with its cached value and SMC log-weight."""
-
-    state: TrajectoryState
-    value: float
-    log_weight: float = 0.0
-
-    @property
-    def weight(self) -> float:
-        return float(np.exp(self.log_weight))
 
 
 @dataclass(frozen=True)
@@ -145,7 +136,8 @@ def _top_k_first(values: np.ndarray, k: int) -> np.ndarray:
 
 
 class _Runner:
-    """Shared plumbing: the velocity oracle, value estimates, and stepping."""
+    """The sampler skeleton: the velocity oracle, initial latents, per-step
+    noise, stepping, valuing, the per-step NFE ledger and the final pick."""
 
     def __init__(
         self,
@@ -165,19 +157,29 @@ class _Runner:
         self.budget = budget
         self.seed = seed
         self.det_plan = deterministic_plan(plan)
+        self.per_step = [0] * plan.steps
         src = plan.src_schedule
         self.velocity = lambda x, t: velocity_at(gmm, src, t, x)
 
     def initial(self, index: int) -> np.ndarray:
         return streams.stream(self.seed, streams.INIT, index).standard_normal(self.gmm.dim)
 
-    def noise(self, step: int, particle: int, shape) -> np.ndarray:
-        return streams.stream(self.seed, streams.PROPOSAL, step, particle).standard_normal(shape)
+    def noise(self, i: int, first: int, count: int) -> np.ndarray | None:
+        """Proposal noise of particles ``first .. first+count-1`` on grid
+        interval i, one row each; None when the interval injects no noise."""
+        if not self.plan.noisy(self.plan.grid[i + 1]):
+            return None
+        z = np.empty((count, self.gmm.dim))
+        for j in range(count):
+            z[j] = streams.stream(self.seed, streams.PROPOSAL, i, first + j).standard_normal(
+                self.gmm.dim
+            )
+        return z
 
-    def noise_block(self, step: int, first_particle: int, count: int) -> np.ndarray:
-        return np.stack(
-            [self.noise(step, first_particle + j, (self.gmm.dim,)) for j in range(count)]
-        )
+    def charge(self, i: int, n: int) -> None:
+        """Spend n NFE on grid interval i: charge the budget, book the step."""
+        self.budget.charge(n)
+        self.per_step[i] += n
 
     def value(self, x: np.ndarray, s: float):
         """Value of latents at plan time s (bundled with their step's NFE)."""
@@ -195,6 +197,21 @@ class _Runner:
         g = plan.grid
         return denoise_interval(plan, x, g[i], g[i + 1], z, self.velocity)
 
+    def result(self, finals, values=None, trace: dict | None = None) -> SearchResult:
+        """The highest-reward final latent, lowest index on ties; ``values``
+        stand in for the rewards when the caller already holds them."""
+        x = np.asarray(finals)
+        if values is None:
+            values = np.asarray(evaluate_reward(self.reward, x))
+        best = _argmax_first(values)
+        return SearchResult(
+            best_x=x[best],
+            best_reward=float(evaluate_reward(self.reward, x[best])),
+            nfe_used=self.budget.consumed,
+            per_step_consumption=self.per_step,
+            trace=trace,
+        )
+
 
 def best_of_n(
     plan: StepPlan,
@@ -210,19 +227,10 @@ def best_of_n(
     if n < 1:
         raise BudgetError("best-of-n needs total_nfe >= steps")
     x = np.stack([r.initial(i) for i in range(n)])
-    per_step = []
     for i in range(plan.steps):
-        budget.charge(n)
-        per_step.append(n)
+        r.charge(i, n)
         x = r.step_batch(x, i, None, deterministic=True)
-    rewards = np.asarray(evaluate_reward(reward, x))
-    best = _argmax_first(rewards)
-    return SearchResult(
-        best_x=x[best],
-        best_reward=float(evaluate_reward(reward, x[best])),
-        nfe_used=budget.consumed,
-        per_step_consumption=per_step,
-    )
+    return r.result(x)
 
 
 def _forward_noise(
@@ -260,7 +268,6 @@ def search_over_paths(
     steps = plan.steps
     if budget.total_nfe < n_keep * steps:
         raise BudgetError("budget cannot finish the survivors deterministically")
-    per_step = [0] * steps
     x = np.stack([r.initial(i) for i in range(n_keep)])
     idx = 0
     round_no = 0
@@ -282,8 +289,7 @@ def search_over_paths(
         )
         pos = fwd_idx
         for _ in range(db):
-            budget.charge(branched.shape[0])
-            per_step[pos] += branched.shape[0]
+            r.charge(pos, branched.shape[0])
             branched = r.step_batch(branched, pos, None, deterministic=True)
             pos += 1
         values = r.value(branched, plan.grid[pos])
@@ -292,18 +298,10 @@ def search_over_paths(
         idx = pos
         round_no += 1
     while idx < steps:  # deterministic finish after truncation
-        budget.charge(x.shape[0])
-        per_step[idx] += x.shape[0]
+        r.charge(idx, x.shape[0])
         x = r.step_batch(x, idx, None, deterministic=True)
         idx += 1
-    rewards = np.asarray(evaluate_reward(reward, x))
-    best = _argmax_first(rewards)
-    return SearchResult(
-        best_x=x[best],
-        best_reward=float(evaluate_reward(reward, x[best])),
-        nfe_used=budget.consumed,
-        per_step_consumption=per_step,
-    )
+    return r.result(x)
 
 
 def run_smc(
@@ -329,7 +327,6 @@ def run_smc(
     x = np.stack([r.initial(i) for i in range(n)])
     values = r.value(x, plan.grid[0])  # initial noises: uncharged by convention
     log_w = np.zeros(n)
-    per_step = []
     trace = {"resampled": [], "weights_after_resample": []} if with_trace else None
     for i in range(plan.steps):
         resampled = log_ess(log_w) < ess_threshold_frac * n
@@ -344,21 +341,13 @@ def run_smc(
             trace["resampled"].append(resampled)
             if resampled:
                 trace["weights_after_resample"].append(np.exp(log_w).copy())
-        z = r.noise_block(i, 0, n) if plan.is_stochastic() and plan.grid[i + 1] > 0 else None
-        budget.charge(n)
-        per_step.append(n)
+        z = r.noise(i, 0, n)
+        r.charge(i, n)
         x = r.step_batch(x, i, z)
         new_values = r.value(x, plan.grid[i + 1])
         log_w = log_w + (new_values - values) / beta
         values = new_values
-    best = _argmax_first(values)  # at t=0 the value is the reward itself
-    return SearchResult(
-        best_x=x[best],
-        best_reward=float(evaluate_reward(reward, x[best])),
-        nfe_used=budget.consumed,
-        per_step_consumption=per_step,
-        trace=trace,
-    )
+    return r.result(x, values, trace)  # at t=0 the value is the reward itself
 
 
 def run_svdd(
@@ -380,23 +369,16 @@ def run_svdd(
         raise DomainError("k must be >= 1")
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
-    per_step = [0] * steps
     finals: list[np.ndarray] = []
-    for b in range(batches):
-        share = _uniform_split(budget.total_nfe, batches)[b]
+    for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         quotas = _uniform_split(share, steps)
         x = r.initial(b)
         for i in range(steps):
             draws = min(k, quotas[i])
             if draws < 1:
                 raise BudgetError("svdd step quota fell to zero")
-            z = (
-                r.noise_block(i, b * k, draws)
-                if plan.is_stochastic() and plan.grid[i + 1] > 0
-                else None
-            )
-            budget.charge(draws)
-            per_step[i] += draws
+            z = r.noise(i, b * k, draws)
+            r.charge(i, draws)
             proposals = r.step_batch(np.tile(x, (draws, 1)), i, z)
             if draws == 1:
                 x = proposals[0]
@@ -404,14 +386,7 @@ def run_svdd(
             values = r.value(proposals, plan.grid[i + 1])
             x = proposals[_argmax_first(values)]
         finals.append(x)
-    rewards = np.asarray(evaluate_reward(reward, np.stack(finals)))
-    best = _argmax_first(rewards)
-    return SearchResult(
-        best_x=finals[best],
-        best_reward=float(evaluate_reward(reward, finals[best])),
-        nfe_used=budget.consumed,
-        per_step_consumption=per_step,
-    )
+    return r.result(finals)
 
 
 def run_code(
@@ -430,10 +405,8 @@ def run_code(
         raise DomainError("interval and k must be >= 1")
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
-    per_step = [0] * steps
     finals: list[np.ndarray] = []
-    for b in range(batches):
-        share = _uniform_split(budget.total_nfe, batches)[b]
+    for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         spent = 0
         x = r.initial(b)
         i0 = 0
@@ -445,14 +418,9 @@ def run_code(
             chains = np.tile(x, (k_eff, 1))
             for off in range(span):
                 i = i0 + off
-                z = (
-                    r.noise_block(i, b * k, k_eff)
-                    if plan.is_stochastic() and plan.grid[i + 1] > 0
-                    else None
-                )
-                budget.charge(k_eff)
+                z = r.noise(i, b * k, k_eff)
+                r.charge(i, k_eff)
                 spent += k_eff
-                per_step[i] += k_eff
                 chains = r.step_batch(chains, i, z)
             if k_eff > 1:
                 values = r.value(chains, plan.grid[i0 + span])
@@ -461,14 +429,7 @@ def run_code(
                 x = chains[0]
             i0 += span
         finals.append(x)
-    rewards = np.asarray(evaluate_reward(reward, np.stack(finals)))
-    best = _argmax_first(rewards)
-    return SearchResult(
-        best_x=finals[best],
-        best_reward=float(evaluate_reward(reward, finals[best])),
-        nfe_used=budget.consumed,
-        per_step_consumption=per_step,
-    )
+    return r.result(finals)
 
 
 def run_rbf(
@@ -496,7 +457,6 @@ def run_rbf(
     shares = _uniform_split(budget.total_nfe, batches)
     if min(shares) < steps + 1:
         raise BudgetError("each rbf batch needs at least steps + 1 NFEs")
-    per_step = [0] * steps
     init_charges = 0
     finals: list[np.ndarray] = []
     trace: dict = {"batches": []} if with_trace else None
@@ -514,16 +474,15 @@ def run_rbf(
                 raise BudgetError("rbf step quota fell to zero")
             if with_trace:
                 batch_trace["quotas_at_entry"].append(list(quotas[i:]))
-            stochastic = plan.is_stochastic() and plan.grid[i + 1] > 0
             proposals = np.empty((q, gmm.dim))
             values = np.empty(q)
             accepted = None
             spent = 0
             for j in range(1, q + 1):
-                z = r.noise(i, stride + j, (gmm.dim,)) if stochastic else None
-                budget.charge(1)
+                z = r.noise(i, stride + j, 1)
+                r.charge(i, 1)
                 spent = j
-                xj = r.step_batch(x[None, :], i, None if z is None else z[None, :])[0]
+                xj = r.step_batch(x[None, :], i, z)[0]
                 vj = float(r.value(xj, plan.grid[i + 1]))
                 proposals[j - 1] = xj
                 values[j - 1] = vj
@@ -533,7 +492,6 @@ def run_rbf(
                     r_star = vj
                     accepted = xj
                     break
-            per_step[i] += spent
             if accepted is None:
                 accepted = proposals[_argmax_first(values[:spent])]
             if with_trace:
@@ -542,17 +500,9 @@ def run_rbf(
         finals.append(x)
         if with_trace:
             trace["batches"].append(batch_trace)
-    rewards = np.asarray(evaluate_reward(reward, np.stack(finals)))
-    best = _argmax_first(rewards)
     if with_trace:
         trace["init_charges"] = init_charges
-    return SearchResult(
-        best_x=finals[best],
-        best_reward=float(evaluate_reward(reward, finals[best])),
-        nfe_used=budget.consumed,
-        per_step_consumption=per_step,
-        trace=trace,
-    )
+    return r.result(finals, trace=trace)
 
 
 SAMPLERS = {

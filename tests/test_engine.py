@@ -12,20 +12,20 @@ from flowsearch.analytic_flow import (
 from flowsearch.engine import (
     DiffusionCoefficient,
     StepPlan,
-    TrajectoryState,
     denoise_interval,
-    drift,
+    deterministic_plan,
     make_plan,
     make_time_grid,
-    ode_step,
     run_process,
     score_from_velocity,
-    sde_step,
-    stoch_denoise,
-    transform_velocity,
 )
 from flowsearch.errors import DomainError
-from flowsearch.interpolants import InterpolantSchedule, eval_schedule, vp_schedule
+from flowsearch.interpolants import (
+    InterpolantSchedule,
+    eval_schedule,
+    scale_time_transform,
+    vp_schedule,
+)
 
 LINEAR = InterpolantSchedule("linear")
 VP = vp_schedule()
@@ -35,6 +35,17 @@ GMM = default_benchmark_gmm()
 
 def oracle(gmm):
     return lambda x, t: velocity_at(gmm, LINEAR, t, x)
+
+
+def constant(u):
+    """A velocity field that returns ``u`` everywhere."""
+    return lambda x, t: u
+
+
+def linear_sde_plan(diffusion=None):
+    """Unconverted reverse SDE (src = dst = linear) on a 10-step grid."""
+    g = DiffusionCoefficient() if diffusion is None else diffusion
+    return StepPlan("linear-sde", LINEAR, LINEAR, g, make_time_grid(10))
 
 
 def test_score_from_velocity_examples():
@@ -68,12 +79,18 @@ def test_score_velocity_identity(sched):
 
 
 def test_drift_examples():
+    # the step is x - f ds with the reverse-SDE drift f; with z = 0 the drift
+    # is recovered as (x - x') / ds
     x = np.array([1.0, 0.0])
     u = np.array([0.7, -0.1])
-    np.testing.assert_array_equal(drift(LINEAR, DiffusionCoefficient.zero(), 0.5, x, u), u)
+    ds = 0.5 - 0.4
+    # g = 0: the drift is u itself, bit for bit
+    zero = linear_sde_plan(DiffusionCoefficient.zero())
+    out = denoise_interval(zero, x, 0.5, 0.4, np.ones(2), constant(u))
+    np.testing.assert_array_equal(out, x - u * ds)
     # g(0.5) = 0.75; u = 0 gives -(g^2/2) * score = (0.5625, 0)
-    got = drift(LINEAR, DiffusionCoefficient(), 0.5, x, np.zeros(2))
-    np.testing.assert_allclose(got, [0.5625, 0.0], atol=1e-12)
+    out = denoise_interval(linear_sde_plan(), x, 0.5, 0.4, np.zeros(2), constant(np.zeros(2)))
+    np.testing.assert_allclose((x - out) / ds, [0.5625, 0.0], atol=1e-12)
 
 
 def test_corollary_diffusion_cancels_score():
@@ -92,15 +109,12 @@ def test_corollary_diffusion_cancels_score():
 
 
 def test_ode_step():
-    state = TrajectoryState(np.zeros(2), 0.5, nfe_used=3)
-    out = ode_step(state, 0.1, np.array([2.0, 0.0]))
-    np.testing.assert_allclose(out.x, [-0.2, 0.0])
-    assert out.t == pytest.approx(0.4)
-    assert out.nfe_used == 4
-    unchanged = ode_step(state, 0.1, np.zeros(2))
-    np.testing.assert_array_equal(unchanged.x, state.x)
-    with pytest.raises(DomainError):
-        ode_step(state, 0.6, np.zeros(2))
+    plan = make_plan("linear-ode", 10)
+    x = np.zeros(2)
+    out = denoise_interval(plan, x, 0.5, 0.4, None, constant(np.array([2.0, 0.0])))
+    np.testing.assert_allclose(out, [-0.2, 0.0])
+    unchanged = denoise_interval(plan, x, 0.5, 0.4, None, constant(np.zeros(2)))
+    np.testing.assert_array_equal(unchanged, x)
 
 
 def test_ode_marginal_variance():
@@ -113,37 +127,51 @@ def test_ode_marginal_variance():
 
 
 def test_sde_step_mean_and_variance():
-    diff = DiffusionCoefficient()
-    state = TrajectoryState(np.array([1.0, 0.0]), 0.5)
-    u = velocity_at(GMM, LINEAR, 0.5, state.x)
+    plan = linear_sde_plan()
+    diff = plan.diffusion
+    x = np.array([1.0, 0.0])
+    ds = 0.5 - 0.4
+    u = velocity_at(GMM, LINEAR, 0.5, x)
     # z = 0 lands exactly on the proposal mean
-    out = sde_step(state, 0.1, u, np.zeros(2), diff, LINEAR)
-    f = drift(LINEAR, diff, 0.5, state.x, u)
-    np.testing.assert_allclose(out.x, state.x - f * 0.1, atol=1e-15)
+    out = denoise_interval(plan, x, 0.5, 0.4, np.zeros(2), oracle(GMM))
+    f = u - 0.5 * diff(0.5) ** 2 * score_from_velocity(LINEAR, 0.5, x, u)
+    np.testing.assert_allclose(out, x - f * ds, atol=1e-15)
     # g = 0 reduces to the ODE step
-    out0 = sde_step(state, 0.1, u, np.ones(2), DiffusionCoefficient.zero(), LINEAR)
-    np.testing.assert_allclose(out0.x, ode_step(state, 0.1, u).x, atol=1e-15)
+    zero = linear_sde_plan(DiffusionCoefficient.zero())
+    out0 = denoise_interval(zero, x, 0.5, 0.4, np.ones(2), oracle(GMM))
+    np.testing.assert_allclose(out0, x - u * ds, atol=1e-15)
     # Monte-Carlo variance of one step: g^2 dt per dimension within 5%
     rng = np.random.default_rng(2)
     z = rng.standard_normal((10_000, 2))
-    xs = state.x - f * 0.1 + diff(0.5) * np.sqrt(0.1) * z
-    want = diff(0.5) ** 2 * 0.1
+    xs = denoise_interval(plan, np.tile(x, (10_000, 1)), 0.5, 0.4, z, oracle(GMM))
+    want = diff(0.5) ** 2 * ds
     assert np.allclose(xs.var(axis=0), want, rtol=0.05)
 
 
 def test_transform_velocity_identity():
+    # an identity conversion queries the oracle with its arguments untouched
+    plan = StepPlan("vp-sde", LINEAR, LINEAR, DiffusionCoefficient.zero(), make_time_grid(10))
     x = np.array([0.3, -1.2])
-    u = transform_velocity(LINEAR, LINEAR, 0.6, x, oracle(GMM))
-    np.testing.assert_array_equal(u, velocity_at(GMM, LINEAR, 0.6, x))
+    queries = []
+
+    def spy(xq, t):
+        queries.append((xq, t))
+        return velocity_at(GMM, LINEAR, t, xq)
+
+    out = denoise_interval(plan, x, 0.6, 0.5, None, spy)
+    assert len(queries) == 1 and queries[0][0] is x and queries[0][1] == 0.6
+    np.testing.assert_array_equal(out, x - velocity_at(GMM, LINEAR, 0.6, x) * (0.6 - 0.5))
 
 
 def test_transform_velocity_vp_closed_form():
-    # for an N(0, I) prior the converted velocity equals the vp closed form
+    # for an N(0, I) prior the converted velocity equals the vp closed form;
+    # a zero-diffusion step s -> 0 is x - u s, so u = (x - x') / s
+    plan = deterministic_plan(make_plan("vp-sde", 10))
     rng = np.random.default_rng(3)
     for _ in range(100):
         s = rng.uniform(1e-2, 1.0)
         x = rng.normal(size=2)
-        got = transform_velocity(LINEAR, VP, s, x, oracle(SINGLE))
+        got = (x - denoise_interval(plan, x, s, 0.0, None, oracle(SINGLE))) / s
         alpha, sigma, alpha_dot, sigma_dot = eval_schedule(VP, s)
         want = (alpha_dot * alpha + sigma_dot * sigma) / (alpha**2 + sigma**2) * x
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -151,19 +179,13 @@ def test_transform_velocity_vp_closed_form():
 
 def test_make_time_grid():
     np.testing.assert_allclose(make_time_grid(10), np.linspace(1.0, 0.0, 11))
-    adaptive = make_time_grid(10, "adaptive")
-    assert adaptive[0] == 1.0 and adaptive[-1] == 0.0
-    # the map sends 0.5 to sqrt(0.75)
-    assert adaptive[5] == pytest.approx(np.sqrt(0.75), rel=1e-12)
-    spacing = -np.diff(adaptive)
-    assert spacing[0] < spacing[-1]  # finer near t=1, coarser near t=0
     with pytest.raises(DomainError):
         make_time_grid(0)
 
 
 def test_step_plan_validation():
     with pytest.raises(DomainError):
-        make_plan("linear-ode", 10, diffusion=DiffusionCoefficient())  # nonzero g
+        StepPlan("linear-ode", LINEAR, LINEAR, DiffusionCoefficient(), make_time_grid(10))
     with pytest.raises(DomainError):
         StepPlan("rbf", LINEAR, LINEAR, DiffusionCoefficient(), make_time_grid(4))
     with pytest.raises(DomainError):
@@ -178,25 +200,33 @@ def test_step_plan_validation():
 
 def test_stoch_denoise_linear_ode_matches_ode_step():
     plan = make_plan("linear-ode", 10)
-    state = TrajectoryState(np.array([0.4, -0.9]), 1.0)
+    x = np.array([0.4, -0.9])
     z = np.full(2, 7.7)  # ignored when g = 0
-    out = stoch_denoise(plan, state, 0.1, z, oracle(GMM), s_next=0.9)
-    u = velocity_at(GMM, LINEAR, 1.0, state.x)
-    np.testing.assert_array_equal(out.x, ode_step(state, 1.0 - 0.9, u).x)
-    assert out.nfe_used == 1
+    calls = []
+
+    def counting(xq, t):
+        calls.append(t)
+        return velocity_at(GMM, LINEAR, t, xq)
+
+    out = denoise_interval(plan, x, 1.0, 0.9, z, counting)
+    u = velocity_at(GMM, LINEAR, 1.0, x)
+    np.testing.assert_array_equal(out, x - u * (1.0 - 0.9))
+    assert calls == [1.0]
 
 
 def test_stoch_denoise_vp_zero_noise_matches_closed_form():
     # z = 0: the step lands on x - f ds with f from the converted velocity
+    # (c_dot / c) x + c t_dot u_src(x / c, t_s) of the scale-time map
     plan = make_plan("vp-sde", 10)
     x = np.array([0.8, 0.5])
     s = 0.9
-    u_bar = transform_velocity(LINEAR, VP, s, x, oracle(SINGLE))
+    m = scale_time_transform(LINEAR, VP, s)
+    u_src = velocity_at(SINGLE, LINEAR, m.t_s, x / m.c_s)
+    u_bar = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * u_src
     sc = score_from_velocity(VP, s, x, u_bar)
     f = u_bar - 0.5 * plan.diffusion(s) ** 2 * sc
-    state = TrajectoryState(x, s)
-    out = stoch_denoise(plan, state, 0.1, np.zeros(2), oracle(SINGLE), s_next=0.8)
-    np.testing.assert_allclose(out.x, x - f * 0.1, rtol=1e-12)
+    out = denoise_interval(plan, x, s, 0.8, np.zeros(2), oracle(SINGLE))
+    np.testing.assert_allclose(out, x - f * 0.1, rtol=1e-12)
 
 
 def test_scaled_diffusion_inflates_early_noise():

@@ -185,14 +185,31 @@ def test_cli_run_and_parallel_determinism(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_cli_config_error_exit_code(tmp_path):
-    cfg_path = _write_config(tmp_path, sampler="alphazero")
+@pytest.mark.parametrize(
+    "overrides, extra_args",
+    [
+        ({"sampler": "alphazero"}, []),
+        ({"sampler_opts": {"kk": 3}}, []),
+        ({"sampler": "rbf", "sampler_opts": {"batches": "two"}}, []),
+        ({"seeds": [-1]}, []),
+        ({}, ["--seed-offset", "-5"]),
+        ({"reward": {"kind": "target-point", "params": {"target": [1.0, 2.0, 3.0]}}}, []),
+        ({"reward": {"kind": "ring", "params": {"radius": "big"}}}, []),
+    ],
+    ids=[
+        "unknown-sampler", "unknown-option", "option-type", "negative-seed",
+        "negative-seed-offset", "target-dimension", "reward-number",
+    ],
+)
+def test_cli_config_error_exit_code(tmp_path, overrides, extra_args):
+    cfg_path = _write_config(tmp_path, **overrides)
     proc = subprocess.run(
         [sys.executable, "-m", "flowsearch.cli", "run", str(cfg_path),
-         "--out", str(tmp_path / "x.csv")],
+         "--out", str(tmp_path / "x.csv"), *extra_args],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_seed_offset(tmp_path):
