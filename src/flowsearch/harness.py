@@ -130,9 +130,17 @@ def _gmm_from_dict(doc: dict) -> GaussianMixtureModel:
     return gmm
 
 
+def _object(doc: dict, key: str, name: str) -> dict:
+    """``doc[key]`` (default ``{}``), which must be a JSON object."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _reward_from_dict(doc: dict, gmm: GaussianMixtureModel) -> RewardSpec:
     kind = doc.get("kind", "rare-mode")
-    params = doc.get("params", {})
+    params = _object(doc, "params", "reward.params")
     beta = float(doc.get("beta", 0.1))
     if kind == "target-point":
         if "target" not in params:
@@ -157,9 +165,12 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string or null, got {out!r}")
     try:
         gmm = _gmm_from_dict(doc["gmm"]) if "gmm" in doc else default_benchmark_gmm()
-        reward = _reward_from_dict(doc.get("reward", {}), gmm)
+        reward = _reward_from_dict(_object(doc, "reward", "reward"), gmm)
         return ExperimentConfig(
             gmm=gmm,
             reward=reward,
@@ -168,8 +179,8 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
             nfe=int(doc.get("nfe", 500)),
             steps=int(doc.get("steps", 10)),
             seeds=tuple(int(s) for s in doc.get("seeds", [0])),
-            sampler_opts=dict(doc.get("sampler_opts", {})),
-            out=doc.get("out"),
+            sampler_opts=dict(_object(doc, "sampler_opts", "sampler_opts")),
+            out=out,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -244,7 +255,7 @@ def run_experiment(config: ExperimentConfig, seed: int, nfe: int | None = None) 
     nfe = config.nfe if nfe is None else nfe
     plan = make_plan(config.process, config.steps)
     start = time.perf_counter()
-    budget = SearchBudget.uniform(nfe, plan.steps)
+    budget = SearchBudget(nfe, plan.steps)
     sampler = SAMPLERS[config.sampler]
     result = sampler(plan, config.gmm, config.reward, budget, seed, **config.sampler_opts)
     wall_ms = (time.perf_counter() - start) * 1000.0

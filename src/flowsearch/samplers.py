@@ -66,10 +66,6 @@ class SearchBudget:
                 f"total_nfe={self.total_nfe} cannot cover {self.steps} steps"
             )
 
-    @classmethod
-    def uniform(cls, total_nfe: int, steps: int) -> "SearchBudget":
-        return cls(total_nfe=total_nfe, steps=steps)
-
     @property
     def remaining(self) -> int:
         return self.total_nfe - self.consumed

@@ -1,8 +1,16 @@
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from flowsearch.analytic_flow import (
     GaussianMixtureModel,
+    _at_time,
+    _component_log_joint,
+    _logsumexp,
     default_benchmark_gmm,
     marginal_at,
     marginal_log_density,
@@ -209,3 +217,79 @@ def test_mode_assignments():
     gmm = default_benchmark_gmm()
     pts = np.array([[4.0, 4.0], [-4.0, 4.1], [-3.8, -4.0], [4.2, -4.0]])
     np.testing.assert_array_equal(mode_assignments(gmm, pts), [0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (25, 4), (10_000, 4), (7, 3, 4), (5, 33)])
+def test_logsumexp_matches_scipy_bitwise(shape):
+    # Ties, -inf entries, rows of all -inf and magnitudes 0.1..1e4; the
+    # numpy kernel must give scipy's bits and raise no floating warnings.
+    rng = np.random.default_rng(sum(shape))
+    for scale in (0.1, 1.0, 10.0, 100.0, 1e4):
+        for trial in range(12):
+            a = scale * rng.standard_normal(shape)
+            if trial % 3 == 0:
+                a = np.round(a)
+            if trial % 4 == 1:
+                a[rng.random(shape) < 0.3] = -np.inf
+            if trial % 4 == 2:
+                a[..., 0] = a[..., -1]
+            if trial % 6 == 5 and a.ndim > 1:
+                a[0] = -np.inf
+            with np.errstate(divide="ignore"):
+                ref = logsumexp(a, axis=-1, keepdims=True)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _logsumexp(a)
+            assert got.shape == ref.shape
+            assert np.array_equal(got, ref), (scale, trial)
+
+
+def test_marginal_log_density_matches_scipy_bitwise():
+    gmm = default_benchmark_gmm()
+    params = marginal_at(gmm, VP, 0.4)
+    x = np.random.default_rng(5).normal(scale=6.0, size=(50, 2))
+    log_joint = _component_log_joint(params, x)
+    assert np.array_equal(marginal_log_density(params, x), logsumexp(log_joint, axis=-1))
+    one = marginal_log_density(params, x[0])
+    assert np.ndim(one) == 0 and one == logsumexp(log_joint[0])
+
+
+def _oracle(gmm, sched, t, x):
+    return (
+        velocity_at(gmm, sched, t, x),
+        posterior_mean(gmm, sched, t, x),
+        score_at(gmm, sched, t, x),
+    )
+
+
+def test_oracle_cache_hits_equal_cold_calls():
+    # A cached (gmm, sched, t) entry must give the bits of a cold call, and
+    # entries for two schedules at one t, or two mixtures with different
+    # means at one (sched, t), must never stand in for each other.
+    shifted = TWO_MODE.means + 1.0
+    other = GaussianMixtureModel(TWO_MODE.weights, shifted, TWO_MODE.variances)
+    x = np.random.default_rng(6).normal(scale=3.0, size=(8, 2))
+    cases = [(g, s, t) for g in (TWO_MODE, other) for s in (LINEAR, VP) for t in (0.3, 0.7)]
+    cold = {}
+    for case in cases:
+        _at_time.cache_clear()
+        cold[case] = _oracle(*case, x)
+    _at_time.cache_clear()
+    for _ in range(2):
+        for case in cases:
+            for got, want in zip(_oracle(*case, x), cold[case]):
+                assert np.array_equal(got, want)
+    assert _at_time.cache_info().hits > 0
+    with pytest.raises(ValueError):
+        TWO_MODE.means[0, 0] = 9.0  # read-only: a cached entry cannot go stale
+    shifted[0, 0] = 9.0  # the caller's array stays writable; the mixture holds a copy
+    assert other.means[0, 0] == 4.0
+    for a, b in [(cases[0], cases[2]), (cases[0], cases[4])]:
+        assert not np.array_equal(cold[a][0], cold[b][0])
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, flowsearch, flowsearch.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -195,17 +195,24 @@ def test_cli_run_and_parallel_determinism(tmp_path):
         ({}, ["--seed-offset", "-5"]),
         ({"reward": {"kind": "target-point", "params": {"target": [1.0, 2.0, 3.0]}}}, []),
         ({"reward": {"kind": "ring", "params": {"radius": "big"}}}, []),
+        ({"reward": []}, []),
+        ({"reward": {"kind": "rare-mode", "params": []}}, []),
+        ({"sampler_opts": []}, []),
+        ({"out": 5}, None),
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
         "negative-seed-offset", "target-dimension", "reward-number",
+        "reward-not-object", "reward-params-not-object", "sampler-opts-not-object",
+        "out-not-string",
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, overrides, extra_args):
+    # extra_args None: no --out, so the config's own "out" is the one used
     cfg_path = _write_config(tmp_path, **overrides)
+    out_args = [] if extra_args is None else ["--out", str(tmp_path / "x.csv"), *extra_args]
     proc = subprocess.run(
-        [sys.executable, "-m", "flowsearch.cli", "run", str(cfg_path),
-         "--out", str(tmp_path / "x.csv"), *extra_args],
+        [sys.executable, "-m", "flowsearch.cli", "run", str(cfg_path), *out_args],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2

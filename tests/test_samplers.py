@@ -27,7 +27,7 @@ RARE = rare_mode_reward(GMM)
 
 
 def budget(total=500, steps=10):
-    return SearchBudget.uniform(total, steps)
+    return SearchBudget(total, steps)
 
 
 def test_budget_uniform_split():
@@ -35,7 +35,7 @@ def test_budget_uniform_split():
     assert sum(quotas) == 503
     assert quotas == [51, 51, 51, 50, 50, 50, 50, 50, 50, 50]
     with pytest.raises(BudgetError):
-        SearchBudget.uniform(5, 10)
+        SearchBudget(5, 10)
 
 
 def test_budget_charge_guard():
@@ -291,7 +291,7 @@ def test_rbf_accounting_and_conservation_fuzz():
         total = int(rng.integers(steps + 1, 8 * steps))
         plan = make_plan("linear-sde", steps)
         res = run_rbf(
-            plan, GMM, RARE, SearchBudget.uniform(total, steps), seed=trial, batches=1, with_trace=True
+            plan, GMM, RARE, SearchBudget(total, steps), seed=trial, batches=1, with_trace=True
         )
         assert res.nfe_used <= total
         batch = res.trace["batches"][0]
@@ -324,7 +324,7 @@ def test_rbf_worst_case_consumes_everything():
     samplers_mod._Runner.value = declining
     try:
         plan = make_plan("linear-sde", 4)
-        res = run_rbf(plan, GMM, RARE, SearchBudget.uniform(21, 4), seed=0, batches=1, with_trace=True)
+        res = run_rbf(plan, GMM, RARE, SearchBudget(21, 4), seed=0, batches=1, with_trace=True)
     finally:
         samplers_mod._Runner.value = orig_value
     assert res.nfe_used == 21  # 1 init + quotas (5,5,5,5)
@@ -346,7 +346,7 @@ def test_rbf_immediate_improvement_spends_minimum():
     samplers_mod._Runner.value = rising
     try:
         plan = make_plan("linear-sde", 4)
-        res = run_rbf(plan, GMM, RARE, SearchBudget.uniform(41, 4), seed=0, batches=1)
+        res = run_rbf(plan, GMM, RARE, SearchBudget(41, 4), seed=0, batches=1)
     finally:
         samplers_mod._Runner.value = orig_value
     assert res.nfe_used == 1 + 4  # init + one accepted proposal per step
@@ -355,4 +355,4 @@ def test_rbf_immediate_improvement_spends_minimum():
 def test_rbf_batch_minimum():
     plan = make_plan("linear-sde", 10)
     with pytest.raises(BudgetError):
-        run_rbf(plan, GMM, RARE, SearchBudget.uniform(20, 10), seed=0, batches=2)
+        run_rbf(plan, GMM, RARE, SearchBudget(20, 10), seed=0, batches=2)
