@@ -53,6 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_budgets(text: str) -> list[int]:
+    try:
+        return [int(b) for b in text.split(",") if b]
+    except ValueError as exc:
+        raise ConfigError(f"--budgets must be comma-separated integers, got {text!r}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -62,8 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             records = run_table(config, jobs=args.jobs)
         elif args.command == "sweep":
-            budgets = [int(b) for b in args.budgets.split(",") if b]
-            records = sweep(config, budgets, jobs=args.jobs)
+            records = sweep(config, _parse_budgets(args.budgets), jobs=args.jobs)
         elif args.command == "ablate":
             records = ablate_interpolant(config, jobs=args.jobs)
         else:

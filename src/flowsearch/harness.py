@@ -63,6 +63,15 @@ CSV_COLUMNS = (
 
 DEFAULT_SWEEP_BUDGETS = (50, 100, 300, 500, 1000)
 DIVERSITY_BRANCHES = 50
+# Largest NFE budget a config or sweep may ask for.  Samplers draw their
+# particles as one block (bon holds nfe/steps latents at once), so the cap
+# bounds a run's memory as well as its time.
+MAX_NFE = 1_000_000
+
+
+def _check_nfe(nfe: int) -> None:
+    if nfe > MAX_NFE:
+        raise ConfigError(f"nfe {nfe} exceeds the cap of {MAX_NFE}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,7 @@ class ExperimentConfig:
             raise ConfigError("steps must be >= 1")
         if self.nfe < self.steps:
             raise ConfigError("nfe must be at least steps")
+        _check_nfe(self.nfe)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
@@ -182,7 +192,7 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
             sampler_opts=dict(_object(doc, "sampler_opts", "sampler_opts")),
             out=out,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -338,6 +348,8 @@ def sweep(
     budgets = [int(b) for b in budgets]
     if budgets != sorted(budgets):
         raise ConfigError("budgets must be sorted ascending")
+    for b in budgets:
+        _check_nfe(b)
     doc = _config_doc(config)
     tasks = [
         (doc, seed, budget, None, "run") for budget in budgets for seed in config.seeds

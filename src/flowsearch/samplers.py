@@ -20,10 +20,14 @@ kernel), valuing, and the final highest-reward selection.
 
 Determinism
 -----------
-All randomness is drawn from counter-based streams keyed by
-``(seed, domain, step_index, particle_index)``; results are therefore
-identical across runs and across any degree of harness parallelism, and
-every argmax breaks ties toward the lowest index.
+All randomness is drawn from counter-based streams, one per
+``(seed, domain, step_index, batch_index)``, each drawn as a ``(count, d)``
+block whose row j belongs to particle j.  A block's first j rows equal a
+j-row draw, so no result depends on how many rows were drawn.  The run's
+initial latents are one INIT block: bon, sop and smc take its first rows,
+and svdd, code and rbf start batch b from row b.  Results are identical
+across runs and across any degree of harness parallelism, and every argmax
+breaks ties toward the lowest index.
 """
 
 from __future__ import annotations
@@ -157,20 +161,19 @@ class _Runner:
         src = plan.src_schedule
         self.velocity = lambda x, t: velocity_at(gmm, src, t, x)
 
-    def initial(self, index: int) -> np.ndarray:
-        return streams.stream(self.seed, streams.INIT, index).standard_normal(self.gmm.dim)
+    def initials(self, count: int) -> np.ndarray:
+        """Initial latents: the first ``count`` rows of the run's INIT block."""
+        return streams.stream(self.seed, streams.INIT).standard_normal((count, self.gmm.dim))
 
-    def noise(self, i: int, first: int, count: int) -> np.ndarray | None:
-        """Proposal noise of particles ``first .. first+count-1`` on grid
-        interval i, one row each; None when the interval injects no noise."""
+    def noise(self, i: int, batch: int, count: int) -> np.ndarray | None:
+        """Proposal noise of ``batch`` on grid interval i, one ``(count, d)``
+        block whose row j is proposal j's; None when the interval injects
+        no noise."""
         if not self.plan.noisy(self.plan.grid[i + 1]):
             return None
-        z = np.empty((count, self.gmm.dim))
-        for j in range(count):
-            z[j] = streams.stream(self.seed, streams.PROPOSAL, i, first + j).standard_normal(
-                self.gmm.dim
-            )
-        return z
+        return streams.stream(self.seed, streams.PROPOSAL, i, batch).standard_normal(
+            (count, self.gmm.dim)
+        )
 
     def charge(self, i: int, n: int) -> None:
         """Spend n NFE on grid interval i: charge the budget, book the step."""
@@ -185,10 +188,22 @@ class _Runner:
             estimate_value(self.reward, self.gmm, sched, t, x).value
         )
 
+    def best(self, x: np.ndarray, s: float) -> np.ndarray:
+        """The highest-value row of x at plan time s, lowest index on ties;
+        a single row (one draw, or copies a noiseless step left as one) is
+        taken without valuing."""
+        if x.shape[0] == 1:
+            return x[0]
+        return x[_argmax_first(self.value(x, s))]
+
     def step_batch(
         self, x: np.ndarray, i: int, z: np.ndarray | None, deterministic: bool = False
     ) -> np.ndarray:
-        """Advance a batch over grid interval i; caller charges the budget."""
+        """Advance a batch over grid interval i; caller charges the budget.
+
+        Proposals that share a parent are one call on ``x[None, :]`` with
+        their ``(q, d)`` noise block: the parent's velocity is evaluated
+        once, and without noise the result stays ``(1, d)``."""
         plan = self.det_plan if deterministic else self.plan
         g = plan.grid
         return denoise_interval(plan, x, g[i], g[i + 1], z, self.velocity)
@@ -222,7 +237,7 @@ def best_of_n(
     n = budget.total_nfe // budget.steps
     if n < 1:
         raise BudgetError("best-of-n needs total_nfe >= steps")
-    x = np.stack([r.initial(i) for i in range(n)])
+    x = r.initials(n)
     for i in range(plan.steps):
         r.charge(i, n)
         x = r.step_batch(x, i, None, deterministic=True)
@@ -264,7 +279,7 @@ def search_over_paths(
     steps = plan.steps
     if budget.total_nfe < n_keep * steps:
         raise BudgetError("budget cannot finish the survivors deterministically")
-    x = np.stack([r.initial(i) for i in range(n_keep)])
+    x = r.initials(n_keep)
     idx = 0
     round_no = 0
     while idx < steps:
@@ -274,11 +289,8 @@ def search_over_paths(
         finish_after = n_keep * (steps - (fwd_idx + db))
         if budget.remaining < cost + finish_after:
             break
-        zeta = np.stack(
-            [
-                streams.stream(seed, streams.FORWARD, round_no, j).standard_normal(gmm.dim)
-                for j in range(n_keep * k_branch)
-            ]
+        zeta = streams.stream(seed, streams.FORWARD, round_no).standard_normal(
+            (n_keep * k_branch, gmm.dim)
         )
         branched = _forward_noise(
             r, np.repeat(x, k_branch, axis=0), plan.grid[idx], plan.grid[fwd_idx], zeta
@@ -320,7 +332,7 @@ def run_smc(
     if n < 1:
         raise BudgetError("smc needs total_nfe >= steps")
     beta = reward.kl_temperature
-    x = np.stack([r.initial(i) for i in range(n)])
+    x = r.initials(n)
     values = r.value(x, plan.grid[0])  # initial noises: uncharged by convention
     log_w = np.zeros(n)
     trace = {"resampled": [], "weights_after_resample": []} if with_trace else None
@@ -365,22 +377,18 @@ def run_svdd(
         raise DomainError("k must be >= 1")
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
+    starts = r.initials(batches)
     finals: list[np.ndarray] = []
     for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         quotas = _uniform_split(share, steps)
-        x = r.initial(b)
+        x = starts[b]
         for i in range(steps):
             draws = min(k, quotas[i])
             if draws < 1:
                 raise BudgetError("svdd step quota fell to zero")
-            z = r.noise(i, b * k, draws)
+            z = r.noise(i, b, draws)
             r.charge(i, draws)
-            proposals = r.step_batch(np.tile(x, (draws, 1)), i, z)
-            if draws == 1:
-                x = proposals[0]
-                continue
-            values = r.value(proposals, plan.grid[i + 1])
-            x = proposals[_argmax_first(values)]
+            x = r.best(r.step_batch(x[None, :], i, z), plan.grid[i + 1])
         finals.append(x)
     return r.result(finals)
 
@@ -401,28 +409,25 @@ def run_code(
         raise DomainError("interval and k must be >= 1")
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
+    starts = r.initials(batches)
     finals: list[np.ndarray] = []
     for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         spent = 0
-        x = r.initial(b)
+        x = starts[b]
         i0 = 0
         while i0 < steps:
             span = min(interval, steps - i0)
             remaining_blocks = steps - i0 - span
             avail = share - spent - remaining_blocks  # reserve 1-chain finish
             k_eff = max(1, min(k, avail // span))
-            chains = np.tile(x, (k_eff, 1))
+            chains = x[None, :]  # the k_eff chains share x until noise parts them
             for off in range(span):
                 i = i0 + off
-                z = r.noise(i, b * k, k_eff)
+                z = r.noise(i, b, k_eff)
                 r.charge(i, k_eff)
                 spent += k_eff
                 chains = r.step_batch(chains, i, z)
-            if k_eff > 1:
-                values = r.value(chains, plan.grid[i0 + span])
-                x = chains[_argmax_first(values)]
-            else:
-                x = chains[0]
+            x = r.best(chains, plan.grid[i0 + span])
             i0 += span
         finals.append(x)
     return r.result(finals)
@@ -450,49 +455,47 @@ def run_rbf(
     if batches < 1:
         raise DomainError("batches must be >= 1")
     steps = plan.steps
-    shares = _uniform_split(budget.total_nfe, batches)
-    if min(shares) < steps + 1:
+    if budget.total_nfe < batches * (steps + 1):
         raise BudgetError("each rbf batch needs at least steps + 1 NFEs")
+    shares = _uniform_split(budget.total_nfe, batches)
     init_charges = 0
+    starts = r.initials(batches)
     finals: list[np.ndarray] = []
     trace: dict = {"batches": []} if with_trace else None
     for b, share in enumerate(shares):
         quotas = _uniform_split(share - 1, steps)
         batch_trace = {"quotas_at_entry": [], "accepted_at": []} if with_trace else None
-        x = r.initial(b)
+        x = starts[b]
         budget.charge(1)  # valuing the fresh initial latent costs one call
         init_charges += 1
         r_star = float(r.value(x, plan.grid[0]))
-        stride = b * budget.total_nfe  # disjoint particle indices per batch
         for i in range(steps):
             q = quotas[i]
             if q < 1:
                 raise BudgetError("rbf step quota fell to zero")
             if with_trace:
                 batch_trace["quotas_at_entry"].append(list(quotas[i:]))
-            proposals = np.empty((q, gmm.dim))
+            # All q proposals in one step from the shared parent; they are
+            # still charged and valued one at a time, up to the first
+            # acceptance, exactly as a sequential loop would.
+            proposals = np.broadcast_to(
+                r.step_batch(x[None, :], i, r.noise(i, b, q)), (q, gmm.dim)
+            )
             values = np.empty(q)
-            accepted = None
-            spent = 0
-            for j in range(1, q + 1):
-                z = r.noise(i, stride + j, 1)
+            for j in range(q):
                 r.charge(i, 1)
-                spent = j
-                xj = r.step_batch(x[None, :], i, z)[0]
-                vj = float(r.value(xj, plan.grid[i + 1]))
-                proposals[j - 1] = xj
-                values[j - 1] = vj
+                vj = float(r.value(proposals[j], plan.grid[i + 1]))
+                values[j] = vj
                 if vj > r_star:
                     if i + 1 < steps:
-                        quotas[i + 1] += q - j
+                        quotas[i + 1] += q - 1 - j
                     r_star = vj
-                    accepted = xj
+                    x = proposals[j]
                     break
-            if accepted is None:
-                accepted = proposals[_argmax_first(values[:spent])]
+            else:
+                x = proposals[_argmax_first(values)]
             if with_trace:
-                batch_trace["accepted_at"].append(spent)
-            x = accepted
+                batch_trace["accepted_at"].append(j + 1)
         finals.append(x)
         if with_trace:
             trace["batches"].append(batch_trace)

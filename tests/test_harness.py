@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flowsearch.errors import ConfigError, InvariantError
 from flowsearch.harness import (
     CSV_COLUMNS,
+    MAX_NFE,
     RunRecord,
     branched_proposals,
     diversity_mpd,
@@ -136,6 +139,15 @@ def test_sweep_budgets_must_ascend():
     ]
 
 
+def test_nfe_cap_is_validated_before_any_run():
+    # only the validation: a config at the cap loads, one above it does not
+    assert small_config(nfe=MAX_NFE, sampler="bon", sampler_opts={}).nfe == MAX_NFE
+    with pytest.raises(ConfigError, match="cap"):
+        small_config(nfe=MAX_NFE + 1)
+    with pytest.raises(ConfigError, match="cap"):
+        sweep(small_config(), budgets=[12, MAX_NFE + 1])
+
+
 def test_diversity_table_covers_all_processes():
     cfg = small_config(seeds=[0])
     records = diversity_table(cfg)
@@ -186,33 +198,38 @@ def test_cli_run_and_parallel_determinism(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "overrides, extra_args",
+    "command, overrides, extra_args",
     [
-        ({"sampler": "alphazero"}, []),
-        ({"sampler_opts": {"kk": 3}}, []),
-        ({"sampler": "rbf", "sampler_opts": {"batches": "two"}}, []),
-        ({"seeds": [-1]}, []),
-        ({}, ["--seed-offset", "-5"]),
-        ({"reward": {"kind": "target-point", "params": {"target": [1.0, 2.0, 3.0]}}}, []),
-        ({"reward": {"kind": "ring", "params": {"radius": "big"}}}, []),
-        ({"reward": []}, []),
-        ({"reward": {"kind": "rare-mode", "params": []}}, []),
-        ({"sampler_opts": []}, []),
-        ({"out": 5}, None),
+        ("run", {"sampler": "alphazero"}, []),
+        ("run", {"sampler_opts": {"kk": 3}}, []),
+        ("run", {"sampler": "rbf", "sampler_opts": {"batches": "two"}}, []),
+        ("run", {"seeds": [-1]}, []),
+        ("run", {}, ["--seed-offset", "-5"]),
+        ("run", {"reward": {"kind": "target-point", "params": {"target": [1.0, 2.0, 3.0]}}}, []),
+        ("run", {"reward": {"kind": "ring", "params": {"radius": "big"}}}, []),
+        ("run", {"reward": []}, []),
+        ("run", {"reward": {"kind": "rare-mode", "params": []}}, []),
+        ("run", {"sampler_opts": []}, []),
+        ("run", {"out": 5}, None),
+        ("sweep", {}, ["--budgets", "10,abc"]),
+        ("run", {"nfe": MAX_NFE + 1}, []),
+        ("run", {"nfe": float("inf")}, []),
+        ("sweep", {}, ["--budgets", f"10,{MAX_NFE + 1}"]),
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
         "negative-seed-offset", "target-dimension", "reward-number",
         "reward-not-object", "reward-params-not-object", "sampler-opts-not-object",
-        "out-not-string",
+        "out-not-string", "sweep-budget-not-integer", "nfe-over-cap", "nfe-infinite",
+        "sweep-budget-over-cap",
     ],
 )
-def test_cli_config_error_exit_code(tmp_path, overrides, extra_args):
+def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
     # extra_args None: no --out, so the config's own "out" is the one used
     cfg_path = _write_config(tmp_path, **overrides)
     out_args = [] if extra_args is None else ["--out", str(tmp_path / "x.csv"), *extra_args]
     proc = subprocess.run(
-        [sys.executable, "-m", "flowsearch.cli", "run", str(cfg_path), *out_args],
+        [sys.executable, "-m", "flowsearch.cli", command, str(cfg_path), *out_args],
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
@@ -253,3 +270,74 @@ def test_cli_sweep_and_ablate(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = _read_rows_without_wall(out2)
     assert len(rows) == 6  # header + five processes
+
+
+# --- property: any small config document exits 0, 2 or 3, never raises
+
+_NUMBERS = st.one_of(
+    st.integers(-3, 60),
+    st.floats(-2.0, 60.0),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e9, 10**30]),
+)
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([]), st.just({}))
+_OPTION_NAMES = ["k", "n_keep", "k_branch", "interval", "batches",
+                 "ess_threshold_frac", "with_trace", "kk"]
+
+
+@st.composite
+def _config_docs(draw):
+    doc = {}
+    fields = {
+        "process": st.sampled_from(["linear-ode", "linear-sde", "vp-sde",
+                                    "linear-sde-adaptive-time", "warp"]),
+        "sampler": st.sampled_from(["bon", "sop", "smc", "code", "svdd", "rbf", "mcts"]),
+        "nfe": st.one_of(st.integers(-2, 60), _NUMBERS, _JUNK),
+        "steps": st.one_of(st.integers(-1, 6), _NUMBERS, _JUNK),
+        "seeds": st.one_of(st.lists(st.one_of(st.integers(-2, 2**40), _JUNK), max_size=2), _JUNK),
+        "sampler_opts": st.one_of(
+            st.dictionaries(st.sampled_from(_OPTION_NAMES),
+                            st.one_of(st.integers(-2, 9), st.floats(-1.0, 2.0), _JUNK),
+                            max_size=2),
+            _JUNK),
+        "reward": st.one_of(
+            st.fixed_dictionaries({}, optional={
+                "kind": st.sampled_from(["rare-mode", "ring", "target-point", "gold"]),
+                "params": st.one_of(
+                    st.fixed_dictionaries({}, optional={
+                        "radius": _NUMBERS, "component": st.one_of(st.integers(-2, 5), _JUNK),
+                        "target": st.one_of(st.lists(_NUMBERS, max_size=3), _JUNK)}),
+                    _JUNK),
+                "beta": st.one_of(_NUMBERS, _JUNK)}),
+            _JUNK),
+        "gmm": st.one_of(
+            st.fixed_dictionaries({}, optional={
+                "weights": st.one_of(st.lists(_NUMBERS, max_size=3), st.just([0.5, 0.5]), _JUNK),
+                "means": st.one_of(st.just([[0.0, 1.0], [2.0, -1.0]]),
+                                   st.lists(st.lists(_NUMBERS, max_size=2), max_size=2), _JUNK),
+                "variances": st.one_of(st.just([[1.0, 1.0], [0.5, 2.0]]),
+                                       st.lists(st.lists(_NUMBERS, max_size=2), max_size=2),
+                                       _JUNK),
+                "dim": st.one_of(st.integers(0, 3), _JUNK)}),
+            _JUNK),
+    }
+    for key, strategy in fields.items():
+        if draw(st.booleans()):
+            doc[key] = draw(strategy)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_config_docs(), command=st.sampled_from(["run", "sweep", "ablate", "diversity"]),
+       budgets=st.sampled_from(["12,30", "30,12", "10,abc", "", "-4", f"10,{MAX_NFE + 1}"]))
+def test_cli_main_exit_code_property(doc, command, budgets):
+    import tempfile
+
+    from flowsearch import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path), "--out", str(Path(tmp) / "out.csv")]
+        if command == "sweep":
+            argv += ["--budgets", budgets]
+        assert cli.main(argv) in (0, 2, 3)
