@@ -7,9 +7,19 @@ module is the stand-in for a pretrained velocity network: every quantity a
 sampler queries has an analytic oracle here.
 
 All point evaluations accept ``x`` of shape ``(d,)`` or any batch shape
-``(..., d)`` and vectorise over the leading axes.  Mixture responsibilities
-are always formed in log space, with this module's own numpy log-sum-exp;
-far from a mode the naive ratio underflows and corrupts scores.
+``(..., d)`` and return that shape.  Inside, the oracle is component-major:
+the N rows of ``x`` are read as d contiguous columns of length N, and every
+per-component quantity is a ``(K, N)`` array, or ``(d, K, N)`` per
+coordinate.  d and K are tiny and N may be 10^5, so each numpy operation
+is a pass along the rows, never a reduction over a trailing axis of size d
+or K.  The results are bitwise those of the row-major ``(..., K, d)``
+form: elementwise operations do not depend on the layout, and a sum over
+a leading axis of d or K terms adds them left to right, ((a0 + a1) + a2)
++ a3, which is also the order numpy uses for short trailing-axis sums.
+Temporaries are updated in place, which keeps a call's peak allocation
+down.  Mixture responsibilities are always formed in log space, with this
+module's own numpy log-sum-exp; far from a mode the naive ratio underflows
+and corrupts scores.
 
 Samplers make many small oracle calls at the same few times, so everything
 that depends on ``(gmm, sched, t)`` but not on ``x`` is built once per time
@@ -20,7 +30,7 @@ mixture's arrays are read-only copies, so an entry never goes stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -94,21 +104,12 @@ def rare_component(gmm: GaussianMixtureModel) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MarginalParams:
-    """The time-t marginal: still a diagonal Gaussian mixture.
-
-    ``log_const`` is derived: log(w_k) minus the log normaliser of component
-    k, the x-free part of each component's log joint."""
+    """The time-t marginal: still a diagonal Gaussian mixture."""
 
     weights: np.ndarray      # (K,)
     means_t: np.ndarray      # (K, d): alpha_t * mu_k
     variances_t: np.ndarray  # (K, d): alpha_t^2 * v_k + sigma_t^2
-    t: float = field(default=0.0)
-    log_const: np.ndarray = field(init=False, repr=False)  # (K,)
-
-    def __post_init__(self) -> None:
-        var = self.variances_t
-        log_norm = 0.5 * np.sum(np.log(var), axis=-1) + 0.5 * var.shape[-1] * _LOG_2PI
-        object.__setattr__(self, "log_const", np.log(self.weights) - log_norm)
+    t: float = 0.0
 
 
 def marginal_at(
@@ -125,11 +126,17 @@ def marginal_at(
 
 
 class _AtTime(NamedTuple):
-    """The x-free part of every oracle query at one ``(gmm, sched, t)``."""
+    """The x-free part of every oracle query at one ``(gmm, sched, t)``.
+
+    The per-component constants are laid out (d, K, 1), coordinate first, so
+    they broadcast against x read as (d, 1, N) columns."""
 
     coeffs: tuple[float, float, float, float]  # eval_schedule(sched, t)
-    params: MarginalParams
-    gain: np.ndarray  # (K, d): alpha v_k / (alpha^2 v_k + sigma^2)
+    log_const: np.ndarray    # (K, 1): log w_k minus the log normaliser of component k
+    means_t: np.ndarray      # (d, K, 1): alpha mu_k
+    variances_t: np.ndarray  # (d, K, 1): alpha^2 v_k + sigma^2
+    gain: np.ndarray         # (d, K, 1): alpha v_k / (alpha^2 v_k + sigma^2)
+    means: np.ndarray        # (d, K, 1): mu_k
 
 
 # Hits need the same mixture object: 99.9% of queries hit in an in-process
@@ -138,7 +145,14 @@ class _AtTime(NamedTuple):
 def _at_time(gmm: GaussianMixtureModel, sched: InterpolantSchedule, t: float) -> _AtTime:
     coeffs = eval_schedule(sched, t)
     params = marginal_at(gmm, sched, t)
-    return _AtTime(coeffs, params, coeffs[0] * gmm.variances / params.variances_t)
+    var = params.variances_t
+    log_norm = 0.5 * np.add.reduce(np.log(var), axis=-1) + 0.5 * var.shape[-1] * _LOG_2PI
+    gain = coeffs[0] * gmm.variances / var
+    return _AtTime(
+        coeffs,
+        (np.log(gmm.weights) - log_norm)[:, None],
+        *(a.T[:, :, None] for a in (params.means_t, var, gain, gmm.means)),
+    )
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -148,43 +162,66 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _columns(x: np.ndarray, dim: int) -> np.ndarray:
+    """The N rows of ``x``, shape (..., dim), as dim contiguous columns: (dim, 1, N)."""
+    if x.ndim == 0 or x.shape[-1] != dim:
+        raise DomainError(f"x must have shape (..., {dim}), got {x.shape}")
+    return np.ascontiguousarray(x.reshape(-1, dim).T)[:, None, :]
+
+
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, kept with size 1.
+    """log(sum(exp(a))) over the leading (component) axis, kept with size 1.
 
     The algorithm of ``scipy.special.logsumexp``, step for step, so the bits
     match it (Blanchard, Higham & Higham 2021): the n entries equal to the
-    row max m are taken out of the shifted sum s, and the result is
-    log1p(s / n) + log(n) + m.  A row whose max is not finite (all -inf, or
-    holding +inf or nan) gets the direct log(sum(exp(a))) instead.
+    column max m are taken out of the shifted sum s, and the result is
+    log1p(s / n) + log(n) + m.  The entries equal to m are taken out by a
+    0/1 factor on exp(a - m), which gives the +0.0 that exp(-inf) would,
+    without a masked select.  A column whose max is not finite (all -inf,
+    or holding +inf or nan) gets the direct log(sum(exp(a))) instead.
     """
-    m = np.max(a, axis=-1, keepdims=True)
+    m = np.maximum.reduce(a, axis=0, keepdims=True)
     if not np.isfinite(m).all():
         finite = np.isfinite(m)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            direct = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
+            direct = np.log(np.add.reduce(np.exp(a), axis=0, keepdims=True))
         return np.where(finite, _logsumexp(np.where(finite, a, 0.0)), direct)
-    is_max = a == m
-    n = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
-    s = np.sum(np.exp(np.where(is_max, -np.inf, a) - m), axis=-1, keepdims=True)
-    return np.log1p(np.where(s == 0.0, s, s / n)) + np.log(n) + m
+    keep = a != m
+    e = np.subtract(a, m)
+    np.exp(e, out=e)
+    e *= keep
+    s = np.add.reduce(e, axis=0, keepdims=True)
+    n = a.shape[0] - np.add.reduce(keep, axis=0, keepdims=True, dtype=float)
+    # n >= 1, so s / n is scipy's where(s == 0, s, s / n) bit for bit
+    return np.log1p(s / n) + np.log(n) + m
 
 
-def _component_log_joint(params: MarginalParams, x: np.ndarray) -> np.ndarray:
-    """log(w_k) + log N(x; m_k, V_k) for each component, shape (..., K)."""
-    diff = x[..., None, :] - params.means_t                      # (..., K, d)
-    quad = np.sum(diff * diff / params.variances_t, axis=-1)     # (..., K)
-    return params.log_const - 0.5 * quad
+def _component_log_joint(at: _AtTime, cols: np.ndarray) -> np.ndarray:
+    """log(w_k) + log N(x; m_k, V_k) for each component, shape (K, N)."""
+    sq = cols - at.means_t                # (d, K, N)
+    sq *= sq
+    sq /= at.variances_t
+    quad = np.add.reduce(sq, axis=0)      # (K, N)
+    quad *= 0.5
+    return np.subtract(at.log_const, quad, out=quad)
 
 
-def marginal_log_density(params: MarginalParams, x: np.ndarray) -> np.ndarray:
-    """log p_t(x) under the mixture marginal (a scalar for one point)."""
-    x = _check_finite(x)
-    return _logsumexp(_component_log_joint(params, x))[..., 0][()]
+def _responsibilities(at: _AtTime, cols: np.ndarray) -> np.ndarray:
+    """p(component k | x), shape (K, N)."""
+    log_joint = _component_log_joint(at, cols)
+    log_joint -= _logsumexp(log_joint)
+    return np.exp(log_joint, out=log_joint)
 
 
-def _responsibilities(params: MarginalParams, x: np.ndarray) -> np.ndarray:
-    log_joint = _component_log_joint(params, x)
-    return np.exp(log_joint - _logsumexp(log_joint))
+def _mix(resp: np.ndarray, per_comp: np.ndarray) -> np.ndarray:
+    """sum_k resp[k] * per_comp[:, k] as (N, d) rows.
+
+    ``resp`` is (K, N); the (d, K, N) ``per_comp`` is overwritten."""
+    per_comp *= resp
+    d, _, n = per_comp.shape
+    rows = np.empty((n, d))
+    np.add.reduce(per_comp, axis=1, out=rows.T)
+    return rows
 
 
 def score_at(
@@ -195,10 +232,12 @@ def score_at(
 ) -> np.ndarray:
     """Exact score of the time-t marginal, grad log p_t(x)."""
     x = _check_finite(x)
-    params = _at_time(gmm, sched, float(t)).params
-    resp = _responsibilities(params, x)                       # (..., K)
-    per_comp = (params.means_t - x[..., None, :]) / params.variances_t
-    return np.sum(resp[..., :, None] * per_comp, axis=-2)
+    at = _at_time(gmm, sched, float(t))
+    cols = _columns(x, gmm.dim)
+    resp = _responsibilities(at, cols)
+    per_comp = at.means_t - cols
+    per_comp /= at.variances_t
+    return _mix(resp, per_comp).reshape(x.shape)
 
 
 def posterior_mean(
@@ -227,10 +266,15 @@ def _posterior_mean_unchecked(
         # Point mass at the data: returning x exactly keeps t=0 values equal
         # to the raw reward bit for bit.
         return x.copy()
-    resp = _responsibilities(at.params, x)
+    cols = _columns(x, gmm.dim)
+    # resp first, so the log joint's (d, K, N) temporary is freed before
+    # per_comp is allocated: a lower peak per call means fewer fresh pages.
+    resp = _responsibilities(at, cols)
     # Per-component posterior over x0, through the cached gain
-    comp_mean = gmm.means + at.gain * (x[..., None, :] - at.params.means_t)
-    return np.sum(resp[..., :, None] * comp_mean, axis=-2)
+    per_comp = cols - at.means_t
+    per_comp *= at.gain
+    per_comp += at.means
+    return _mix(resp, per_comp).reshape(x.shape)
 
 
 def velocity_at(
@@ -252,25 +296,17 @@ def velocity_at(
     at = _at_time(gmm, sched, float(t))
     alpha, sigma, alpha_dot, sigma_dot = at.coeffs
     x0_hat = _posterior_mean_unchecked(gmm, at, x)
-    x1_hat = (x - alpha * x0_hat) / sigma
-    return alpha_dot * x0_hat + sigma_dot * x1_hat
-
-
-def sample_interpolant(
-    gmm: GaussianMixtureModel,
-    sched: InterpolantSchedule,
-    t: float,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Exact samples of the time-t marginal: alpha x0 + sigma x1."""
-    alpha, sigma, _, _ = eval_schedule(sched, t)
-    x0 = gmm.sample(n, rng)
-    x1 = rng.standard_normal((n, gmm.dim))
-    return alpha * x0 + sigma * x1
+    x1_hat = x - alpha * x0_hat
+    x1_hat /= sigma
+    x1_hat *= sigma_dot
+    x0_hat *= alpha_dot
+    x0_hat += x1_hat  # u = alpha_dot * x0_hat + sigma_dot * x1_hat
+    return x0_hat
 
 
 def mode_assignments(gmm: GaussianMixtureModel, x: np.ndarray) -> np.ndarray:
     """Hard-assign points to mixture components by t=0 responsibility."""
-    params = _at_time(gmm, InterpolantSchedule("linear"), 0.0).params
-    return np.argmax(_component_log_joint(params, np.asarray(x, dtype=float)), axis=-1)
+    x = np.asarray(x, dtype=float)
+    at = _at_time(gmm, InterpolantSchedule("linear"), 0.0)
+    log_joint = _component_log_joint(at, _columns(x, gmm.dim))
+    return np.argmax(log_joint, axis=0).reshape(x.shape[:-1])[()]

@@ -106,14 +106,6 @@ def ess(weights) -> float:
     return float(total * total / np.sum(w * w))
 
 
-def log_ess(log_weights: np.ndarray) -> float:
-    """ESS computed from log-weights without leaving log space."""
-    lw = np.asarray(log_weights, dtype=float)
-    m = lw.max()
-    w = np.exp(lw - m)
-    return float(w.sum() ** 2 / np.sum(w * w))
-
-
 def resample_multinomial(weights, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` ancestor indices from the normalised weights."""
     w = np.asarray(weights, dtype=float)
@@ -337,11 +329,10 @@ def run_smc(
     log_w = np.zeros(n)
     trace = {"resampled": [], "weights_after_resample": []} if with_trace else None
     for i in range(plan.steps):
-        resampled = log_ess(log_w) < ess_threshold_frac * n
+        w = np.exp(log_w - log_w.max())
+        resampled = ess(w) < ess_threshold_frac * n
         if resampled:
-            ancestors = resample_multinomial(
-                np.exp(log_w - log_w.max()), n, streams.stream(seed, streams.RESAMPLE, i)
-            )
+            ancestors = resample_multinomial(w, n, streams.stream(seed, streams.RESAMPLE, i))
             x = x[ancestors]
             values = values[ancestors]
             log_w = np.zeros(n)

@@ -9,20 +9,19 @@ from scipy.special import logsumexp
 from flowsearch.analytic_flow import (
     GaussianMixtureModel,
     _at_time,
+    _columns,
     _component_log_joint,
     _logsumexp,
     default_benchmark_gmm,
     marginal_at,
-    marginal_log_density,
     mode_assignments,
     posterior_mean,
     rare_component,
-    sample_interpolant,
     score_at,
     velocity_at,
 )
 from flowsearch.errors import DomainError
-from flowsearch.interpolants import InterpolantSchedule, eval_schedule, vp_schedule
+from flowsearch.interpolants import T_MIN, InterpolantSchedule, eval_schedule, vp_schedule
 
 LINEAR = InterpolantSchedule("linear")
 VP = vp_schedule()
@@ -32,6 +31,21 @@ SHIFTED = GaussianMixtureModel([1.0], [[4.0, 0.0]], [[1.0, 1.0]])
 TWO_MODE = GaussianMixtureModel(
     [0.5, 0.5], [[3.0, 1.0], [-3.0, -1.0]], [[1.0, 1.0], [1.0, 1.0]]
 )
+
+
+def marginal_log_density(gmm, sched, t, x):
+    """log p_t(x) under the mixture marginal (a scalar for one point)."""
+    x = np.asarray(x, dtype=float)
+    log_joint = _component_log_joint(_at_time(gmm, sched, t), _columns(x, gmm.dim))
+    return _logsumexp(log_joint)[0].reshape(x.shape[:-1])[()]
+
+
+def sample_interpolant(gmm, sched, t, n, rng):
+    """Exact samples of the time-t marginal: alpha x0 + sigma x1."""
+    alpha, sigma, _, _ = eval_schedule(sched, t)
+    x0 = gmm.sample(n, rng)
+    x1 = rng.standard_normal((n, gmm.dim))
+    return alpha * x0 + sigma * x1
 
 
 def test_gmm_validation():
@@ -98,13 +112,13 @@ def test_score_matches_log_density_gradient():
     for _ in range(50):
         t = rng.uniform(0.05, 0.95)
         x = rng.normal(0.0, 3.0, size=2)
-        params = marginal_at(gmm, LINEAR, t)
         grad = np.empty(2)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
             grad[i] = (
-                marginal_log_density(params, x + e) - marginal_log_density(params, x - e)
+                marginal_log_density(gmm, LINEAR, t, x + e)
+                - marginal_log_density(gmm, LINEAR, t, x - e)
             ) / (2 * h)
         np.testing.assert_allclose(score_at(gmm, LINEAR, t, x), grad, atol=1e-6)
 
@@ -137,6 +151,9 @@ def test_velocity_closed_form_single_gaussian(sched):
 def test_velocity_domain():
     with pytest.raises(DomainError):
         velocity_at(SINGLE, LINEAR, 1e-4, np.zeros(2))
+    for x in (np.zeros(1), np.zeros((4, 3)), np.float64(0.0)):
+        with pytest.raises(DomainError):
+            velocity_at(SINGLE, LINEAR, 0.5, x)  # last axis must be the mixture's d
 
 
 def test_posterior_mean_examples():
@@ -179,7 +196,7 @@ def test_continuity_equation_1d():
     xs = np.linspace(-3.0, 4.0, 41)[:, None]
     for t in (0.2, 0.5, 0.8):
         def dens(tt, pts):
-            return np.exp(marginal_log_density(marginal_at(gmm, LINEAR, tt), pts))
+            return np.exp(marginal_log_density(gmm, LINEAR, tt, pts))
 
         dp_dt = (dens(t + ht, xs) - dens(t - ht, xs)) / (2 * ht)
         def flux(pts):
@@ -219,10 +236,11 @@ def test_mode_assignments():
     np.testing.assert_array_equal(mode_assignments(gmm, pts), [0, 1, 2, 3])
 
 
-@pytest.mark.parametrize("shape", [(4,), (1, 4), (25, 4), (10_000, 4), (7, 3, 4), (5, 33)])
+@pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 25), (4, 10_000), (4, 3, 7), (33, 5)])
 def test_logsumexp_matches_scipy_bitwise(shape):
-    # Ties, -inf entries, rows of all -inf and magnitudes 0.1..1e4; the
-    # numpy kernel must give scipy's bits and raise no floating warnings.
+    # Over the leading (component) axis: ties, -inf entries, all--inf
+    # columns and magnitudes 0.1..1e4; the numpy kernel must give scipy's
+    # bits and raise no floating warnings.
     rng = np.random.default_rng(sum(shape))
     for scale in (0.1, 1.0, 10.0, 100.0, 1e4):
         for trial in range(12):
@@ -232,11 +250,11 @@ def test_logsumexp_matches_scipy_bitwise(shape):
             if trial % 4 == 1:
                 a[rng.random(shape) < 0.3] = -np.inf
             if trial % 4 == 2:
-                a[..., 0] = a[..., -1]
+                a[0] = a[-1]
             if trial % 6 == 5 and a.ndim > 1:
-                a[0] = -np.inf
+                a[:, 0] = -np.inf
             with np.errstate(divide="ignore"):
-                ref = logsumexp(a, axis=-1, keepdims=True)
+                ref = logsumexp(a, axis=0, keepdims=True)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = _logsumexp(a)
@@ -246,12 +264,11 @@ def test_logsumexp_matches_scipy_bitwise(shape):
 
 def test_marginal_log_density_matches_scipy_bitwise():
     gmm = default_benchmark_gmm()
-    params = marginal_at(gmm, VP, 0.4)
     x = np.random.default_rng(5).normal(scale=6.0, size=(50, 2))
-    log_joint = _component_log_joint(params, x)
-    assert np.array_equal(marginal_log_density(params, x), logsumexp(log_joint, axis=-1))
-    one = marginal_log_density(params, x[0])
-    assert np.ndim(one) == 0 and one == logsumexp(log_joint[0])
+    log_joint = _component_log_joint(_at_time(gmm, VP, 0.4), _columns(x, 2))
+    assert np.array_equal(marginal_log_density(gmm, VP, 0.4, x), logsumexp(log_joint, axis=0))
+    one = marginal_log_density(gmm, VP, 0.4, x[0])
+    assert np.ndim(one) == 0 and one == logsumexp(log_joint[:, 0])
 
 
 def _oracle(gmm, sched, t, x):
@@ -293,3 +310,112 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Reference: the row-major (..., K, d) oracle that the component-major one
+# replaced, kept as it was (its last-axis log-sum-exp included) so that the
+# results can be pinned bit for bit.
+def _ref_logsumexp(a):
+    m = np.max(a, axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        finite = np.isfinite(m)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            direct = np.log(np.sum(np.exp(a), axis=-1, keepdims=True))
+        return np.where(finite, _ref_logsumexp(np.where(finite, a, 0.0)), direct)
+    is_max = a == m
+    n = np.sum(is_max, axis=-1, keepdims=True, dtype=float)
+    s = np.sum(np.exp(np.where(is_max, -np.inf, a) - m), axis=-1, keepdims=True)
+    return np.log1p(np.where(s == 0.0, s, s / n)) + np.log(n) + m
+
+
+def _ref_log_joint(params, x):
+    var = params.variances_t
+    log_norm = 0.5 * np.sum(np.log(var), axis=-1) + 0.5 * var.shape[-1] * np.log(2.0 * np.pi)
+    diff = x[..., None, :] - params.means_t
+    quad = np.sum(diff * diff / params.variances_t, axis=-1)
+    return (np.log(params.weights) - log_norm) - 0.5 * quad
+
+
+def _ref_responsibilities(params, x):
+    log_joint = _ref_log_joint(params, x)
+    return np.exp(log_joint - _ref_logsumexp(log_joint))
+
+
+def _ref_score(gmm, sched, t, x):
+    params = marginal_at(gmm, sched, t)
+    per_comp = (params.means_t - x[..., None, :]) / params.variances_t
+    return np.sum(_ref_responsibilities(params, x)[..., :, None] * per_comp, axis=-2)
+
+
+def _ref_posterior_mean(gmm, sched, t, x):
+    alpha, sigma, _, _ = eval_schedule(sched, t)
+    if sigma == 0.0:
+        return x.copy()
+    params = marginal_at(gmm, sched, t)
+    gain = alpha * gmm.variances / params.variances_t
+    comp_mean = gmm.means + gain * (x[..., None, :] - params.means_t)
+    return np.sum(_ref_responsibilities(params, x)[..., :, None] * comp_mean, axis=-2)
+
+
+def _ref_velocity(gmm, sched, t, x):
+    alpha, sigma, alpha_dot, sigma_dot = eval_schedule(sched, t)
+    x0_hat = _ref_posterior_mean(gmm, sched, t, x)
+    x1_hat = (x - alpha * x0_hat) / sigma
+    return alpha_dot * x0_hat + sigma_dot * x1_hat
+
+
+def _ref_mode_assignments(gmm, x):
+    return np.argmax(_ref_log_joint(marginal_at(gmm, LINEAR, 0.0), x), axis=-1)
+
+
+def _assert_same(got, want, equal_nan=False):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=equal_nan)
+
+
+# K=3, d=4, unequal weights and variances: sums over d of more than two terms
+WIDE = GaussianMixtureModel(
+    [0.2, 0.5, 0.3],
+    [[1.0, -2.0, 0.5, 3.0], [-1.5, 0.0, 2.0, -1.0], [0.0, 1.0, -3.0, 0.5]],
+    [[0.5, 1.0, 2.0, 0.8], [1.5, 0.3, 1.0, 1.0], [1.0, 2.5, 0.6, 0.4]],
+)
+
+
+@pytest.mark.parametrize("sched", [LINEAR, VP], ids=["linear", "vp"])
+def test_component_major_oracle_matches_row_major_reference_bitwise(sched):
+    rng = np.random.default_rng(7)
+    for gmm in (default_benchmark_gmm(), WIDE):
+        d = gmm.dim
+        shapes = [(d,), (1, d), (2, d), (25, d), (250, d), (5_000, d), (100_000, d),
+                  (5, 5, d), (50, 100, d)]
+        # Far from every mode (responsibilities underflow to 0); and, for
+        # the benchmark mixture, points whose log joints tie exactly at
+        # every alpha: (0, 3) between the equal-weight modes (4, 4) and
+        # (-4, 4), and the origin between all three equal-weight modes.
+        special = [np.full(d, 300.0), np.r_[-250.0, 400.0, np.zeros(d - 2)],
+                   np.r_[0.0, 3.0, np.zeros(d - 2)], np.zeros(d)]
+        for shape in shapes:
+            x = rng.normal(scale=6.0, size=shape)
+            flat = x.reshape(-1, d)
+            flat[: len(special)] = special[: len(flat)]
+            times = (T_MIN, 0.05, 0.5, 0.9, 1.0 - T_MIN)
+            if shape[0] == 100_000:
+                times = (0.05, 0.9)  # keeps the test to a few seconds
+            for t in times:
+                _assert_same(velocity_at(gmm, sched, t, x), _ref_velocity(gmm, sched, t, x))
+                _assert_same(posterior_mean(gmm, sched, t, x),
+                             _ref_posterior_mean(gmm, sched, t, x))
+                _assert_same(score_at(gmm, sched, t, x), _ref_score(gmm, sched, t, x))
+            _assert_same(velocity_at(gmm, sched, 1.0, x), _ref_velocity(gmm, sched, 1.0, x))
+            _assert_same(mode_assignments(gmm, x), _ref_mode_assignments(gmm, x))
+        # One row whose log-joint maximum is not finite: every component's
+        # quadratic form overflows, and that row (only) comes out nan.
+        x = rng.normal(size=(3, d))
+        x[1] = 1e200
+        for t in (0.05, 0.5):
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = velocity_at(gmm, sched, t, x)
+                _assert_same(u, _ref_velocity(gmm, sched, t, x), equal_nan=True)
+                _assert_same(score_at(gmm, sched, t, x), _ref_score(gmm, sched, t, x),
+                             equal_nan=True)
+            assert np.isnan(u[1]).all() and np.isfinite(u[[0, 2]]).all()

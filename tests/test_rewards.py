@@ -123,7 +123,7 @@ def test_guidance_gradient_matches_chain_rule():
 def test_guided_drift_tilts_toward_rare_mode():
     # directional property: guidance raises the rare-mode responsibility of
     # the one-step proposal mean versus the unguided drift
-    from flowsearch.analytic_flow import marginal_at, _responsibilities
+    from flowsearch.analytic_flow import _at_time, _columns, _responsibilities
     from flowsearch.engine import DiffusionCoefficient
 
     spec = rare_mode_reward(GMM)
@@ -135,14 +135,14 @@ def test_guided_drift_tilts_toward_rare_mode():
     xs = rng.normal(0.0, 1.0, size=(trials, 2))
     from flowsearch.analytic_flow import velocity_at
 
-    params = marginal_at(GMM, LINEAR, t - dt)
+    at = _at_time(GMM, LINEAR, t - dt)
     g = diff(t)
     for x in xs:
         u = velocity_at(GMM, LINEAR, t, x)
         plain = u - 0.5 * g * g * score_at(GMM, LINEAR, t, x)
         guided = u - 0.5 * g * g * guided_score(spec, GMM, LINEAR, t, x)
-        resp_plain = _responsibilities(params, x - plain * dt)[3]
-        resp_guided = _responsibilities(params, x - guided * dt)[3]
+        resp_plain = _responsibilities(at, _columns(x - plain * dt, 2))[3, 0]
+        resp_guided = _responsibilities(at, _columns(x - guided * dt, 2))[3, 0]
         wins += resp_guided > resp_plain
     assert wins > 0.95 * trials
 

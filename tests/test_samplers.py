@@ -12,7 +12,6 @@ from flowsearch.samplers import (
     _uniform_split,
     best_of_n,
     ess,
-    log_ess,
     resample_multinomial,
     run_code,
     run_rbf,
@@ -51,13 +50,6 @@ def test_ess_examples():
     assert ess([2.0, 1.0, 1.0]) == pytest.approx(16.0 / 6.0, abs=1e-12)
     with pytest.raises(DomainError):
         ess([0.0, 0.0])
-
-
-def test_log_ess_matches_direct_formula():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        w = rng.uniform(0.1, 5.0, size=16)
-        assert log_ess(np.log(w)) == pytest.approx(ess(w), rel=1e-12)
 
 
 def test_resample_point_mass_and_empty():
