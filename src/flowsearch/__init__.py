@@ -45,7 +45,6 @@ from .interpolants import (
 )
 from .rewards import (
     RewardSpec,
-    ValueEstimate,
     estimate_value,
     evaluate_reward,
     guided_score,

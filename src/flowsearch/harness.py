@@ -21,6 +21,8 @@ written as CSV with the fixed column order
 
 floats serialised to 12 significant digits.  For a fixed (config, seed) all
 columns except wall_ms are identical regardless of harness parallelism.
+With ``jobs > 1`` each pool worker receives the per-process configs once,
+through the pool initializer; a task is only ``(process, nfe, seed)``.
 """
 
 from __future__ import annotations
@@ -285,58 +287,43 @@ def run_experiment(config: ExperimentConfig, seed: int, nfe: int | None = None) 
     return record
 
 
-def _record_task(args) -> RunRecord:
-    doc, seed, nfe, process, mode = args
-    config = load_config(doc)
-    if process is not None:
-        config = replace(config, process=process)
-    if mode == "run":
-        return run_experiment(config, seed, nfe)
-    if mode == "diversity":
-        return diversity_record(config, seed)
-    raise ConfigError(f"unknown task mode {mode!r}")
+_WORKER_CONFIGS: dict[str, ExperimentConfig] = {}
 
 
-def _parallel_records(tasks, jobs: int) -> list[RunRecord]:
+def _init_worker(configs: dict[str, ExperimentConfig]) -> None:
+    """Pool initializer: each worker receives the per-process configs once."""
+    _WORKER_CONFIGS.update(configs)
+
+
+def _record(configs: dict[str, ExperimentConfig], task) -> RunRecord:
+    process, nfe, seed = task
+    if nfe is None:
+        return diversity_record(configs[process], seed)
+    return run_experiment(configs[process], seed, nfe)
+
+
+def _worker_record(task) -> RunRecord:
+    return _record(_WORKER_CONFIGS, task)
+
+
+def _records(config: ExperimentConfig, processes, budgets, jobs: int) -> list[RunRecord]:
+    """One record per (process, budget, seed), sorted; a budget of None
+    makes a diversity record instead of a sampler run."""
+    configs = {p: replace(config, process=p) for p in processes}
+    tasks = [(p, nfe, seed) for p in processes for nfe in budgets for seed in config.seeds]
     if jobs <= 1:
-        return [_record_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_record_task, tasks))
-
-
-def _config_doc(config: ExperimentConfig) -> dict:
-    """Round-trip a config into its JSON document (for worker processes)."""
-    reward_params = {}
-    if config.reward.kind == "target-point":
-        reward_params["target"] = config.reward.params["target"].tolist()
-    elif config.reward.kind == "ring":
-        reward_params["radius"] = config.reward.params["radius"]
-    return {
-        "gmm": {
-            "weights": config.gmm.weights.tolist(),
-            "means": config.gmm.means.tolist(),
-            "variances": config.gmm.variances.tolist(),
-        },
-        "reward": {
-            "kind": config.reward.kind,
-            "params": reward_params,
-            "beta": config.reward.kl_temperature,
-        },
-        "process": config.process,
-        "sampler": config.sampler,
-        "nfe": config.nfe,
-        "steps": config.steps,
-        "seeds": list(config.seeds),
-        "sampler_opts": config.sampler_opts,
-        "out": config.out,
-    }
+        records = [_record(configs, t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(configs,)
+        ) as pool:
+            records = list(pool.map(_worker_record, tasks))
+    return sort_records(records)
 
 
 def run_table(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """One record per configured seed."""
-    doc = _config_doc(config)
-    tasks = [(doc, seed, config.nfe, None, "run") for seed in config.seeds]
-    return sort_records(_parallel_records(tasks, jobs))
+    return _records(config, [config.process], [config.nfe], jobs)
 
 
 def sweep(
@@ -350,24 +337,14 @@ def sweep(
         raise ConfigError("budgets must be sorted ascending")
     for b in budgets:
         _check_nfe(b)
-    doc = _config_doc(config)
-    tasks = [
-        (doc, seed, budget, None, "run") for budget in budgets for seed in config.seeds
-    ]
-    return sort_records(_parallel_records(tasks, jobs))
+    return _records(config, [config.process], budgets, jobs)
 
 
 def ablate_interpolant(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """Run all five processes under identical seeds and budget."""
     if config.sampler == "bon":
         raise ConfigError("ablation needs a sampler with stochastic proposals")
-    doc = _config_doc(config)
-    tasks = [
-        (doc, seed, config.nfe, process, "run")
-        for process in PROCESS_NAMES
-        for seed in config.seeds
-    ]
-    return sort_records(_parallel_records(tasks, jobs))
+    return _records(config, PROCESS_NAMES, [config.nfe], jobs)
 
 
 def diversity_record(config: ExperimentConfig, seed: int) -> RunRecord:
@@ -395,13 +372,7 @@ def diversity_record(config: ExperimentConfig, seed: int) -> RunRecord:
 
 def diversity_table(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
     """Branched-proposal diversity for all five processes across seeds."""
-    doc = _config_doc(config)
-    tasks = [
-        (doc, seed, None, process, "diversity")
-        for process in PROCESS_NAMES
-        for seed in config.seeds
-    ]
-    return sort_records(_parallel_records(tasks, jobs))
+    return _records(config, PROCESS_NAMES, [None], jobs)
 
 
 def sort_records(records: list[RunRecord]) -> list[RunRecord]:

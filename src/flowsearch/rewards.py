@@ -87,28 +87,19 @@ def evaluate_reward(spec: RewardSpec, x) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ValueEstimate:
-    """Expected-future-reward estimate of a latent: r(posterior mean)."""
-
-    value: float | np.ndarray
-    posterior_mean: np.ndarray
-
-
 def estimate_value(
     spec: RewardSpec,
     gmm: GaussianMixtureModel,
     sched: InterpolantSchedule,
     t: float,
     x_t,
-) -> ValueEstimate:
-    """Value of a latent through its posterior mean.
+) -> np.ndarray | float:
+    """Value of a latent through its posterior mean: r(E[x0 | x_t]).
 
     The NFE ledger lives in ``samplers.SearchBudget``: the samplers charge
     for the velocity evaluation that produced or valued a latent.
     """
-    x0 = posterior_mean(gmm, sched, t, np.asarray(x_t, dtype=float))
-    return ValueEstimate(value=evaluate_reward(spec, x0), posterior_mean=x0)
+    return evaluate_reward(spec, posterior_mean(gmm, sched, t, np.asarray(x_t, dtype=float)))
 
 
 def reward_gradient_through_posterior(

@@ -176,9 +176,7 @@ class _Runner:
         """Value of latents at plan time s (bundled with their step's NFE)."""
         t = min(self.plan.latent_time(s), 1.0 - T_MIN)
         sched = self.plan.value_schedule()
-        return np.asarray(
-            estimate_value(self.reward, self.gmm, sched, t, x).value
-        )
+        return np.asarray(estimate_value(self.reward, self.gmm, sched, t, x))
 
     def best(self, x: np.ndarray, s: float) -> np.ndarray:
         """The highest-value row of x at plan time s, lowest index on ties;

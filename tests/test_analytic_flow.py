@@ -1,3 +1,4 @@
+import pickle
 import subprocess
 import sys
 import warnings
@@ -55,6 +56,16 @@ def test_gmm_validation():
         GaussianMixtureModel([1.0], [[0.0]], [[0.0]])  # zero variance
     with pytest.raises(DomainError):
         GaussianMixtureModel([1.0], [[0.0, 0.0]], [[1.0]])  # shape mismatch
+
+
+def test_gmm_pickle_round_trip_stays_read_only():
+    # Pool workers under spawn or forkserver receive the mixture pickled;
+    # the oracle cache relies on its arrays staying read-only there too.
+    gmm = default_benchmark_gmm()
+    copy = pickle.loads(pickle.dumps(gmm))
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_array_equal(getattr(copy, name), getattr(gmm, name))
+        assert not getattr(copy, name).flags.writeable
 
 
 def test_default_benchmark_prior():
@@ -154,6 +165,10 @@ def test_velocity_domain():
     for x in (np.zeros(1), np.zeros((4, 3)), np.float64(0.0)):
         with pytest.raises(DomainError):
             velocity_at(SINGLE, LINEAR, 0.5, x)  # last axis must be the mixture's d
+    # a diverged trajectory is an error, not a point of mode 0
+    for x in ([[np.nan, 1.0], [-4.0, -4.0]], [[np.inf, 0.0]], [-np.inf, 0.0]):
+        with pytest.raises(DomainError):
+            mode_assignments(default_benchmark_gmm(), x)
 
 
 def test_posterior_mean_examples():

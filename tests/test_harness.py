@@ -24,7 +24,7 @@ from flowsearch.harness import (
     write_csv,
 )
 from flowsearch.engine import make_plan
-from flowsearch.analytic_flow import default_benchmark_gmm
+from flowsearch.analytic_flow import _at_time, default_benchmark_gmm
 
 
 def small_config(**overrides):
@@ -157,6 +157,17 @@ def test_diversity_table_covers_all_processes():
     assert all(r.method == "diversity" for r in records)
 
 
+def test_diversity_table_shares_the_oracle_cache_across_seeds():
+    # Every task of a table reuses one mixture, so more seeds cost no new
+    # per-time cache entries.
+    misses = []
+    for seeds in ([0], [0, 1, 2]):
+        _at_time.cache_clear()
+        diversity_table(small_config(seeds=seeds))
+        misses.append(_at_time.cache_info().misses)
+    assert misses[1] <= misses[0]
+
+
 def _write_config(tmp_path, **overrides):
     doc = {
         "reward": {"kind": "rare-mode"},
@@ -180,21 +191,29 @@ def _read_rows_without_wall(path):
     return [tuple(v for i, v in enumerate(row) if i != drop) for row in rows]
 
 
-def test_cli_run_and_parallel_determinism(tmp_path):
+@pytest.mark.parametrize("command", ["run", "sweep", "ablate", "diversity"])
+def test_cli_run_and_parallel_determinism(tmp_path, command):
     # identical rows (wall_ms excluded, per the determinism contract) for
-    # repeated runs and for --jobs 1 vs --jobs 8
-    cfg_path = _write_config(tmp_path)
+    # repeated runs and for --jobs 1 vs --jobs 8; unsorted, repeated seeds
+    # and a non-default reward check that workers get the whole config
+    cfg_path = _write_config(
+        tmp_path,
+        seeds=[3, 0, 2, 0],
+        reward={"kind": "target-point", "params": {"target": [1.0, -2.0]}, "beta": 0.2},
+    )
+    extra = ["--budgets", "12,40"] if command == "sweep" else []
     outs = []
     for i, jobs in enumerate((1, 1, 8)):
         out = tmp_path / f"out{i}.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "flowsearch.cli", "run", str(cfg_path),
-             "--out", str(out), "--jobs", str(jobs)],
+            [sys.executable, "-m", "flowsearch.cli", command, str(cfg_path),
+             "--out", str(out), "--jobs", str(jobs), *extra],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(_read_rows_without_wall(out))
     assert outs[0] == outs[1] == outs[2]
+    assert [row[0] for row in outs[0][1:3]] == ["0", "0"]  # sorted by seed
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from flowsearch.analytic_flow import (
     GaussianMixtureModel,
     default_benchmark_gmm,
+    posterior_mean,
     score_at,
 )
 from flowsearch.errors import DomainError
@@ -65,16 +66,15 @@ def test_reward_spec_validation():
 def test_estimate_value_at_t0_is_exact_reward():
     for spec in (target_point_reward([1.0, -1.0]), ring_reward(3.0), rare_mode_reward(GMM)):
         x = np.array([0.37, -2.11])
-        est = estimate_value(spec, GMM, LINEAR, 0.0, x)
-        assert est.value == evaluate_reward(spec, x)
-        np.testing.assert_array_equal(est.posterior_mean, x)
+        assert estimate_value(spec, GMM, LINEAR, 0.0, x) == evaluate_reward(spec, x)
+    np.testing.assert_array_equal(posterior_mean(GMM, LINEAR, 0.0, x), x)
 
 
 def test_estimate_value_halfway():
     # posterior mean of N(0, I) prior at t=0.5 is x itself
     spec = target_point_reward([1.0, 0.0])
-    est = estimate_value(spec, SINGLE, LINEAR, 0.5, np.array([1.0, 0.0]))
-    assert est.value == pytest.approx(0.0, abs=1e-12)
+    value = estimate_value(spec, SINGLE, LINEAR, 0.5, np.array([1.0, 0.0]))
+    assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_argmax_invariance_under_affine_reward_scaling():
