@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("config", help="path to the JSON config file")
         cmd.add_argument("--seed-offset", type=int, default=0)
         cmd.add_argument("--out", default=None, help="output CSV path")
-        cmd.add_argument("--jobs", type=int, default=1)
+        cmd.add_argument("--jobs", type=int, default=1, help="worker processes, >= 1")
         if name == "sweep":
             cmd.add_argument(
                 "--budgets",

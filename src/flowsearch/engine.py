@@ -16,14 +16,13 @@ accepts:
   coefficient rescaled to ``g_s / c_s * sqrt(ds/dt_s)`` so each step injects
   the converted process's noise magnitude in source coordinates.
 
-A trajectory's ``t`` is always the *plan* time (the grid coordinate); for
-the matched-grid modes the latent's physical source time is
-``latent_time(plan, t)``.
-
-``denoise_interval`` is the single stepping kernel: ``run_process``, the
-samplers and the diversity protocol all advance latents through it.  It
-makes one velocity-oracle call per step, and ``nfe_used`` counts exactly
-those calls.  ``StepPlan.noisy`` decides which intervals inject noise.
+``StepPlan`` owns the latent's clock: at construction it works out, per
+grid point and interval, the latent's own time, its coordinates, the noise
+scale and the scale-time map, so nothing downstream reads the process name.
+``denoise_interval(plan, x, i, z, velocity)`` is the single stepping
+kernel: ``run_process``, the samplers and the diversity protocol all
+advance latents through it by interval index.  It makes one velocity-oracle
+call per step, and ``nfe_used`` counts exactly those calls.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ _CONVERTED = ("vp-sde",)
 # Modes that step in source coordinates on the matched time grid.
 _MATCHED_GRID = ("linear-sde-adaptive-time", "linear-sde-scaled-diffusion")
 
-_FINAL_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class DiffusionCoefficient:
@@ -85,15 +82,28 @@ def make_time_grid(steps: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class StepPlan:
-    """Everything fixed about a generative run: mode, schedules, noise, grid."""
+    """Everything fixed about a generative run, worked out once per interval.
+
+    The mode is read here and nowhere else.  Construction derives:
+
+    * ``times[k]``: the latent's own clock at grid point k (the plan grid,
+      or the matched source times for the matched-grid modes);
+    * ``schedule``: the interpolant in whose coordinates the latent lives;
+    * ``g[i]``: interval i's noise scale, 0 on the final interval and on
+      deterministic plans;
+    * ``maps[i]``: interval i's scale-time map from the latent's coordinates
+      to the velocity oracle's, None where it is the identity.
+    """
 
     process: str
     src_schedule: InterpolantSchedule
     dst_schedule: InterpolantSchedule
     diffusion: DiffusionCoefficient
     grid: np.ndarray
-    _maps: dict = field(default_factory=dict, repr=False)
-    _times: dict = field(default_factory=dict, repr=False)
+    times: np.ndarray = field(init=False, repr=False)
+    schedule: InterpolantSchedule = field(init=False, repr=False)
+    g: np.ndarray = field(init=False, repr=False)
+    maps: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.process not in PROCESS_NAMES:
@@ -105,47 +115,48 @@ class StepPlan:
             raise DomainError("grid must decrease strictly from 1 to 0")
         if self.process == "linear-ode" and self.diffusion.norm != 0.0:
             raise DomainError("linear-ode requires a zero diffusion coefficient")
-        if self.process in _MATCHED_GRID and self.src_schedule == self.dst_schedule:
+        matched = self.process in _MATCHED_GRID
+        if matched and self.src_schedule == self.dst_schedule:
             raise DomainError(f"{self.process} needs distinct src/dst schedules")
         self.grid = grid
+        left = grid[:-1]
+        maps = [self.scale_map(s) for s in left]
+        if matched:
+            # Source coordinates, stepped between matched source times.
+            self.schedule = self.src_schedule
+            times = [m.t_s for m in maps] + [0.0]
+            self.maps = (None,) * self.steps
+        else:
+            # Target coordinates on the plan grid; the oracle is queried at
+            # the matched source point.
+            self.schedule = self.dst_schedule
+            times = list(grid)
+            self.maps = tuple(None if m.is_identity else m for m in maps)
+        if self.process == "linear-sde-adaptive-time":
+            g = [self.diffusion(t) for t in times[:-1]]
+        elif self.process == "linear-sde-scaled-diffusion":
+            # The converted process's noise magnitude in source coordinates.
+            g = [
+                self.diffusion(s) / m.c_s * math.sqrt((s - s_next) / (t - t_next))
+                for s, s_next, m, t, t_next in zip(left, grid[1:], maps, times, times[1:])
+            ]
+        else:
+            g = [self.diffusion(s) for s in left]
+        # The final interval lands at time 0, where 1/sigma is singular; it
+        # is integrated without noise (with g ~ t^2 the discarded noise is
+        # O(T_MIN^2)).
+        g[-1] = 0.0
+        self.times = np.array(times)
+        self.g = np.array(g)
 
     @property
     def steps(self) -> int:
         return self.grid.size - 1
 
     def scale_map(self, s: float) -> ScaleTimeMap:
-        """Scale-time map at plan time ``s`` (cached per grid point)."""
-        m = self._maps.get(s)
-        if m is None:
-            m = scale_time_transform(self.src_schedule, self.dst_schedule, max(s, T_MIN))
-            self._maps[s] = m
-        return m
-
-    def latent_time(self, s: float) -> float:
-        """Physical source time of the latent when the plan clock reads s."""
-        if self.process not in _MATCHED_GRID:
-            return s
-        if s <= _FINAL_EPS:
-            return 0.0
-        t = self._times.get(s)
-        if t is None:
-            t = self.scale_map(s).t_s
-            self._times[s] = t
-        return t
-
-    def value_schedule(self) -> InterpolantSchedule:
-        """Schedule in whose coordinates the latent lives (for Tweedie)."""
-        if self.process in _CONVERTED:
-            return self.dst_schedule
-        return self.src_schedule
-
-    def is_stochastic(self) -> bool:
-        return self.process != "linear-ode" and self.diffusion.norm != 0.0
-
-    def noisy(self, s_right: float) -> bool:
-        """Whether the interval ending at plan time ``s_right`` injects noise:
-        only stochastic plans do, and never on the final interval."""
-        return s_right > _FINAL_EPS and self.is_stochastic()
+        """Scale-time map from the target to the source interpolant at plan
+        time ``s`` (clamped to T_MIN)."""
+        return scale_time_transform(self.src_schedule, self.dst_schedule, max(s, T_MIN))
 
 
 def make_plan(process: str, steps: int) -> StepPlan:
@@ -159,20 +170,6 @@ def make_plan(process: str, steps: int) -> StepPlan:
         dst_schedule=dst,
         diffusion=diffusion,
         grid=make_time_grid(steps),
-    )
-
-
-def deterministic_plan(plan: StepPlan) -> StepPlan:
-    """The probability-flow (g = 0) counterpart of a plan, same grid and
-    conversion; used wherever trajectories must be completed without noise."""
-    if plan.diffusion.norm == 0.0:
-        return plan
-    return StepPlan(
-        process=plan.process,
-        src_schedule=plan.src_schedule,
-        dst_schedule=plan.dst_schedule,
-        diffusion=DiffusionCoefficient(norm=0.0, exponent=plan.diffusion.exponent),
-        grid=plan.grid,
     )
 
 
@@ -190,47 +187,30 @@ def score_from_velocity(
 def denoise_interval(
     plan: StepPlan,
     x: np.ndarray,
-    s_left: float,
-    s_right: float,
+    i: int,
     z: np.ndarray | None,
     velocity,
 ) -> np.ndarray:
-    """Advance the latent over one grid interval; exactly one velocity call.
+    """Advance the latent over grid interval i; exactly one velocity call.
 
     This is the only code that steps a latent: every process, sampler and
-    protocol goes through it.  ``z`` is read only when ``plan.noisy(s_right)``.
-    The final interval (landing at time 0) is integrated with g forced to 0
-    and the velocity evaluated no lower than T_MIN: 1/sigma is singular at 0
-    and with g ~ t^2 the discarded noise is O(T_MIN^2).
+    protocol goes through it.  ``z`` None, or ``plan.g[i] == 0``, gives the
+    probability-flow step; otherwise it is Euler-Maruyama on the reverse
+    SDE, drift ``u - (g^2/2) * score``, with g taken at the interval's left
+    (noisier) end.  The velocity is evaluated no lower than T_MIN.
     """
-    if plan.process in _MATCHED_GRID:
-        # Source coordinates, stepped between matched source times.
-        t_left = plan.latent_time(s_left)
-        dt = t_left - plan.latent_time(s_right)
-        t_eval = max(t_left, T_MIN)
+    t = plan.times[i]
+    dt = t - plan.times[i + 1]
+    t_eval = max(t, T_MIN)
+    m = plan.maps[i]
+    if m is None:
         u = velocity(x, t_eval)
-        sched = plan.src_schedule
     else:
-        # Conversion family: latent lives in dst coordinates at plan time s.
-        dt = s_left - s_right
-        t_eval = max(s_left, T_MIN)
-        m = plan.scale_map(s_left)
-        if m.is_identity:
-            u = velocity(x, t_eval)
-        else:
-            u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
-        sched = plan.dst_schedule
-    if not plan.noisy(s_right):
+        u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
+    g = plan.g[i]
+    if z is None or g == 0.0:
         return x - u * dt
-    if plan.process == "linear-sde-adaptive-time":
-        g = plan.diffusion(t_left)
-    elif plan.process == "linear-sde-scaled-diffusion":
-        g = plan.diffusion(s_left) / plan.scale_map(s_left).c_s * math.sqrt((s_left - s_right) / dt)
-    else:
-        g = plan.diffusion(s_left)
-    # Euler-Maruyama on the reverse SDE, drift u - (g^2/2) * score, with g
-    # taken at the interval's left (noisier) end.
-    f = u - 0.5 * g * g * score_from_velocity(sched, t_eval, x, u)
+    f = u - 0.5 * g * g * score_from_velocity(plan.schedule, t_eval, x, u)
     return x - f * dt + g * math.sqrt(dt) * z
 
 
@@ -248,8 +228,7 @@ def run_process(
     grid interval).
     """
     x = np.asarray(x1, dtype=float)
-    grid = plan.grid
     for i in range(plan.steps):
-        z = rng.standard_normal(x.shape) if plan.noisy(grid[i + 1]) else None
-        x = denoise_interval(plan, x, grid[i], grid[i + 1], z, velocity)
+        z = rng.standard_normal(x.shape) if plan.g[i] else None
+        x = denoise_interval(plan, x, i, z, velocity)
     return x, plan.steps

@@ -31,6 +31,7 @@ import csv
 import inspect
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -248,17 +249,16 @@ def branched_proposals(
     velocity = lambda x, t: velocity_at(gmm, plan.src_schedule, t, x)
     x1 = streams.stream(seed, streams.DIVERSITY, 0).standard_normal(gmm.dim)
     xs = np.tile(x1, (k, 1))
-    grid = plan.grid
     for i in range(plan.steps):
         z = None
-        if plan.noisy(grid[i + 1]):
+        if plan.g[i]:
             z = np.stack(
                 [
                     streams.stream(seed, streams.DIVERSITY, i + 1, j).standard_normal(gmm.dim)
                     for j in range(k)
                 ]
             )
-        xs = denoise_interval(plan, xs, grid[i], grid[i + 1], z, velocity)
+        xs = denoise_interval(plan, xs, i, z, velocity)
     return xs
 
 
@@ -308,14 +308,19 @@ def _worker_record(task) -> RunRecord:
 
 def _records(config: ExperimentConfig, processes, budgets, jobs: int) -> list[RunRecord]:
     """One record per (process, budget, seed), sorted; a budget of None
-    makes a diversity record instead of a sampler run."""
+    makes a diversity record instead of a sampler run.  The pool has no
+    more workers than tasks or cores."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     configs = {p: replace(config, process=p) for p in processes}
     tasks = [(p, nfe, seed) for p in processes for nfe in budgets for seed in config.seeds]
-    if jobs <= 1:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(tasks), cores or 1)
+    if workers <= 1:
         records = [_record(configs, t) for t in tasks]
     else:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(configs,)
+            max_workers=workers, initializer=_init_worker, initargs=(configs,)
         ) as pool:
             records = list(pool.map(_worker_record, tasks))
     return sort_records(records)

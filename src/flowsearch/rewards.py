@@ -33,23 +33,24 @@ class RewardSpec:
     def __post_init__(self) -> None:
         if self.kind not in REWARD_KINDS:
             raise DomainError(f"unknown reward kind: {self.kind!r}")
-        if self.kl_temperature <= 0.0:
-            raise DomainError("kl_temperature must be positive")
+        if not 0.0 < self.kl_temperature < np.inf:
+            raise DomainError(
+                f"kl_temperature must be finite and positive, got {self.kl_temperature}"
+            )
 
 
 def target_point_reward(target, kl_temperature: float = 0.1) -> RewardSpec:
     """r(x) = -||x - target||^2."""
-    return RewardSpec(
-        "target-point",
-        {"target": np.asarray(target, dtype=float)},
-        kl_temperature,
-    )
+    target = np.asarray(target, dtype=float)
+    if not np.all(np.isfinite(target)):
+        raise DomainError("target-point target must be finite")
+    return RewardSpec("target-point", {"target": target}, kl_temperature)
 
 
 def ring_reward(radius: float, kl_temperature: float = 0.1) -> RewardSpec:
     """r(x) = -(||x|| - radius)^2."""
-    if radius <= 0.0:
-        raise DomainError("ring radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise DomainError(f"ring radius must be finite and positive, got {radius}")
     return RewardSpec("ring", {"radius": float(radius)}, kl_temperature)
 
 

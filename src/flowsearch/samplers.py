@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rng as streams
 from .analytic_flow import GaussianMixtureModel, velocity_at
-from .engine import StepPlan, denoise_interval, deterministic_plan
+from .engine import StepPlan, denoise_interval
 from .errors import BudgetError, DomainError
 from .interpolants import T_MIN, eval_schedule
 from .rewards import RewardSpec, estimate_value, evaluate_reward
@@ -148,7 +148,6 @@ class _Runner:
         self.reward = reward
         self.budget = budget
         self.seed = seed
-        self.det_plan = deterministic_plan(plan)
         self.per_step = [0] * plan.steps
         src = plan.src_schedule
         self.velocity = lambda x, t: velocity_at(gmm, src, t, x)
@@ -161,7 +160,7 @@ class _Runner:
         """Proposal noise of ``batch`` on grid interval i, one ``(count, d)``
         block whose row j is proposal j's; None when the interval injects
         no noise."""
-        if not self.plan.noisy(self.plan.grid[i + 1]):
+        if not self.plan.g[i]:
             return None
         return streams.stream(self.seed, streams.PROPOSAL, i, batch).standard_normal(
             (count, self.gmm.dim)
@@ -172,31 +171,27 @@ class _Runner:
         self.budget.charge(n)
         self.per_step[i] += n
 
-    def value(self, x: np.ndarray, s: float):
-        """Value of latents at plan time s (bundled with their step's NFE)."""
-        t = min(self.plan.latent_time(s), 1.0 - T_MIN)
-        sched = self.plan.value_schedule()
-        return np.asarray(estimate_value(self.reward, self.gmm, sched, t, x))
+    def value(self, x: np.ndarray, k: int):
+        """Value of latents at grid point k (bundled with their step's NFE)."""
+        t = min(self.plan.times[k], 1.0 - T_MIN)
+        return np.asarray(estimate_value(self.reward, self.gmm, self.plan.schedule, t, x))
 
-    def best(self, x: np.ndarray, s: float) -> np.ndarray:
-        """The highest-value row of x at plan time s, lowest index on ties;
+    def best(self, x: np.ndarray, k: int) -> np.ndarray:
+        """The highest-value row of x at grid point k, lowest index on ties;
         a single row (one draw, or copies a noiseless step left as one) is
         taken without valuing."""
         if x.shape[0] == 1:
             return x[0]
-        return x[_argmax_first(self.value(x, s))]
+        return x[_argmax_first(self.value(x, k))]
 
-    def step_batch(
-        self, x: np.ndarray, i: int, z: np.ndarray | None, deterministic: bool = False
-    ) -> np.ndarray:
+    def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None) -> np.ndarray:
         """Advance a batch over grid interval i; caller charges the budget.
+        ``z`` None takes the probability-flow step.
 
         Proposals that share a parent are one call on ``x[None, :]`` with
         their ``(q, d)`` noise block: the parent's velocity is evaluated
         once, and without noise the result stays ``(1, d)``."""
-        plan = self.det_plan if deterministic else self.plan
-        g = plan.grid
-        return denoise_interval(plan, x, g[i], g[i + 1], z, self.velocity)
+        return denoise_interval(self.plan, x, i, z, self.velocity)
 
     def result(self, finals, values=None, trace: dict | None = None) -> SearchResult:
         """The highest-reward final latent, lowest index on ties; ``values``
@@ -230,18 +225,16 @@ def best_of_n(
     x = r.initials(n)
     for i in range(plan.steps):
         r.charge(i, n)
-        x = r.step_batch(x, i, None, deterministic=True)
+        x = r.step_batch(x, i, None)
     return r.result(x)
 
 
-def _forward_noise(
-    r: _Runner, x: np.ndarray, t_from: float, t_to: float, zeta: np.ndarray
-) -> np.ndarray:
-    """Re-noise latents from t_from up to t_to >= t_from with the forward
-    kernel of the source interpolant (no velocity call)."""
-    a_to, s_to, _, _ = eval_schedule(r.plan.src_schedule, t_to)
-    a_from, s_from, _, _ = eval_schedule(r.plan.src_schedule, t_from)
-    coef = 0.0 if a_to == 0.0 else a_to / a_from
+def _forward_noise(plan: StepPlan, x: np.ndarray, j: int, zeta: np.ndarray) -> np.ndarray:
+    """Re-noise latents from grid point j back to j - 1 with the forward
+    kernel of the latent's own interpolant and clock (no velocity call)."""
+    a_to, s_to, _, _ = eval_schedule(plan.schedule, plan.times[j - 1])
+    a_from, s_from, _, _ = eval_schedule(plan.schedule, plan.times[j])
+    coef = a_to / a_from
     var = max(s_to * s_to - coef * coef * s_from * s_from, 0.0)
     return coef * x + np.sqrt(var) * zeta
 
@@ -258,10 +251,13 @@ def search_over_paths(
     """Iterate forward-noising by one grid interval, deterministic solving by
     two, and top-``n_keep`` selection, from t=1 until t=0.
 
-    Forward noising is pure noise injection and costs no NFE; each ODE
-    interval costs one per particle.  If the budget cannot cover another
-    round plus finishing the survivors, the search truncates and the
-    survivors are completed deterministically.
+    Forward noising is pure noise injection with the forward kernel of the
+    latent's own interpolant and clock (``plan.schedule``, ``plan.times``),
+    so re-noised latents land on the marginal of the earlier grid point;
+    at the noise end (the first round) it draws fresh latents.  It costs no
+    NFE; each probability-flow interval costs one per particle.  If the
+    budget cannot cover another round plus finishing the survivors, the
+    search truncates and the survivors are completed deterministically.
     """
     r = _Runner(plan, gmm, reward, budget, seed)
     if n_keep < 1 or k_branch < 1:
@@ -282,22 +278,22 @@ def search_over_paths(
         zeta = streams.stream(seed, streams.FORWARD, round_no).standard_normal(
             (n_keep * k_branch, gmm.dim)
         )
-        branched = _forward_noise(
-            r, np.repeat(x, k_branch, axis=0), plan.grid[idx], plan.grid[fwd_idx], zeta
-        )
+        branched = zeta  # at the noise end the branches are fresh latents
+        if idx:
+            branched = _forward_noise(plan, np.repeat(x, k_branch, axis=0), idx, zeta)
         pos = fwd_idx
         for _ in range(db):
             r.charge(pos, branched.shape[0])
-            branched = r.step_batch(branched, pos, None, deterministic=True)
+            branched = r.step_batch(branched, pos, None)
             pos += 1
-        values = r.value(branched, plan.grid[pos])
+        values = r.value(branched, pos)
         keep = _top_k_first(values, n_keep)
         x = branched[keep]
         idx = pos
         round_no += 1
     while idx < steps:  # deterministic finish after truncation
         r.charge(idx, x.shape[0])
-        x = r.step_batch(x, idx, None, deterministic=True)
+        x = r.step_batch(x, idx, None)
         idx += 1
     return r.result(x)
 
@@ -323,7 +319,7 @@ def run_smc(
         raise BudgetError("smc needs total_nfe >= steps")
     beta = reward.kl_temperature
     x = r.initials(n)
-    values = r.value(x, plan.grid[0])  # initial noises: uncharged by convention
+    values = r.value(x, 0)  # initial noises: uncharged by convention
     log_w = np.zeros(n)
     trace = {"resampled": [], "weights_after_resample": []} if with_trace else None
     for i in range(plan.steps):
@@ -341,7 +337,7 @@ def run_smc(
         z = r.noise(i, 0, n)
         r.charge(i, n)
         x = r.step_batch(x, i, z)
-        new_values = r.value(x, plan.grid[i + 1])
+        new_values = r.value(x, i + 1)
         log_w = log_w + (new_values - values) / beta
         values = new_values
     return r.result(x, values, trace)  # at t=0 the value is the reward itself
@@ -377,7 +373,7 @@ def run_svdd(
                 raise BudgetError("svdd step quota fell to zero")
             z = r.noise(i, b, draws)
             r.charge(i, draws)
-            x = r.best(r.step_batch(x[None, :], i, z), plan.grid[i + 1])
+            x = r.best(r.step_batch(x[None, :], i, z), i + 1)
         finals.append(x)
     return r.result(finals)
 
@@ -416,7 +412,7 @@ def run_code(
                 r.charge(i, k_eff)
                 spent += k_eff
                 chains = r.step_batch(chains, i, z)
-            x = r.best(chains, plan.grid[i0 + span])
+            x = r.best(chains, i0 + span)
             i0 += span
         finals.append(x)
     return r.result(finals)
@@ -457,7 +453,7 @@ def run_rbf(
         x = starts[b]
         budget.charge(1)  # valuing the fresh initial latent costs one call
         init_charges += 1
-        r_star = float(r.value(x, plan.grid[0]))
+        r_star = float(r.value(x, 0))
         for i in range(steps):
             q = quotas[i]
             if q < 1:
@@ -473,7 +469,7 @@ def run_rbf(
             values = np.empty(q)
             for j in range(q):
                 r.charge(i, 1)
-                vj = float(r.value(proposals[j], plan.grid[i + 1]))
+                vj = float(r.value(proposals[j], i + 1))
                 values[j] = vj
                 if vj > r_star:
                     if i + 1 < steps:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,10 @@ from flowsearch.analytic_flow import (
     velocity_at,
 )
 from flowsearch.engine import (
+    PROCESS_NAMES,
     DiffusionCoefficient,
     StepPlan,
     denoise_interval,
-    deterministic_plan,
     make_plan,
     make_time_grid,
     run_process,
@@ -21,6 +23,7 @@ from flowsearch.engine import (
 )
 from flowsearch.errors import DomainError
 from flowsearch.interpolants import (
+    T_MIN,
     InterpolantSchedule,
     eval_schedule,
     scale_time_transform,
@@ -46,6 +49,15 @@ def linear_sde_plan(diffusion=None):
     """Unconverted reverse SDE (src = dst = linear) on a 10-step grid."""
     g = DiffusionCoefficient() if diffusion is None else diffusion
     return StepPlan("linear-sde", LINEAR, LINEAR, g, make_time_grid(10))
+
+
+# On the 10-step grid, interval 5 runs from t = 0.5 to t = 0.4 (up to the
+# grid's rounding) and interval 4 from 0.6 to 0.5.
+HALF = 5
+
+
+def width(plan, i):
+    return plan.times[i] - plan.times[i + 1]
 
 
 def test_score_from_velocity_examples():
@@ -83,13 +95,13 @@ def test_drift_examples():
     # is recovered as (x - x') / ds
     x = np.array([1.0, 0.0])
     u = np.array([0.7, -0.1])
-    ds = 0.5 - 0.4
-    # g = 0: the drift is u itself, bit for bit
     zero = linear_sde_plan(DiffusionCoefficient.zero())
-    out = denoise_interval(zero, x, 0.5, 0.4, np.ones(2), constant(u))
+    ds = width(zero, HALF)
+    # g = 0: the drift is u itself, bit for bit
+    out = denoise_interval(zero, x, HALF, np.ones(2), constant(u))
     np.testing.assert_array_equal(out, x - u * ds)
     # g(0.5) = 0.75; u = 0 gives -(g^2/2) * score = (0.5625, 0)
-    out = denoise_interval(linear_sde_plan(), x, 0.5, 0.4, np.zeros(2), constant(np.zeros(2)))
+    out = denoise_interval(linear_sde_plan(), x, HALF, np.zeros(2), constant(np.zeros(2)))
     np.testing.assert_allclose((x - out) / ds, [0.5625, 0.0], atol=1e-12)
 
 
@@ -111,9 +123,9 @@ def test_corollary_diffusion_cancels_score():
 def test_ode_step():
     plan = make_plan("linear-ode", 10)
     x = np.zeros(2)
-    out = denoise_interval(plan, x, 0.5, 0.4, None, constant(np.array([2.0, 0.0])))
+    out = denoise_interval(plan, x, HALF, None, constant(np.array([2.0, 0.0])))
     np.testing.assert_allclose(out, [-0.2, 0.0])
-    unchanged = denoise_interval(plan, x, 0.5, 0.4, None, constant(np.zeros(2)))
+    unchanged = denoise_interval(plan, x, HALF, None, constant(np.zeros(2)))
     np.testing.assert_array_equal(unchanged, x)
 
 
@@ -130,21 +142,24 @@ def test_sde_step_mean_and_variance():
     plan = linear_sde_plan()
     diff = plan.diffusion
     x = np.array([1.0, 0.0])
-    ds = 0.5 - 0.4
-    u = velocity_at(GMM, LINEAR, 0.5, x)
+    t = plan.times[HALF]
+    ds = width(plan, HALF)
+    u = velocity_at(GMM, LINEAR, t, x)
     # z = 0 lands exactly on the proposal mean
-    out = denoise_interval(plan, x, 0.5, 0.4, np.zeros(2), oracle(GMM))
-    f = u - 0.5 * diff(0.5) ** 2 * score_from_velocity(LINEAR, 0.5, x, u)
+    out = denoise_interval(plan, x, HALF, np.zeros(2), oracle(GMM))
+    f = u - 0.5 * diff(t) ** 2 * score_from_velocity(LINEAR, t, x, u)
     np.testing.assert_allclose(out, x - f * ds, atol=1e-15)
-    # g = 0 reduces to the ODE step
+    # g = 0, and z None, reduce to the ODE step
     zero = linear_sde_plan(DiffusionCoefficient.zero())
-    out0 = denoise_interval(zero, x, 0.5, 0.4, np.ones(2), oracle(GMM))
+    out0 = denoise_interval(zero, x, HALF, np.ones(2), oracle(GMM))
     np.testing.assert_allclose(out0, x - u * ds, atol=1e-15)
+    flow = denoise_interval(plan, x, HALF, None, oracle(GMM))
+    np.testing.assert_allclose(flow, x - u * ds, atol=1e-15)
     # Monte-Carlo variance of one step: g^2 dt per dimension within 5%
     rng = np.random.default_rng(2)
     z = rng.standard_normal((10_000, 2))
-    xs = denoise_interval(plan, np.tile(x, (10_000, 1)), 0.5, 0.4, z, oracle(GMM))
-    want = diff(0.5) ** 2 * ds
+    xs = denoise_interval(plan, np.tile(x, (10_000, 1)), HALF, z, oracle(GMM))
+    want = diff(t) ** 2 * ds
     assert np.allclose(xs.var(axis=0), want, rtol=0.05)
 
 
@@ -158,20 +173,21 @@ def test_transform_velocity_identity():
         queries.append((xq, t))
         return velocity_at(GMM, LINEAR, t, xq)
 
-    out = denoise_interval(plan, x, 0.6, 0.5, None, spy)
+    out = denoise_interval(plan, x, 4, None, spy)
+    assert plan.maps[4] is None
     assert len(queries) == 1 and queries[0][0] is x and queries[0][1] == 0.6
-    np.testing.assert_array_equal(out, x - velocity_at(GMM, LINEAR, 0.6, x) * (0.6 - 0.5))
+    np.testing.assert_array_equal(out, x - velocity_at(GMM, LINEAR, 0.6, x) * width(plan, 4))
 
 
 def test_transform_velocity_vp_closed_form():
     # for an N(0, I) prior the converted velocity equals the vp closed form;
-    # a zero-diffusion step s -> 0 is x - u s, so u = (x - x') / s
-    plan = deterministic_plan(make_plan("vp-sde", 10))
+    # a probability-flow step s -> 0 is x - u s, so u = (x - x') / s
     rng = np.random.default_rng(3)
     for _ in range(100):
         s = rng.uniform(1e-2, 1.0)
         x = rng.normal(size=2)
-        got = (x - denoise_interval(plan, x, s, 0.0, None, oracle(SINGLE))) / s
+        plan = StepPlan("vp-sde", LINEAR, VP, DiffusionCoefficient(), np.array([1.0, s, 0.0]))
+        got = (x - denoise_interval(plan, x, 1, None, oracle(SINGLE))) / s
         alpha, sigma, alpha_dot, sigma_dot = eval_schedule(VP, s)
         want = (alpha_dot * alpha + sigma_dot * sigma) / (alpha**2 + sigma**2) * x
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
@@ -208,9 +224,9 @@ def test_stoch_denoise_linear_ode_matches_ode_step():
         calls.append(t)
         return velocity_at(GMM, LINEAR, t, xq)
 
-    out = denoise_interval(plan, x, 1.0, 0.9, z, counting)
+    out = denoise_interval(plan, x, 0, z, counting)
     u = velocity_at(GMM, LINEAR, 1.0, x)
-    np.testing.assert_array_equal(out, x - u * (1.0 - 0.9))
+    np.testing.assert_array_equal(out, x - u * width(plan, 0))
     assert calls == [1.0]
 
 
@@ -225,7 +241,7 @@ def test_stoch_denoise_vp_zero_noise_matches_closed_form():
     u_bar = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * u_src
     sc = score_from_velocity(VP, s, x, u_bar)
     f = u_bar - 0.5 * plan.diffusion(s) ** 2 * sc
-    out = denoise_interval(plan, x, s, 0.8, np.zeros(2), oracle(SINGLE))
+    out = denoise_interval(plan, x, 1, np.zeros(2), oracle(SINGLE))
     np.testing.assert_allclose(out, x - f * 0.1, rtol=1e-12)
 
 
@@ -234,17 +250,19 @@ def test_scaled_diffusion_inflates_early_noise():
     plan = make_plan("linear-sde-scaled-diffusion", 10)
     g = plan.grid
     m = plan.scale_map(g[0])
-    dt = plan.latent_time(g[0]) - plan.latent_time(g[1])
+    dt = width(plan, 0)
     ds = g[0] - g[1]
     g_scaled = plan.diffusion(g[0]) / m.c_s * np.sqrt(ds / dt)
-    assert g_scaled > plan.diffusion(plan.latent_time(g[0]))
+    assert plan.g[0] == pytest.approx(g_scaled, rel=1e-15)
+    assert g_scaled > plan.diffusion(plan.times[0])
     # and the realised one-step noise is correspondingly larger
     x = np.zeros((2, 2))
     z = np.stack([np.zeros(2), np.ones(2)])
-    stepped = denoise_interval(plan, x, g[0], g[1], z, oracle(GMM))
+    stepped = denoise_interval(plan, x, 0, z, oracle(GMM))
     noise_norm = np.linalg.norm(stepped[1] - stepped[0])
     plain = make_plan("linear-sde-adaptive-time", 10)
-    stepped_plain = denoise_interval(plain, x, g[0], g[1], z, oracle(GMM))
+    assert plain.g[0] == plan.diffusion(plan.times[0])
+    stepped_plain = denoise_interval(plain, x, 0, z, oracle(GMM))
     assert noise_norm > np.linalg.norm(stepped_plain[1] - stepped_plain[0])
 
 
@@ -294,3 +312,119 @@ def test_marginal_mode_weights(process):
     x0, _ = run_process(plan, x1, streams.stream(8, streams.PROCESS), oracle(GMM))
     counts = np.bincount(mode_assignments(GMM, x0), minlength=4) / len(x0)
     assert np.all(np.abs(counts - GMM.weights) < 0.02)
+
+
+def test_plan_owns_the_latent_clock():
+    # the matched-grid modes step on the source times matched to the grid;
+    # the others on the grid itself; no interval after the last injects noise
+    for process in PROCESS_NAMES:
+        plan = make_plan(process, 10)
+        assert plan.times[-1] == 0.0 and plan.g[-1] == 0.0
+        assert len(plan.maps) == plan.g.size == plan.steps
+        if process in ("linear-sde-adaptive-time", "linear-sde-scaled-diffusion"):
+            assert plan.times[0] == pytest.approx(0.99347, abs=1e-5)
+            assert plan.schedule == LINEAR and all(m is None for m in plan.maps)
+        else:
+            np.testing.assert_array_equal(plan.times, plan.grid)
+        assert (plan.schedule == VP) == (process == "vp-sde")
+        assert all(m is not None for m in plan.maps) == (process == "vp-sde")
+        assert plan.g.any() == (process != "linear-ode")
+
+
+# --- the float-time kernel the index kernel replaced, kept as a reference:
+# it re-derives the latent's clock, coordinates, map and noise scale from
+# the process name and plan-time floats at every step.
+
+_MATCHED = ("linear-sde-adaptive-time", "linear-sde-scaled-diffusion")
+
+
+def _ref_scale_map(plan, s):
+    return scale_time_transform(plan.src_schedule, plan.dst_schedule, max(s, T_MIN))
+
+
+def _ref_latent_time(plan, s):
+    if plan.process not in _MATCHED:
+        return s
+    return 0.0 if s <= 1e-12 else _ref_scale_map(plan, s).t_s
+
+
+def _ref_noisy(plan, s_right):
+    return s_right > 1e-12 and plan.process != "linear-ode" and plan.diffusion.norm != 0.0
+
+
+def reference_interval(plan, x, s_left, s_right, z, velocity):
+    if plan.process in _MATCHED:
+        t_left = _ref_latent_time(plan, s_left)
+        dt = t_left - _ref_latent_time(plan, s_right)
+        t_eval = max(t_left, T_MIN)
+        u = velocity(x, t_eval)
+        sched = plan.src_schedule
+    else:
+        dt = s_left - s_right
+        t_eval = max(s_left, T_MIN)
+        m = _ref_scale_map(plan, s_left)
+        if m.is_identity:
+            u = velocity(x, t_eval)
+        else:
+            u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
+        sched = plan.dst_schedule
+    if not _ref_noisy(plan, s_right):
+        return x - u * dt
+    if plan.process == "linear-sde-adaptive-time":
+        g = plan.diffusion(t_left)
+    elif plan.process == "linear-sde-scaled-diffusion":
+        g = plan.diffusion(s_left) / _ref_scale_map(plan, s_left).c_s * math.sqrt(
+            (s_left - s_right) / dt
+        )
+    else:
+        g = plan.diffusion(s_left)
+    f = u - 0.5 * g * g * score_from_velocity(sched, t_eval, x, u)
+    return x - f * dt + g * math.sqrt(dt) * z
+
+
+def reference_run(plan, x1, rng, velocity):
+    x = np.asarray(x1, dtype=float)
+    grid = plan.grid
+    for i in range(plan.steps):
+        z = rng.standard_normal(x.shape) if _ref_noisy(plan, grid[i + 1]) else None
+        x = reference_interval(plan, x, grid[i], grid[i + 1], z, velocity)
+    return x, plan.steps
+
+
+def _queried_run(run, plan):
+    """Endpoint, NFE and every (x, t) the oracle saw along the trajectory."""
+    queries = []
+
+    def spy(x, t):
+        queries.append((np.array(x), t))
+        return velocity_at(GMM, LINEAR, t, x)
+
+    x1 = streams.stream(9, streams.INIT).standard_normal((64, 2))
+    x0, nfe = run(plan, x1, streams.stream(9, streams.PROCESS), spy)
+    return x0, nfe, queries
+
+
+def _trajectories_equal(a, b):
+    (xa, na, qa), (xb, nb, qb) = a, b
+    assert na == nb and len(qa) == len(qb) == na
+    for (x_a, t_a), (x_b, t_b) in zip(qa, qb):
+        assert t_a == t_b and np.array_equal(x_a, x_b)
+    assert np.array_equal(xa, xb)
+
+
+@pytest.mark.parametrize("steps", [5, 10, 100])
+@pytest.mark.parametrize("process", PROCESS_NAMES)
+def test_index_kernel_matches_float_time_reference_bitwise(process, steps):
+    plan = make_plan(process, steps)
+    _trajectories_equal(_queried_run(run_process, plan), _queried_run(reference_run, plan))
+    # z None is the probability-flow step of the zero-diffusion twin plan
+    twin = StepPlan(process, plan.src_schedule, plan.dst_schedule,
+                    DiffusionCoefficient.zero(), plan.grid)
+
+    def flow(plan, x1, rng, velocity):
+        x = np.asarray(x1, dtype=float)
+        for i in range(plan.steps):
+            x = denoise_interval(plan, x, i, None, velocity)
+        return x, plan.steps
+
+    _trajectories_equal(_queried_run(flow, plan), _queried_run(reference_run, twin))

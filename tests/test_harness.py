@@ -234,13 +234,24 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         ("run", {"nfe": MAX_NFE + 1}, []),
         ("run", {"nfe": float("inf")}, []),
         ("sweep", {}, ["--budgets", f"10,{MAX_NFE + 1}"]),
+        ("run", {"sampler": "smc", "sampler_opts": {},
+                 "reward": {"kind": "rare-mode", "beta": float("nan")}}, []),
+        ("run", {"sampler": "smc", "sampler_opts": {},
+                 "reward": {"kind": "rare-mode", "beta": float("inf")}}, []),
+        ("run", {"reward": {"kind": "ring", "params": {"radius": float("nan")}}}, []),
+        ("run", {"reward": {"kind": "ring", "params": {"radius": float("inf")}}}, []),
+        ("run", {"reward": {"kind": "target-point",
+                            "params": {"target": [float("nan"), 1.0]}}}, []),
+        ("run", {}, ["--jobs", "0"]),
+        ("run", {}, ["--jobs", "-5"]),
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
         "negative-seed-offset", "target-dimension", "reward-number",
         "reward-not-object", "reward-params-not-object", "sampler-opts-not-object",
         "out-not-string", "sweep-budget-not-integer", "nfe-over-cap", "nfe-infinite",
-        "sweep-budget-over-cap",
+        "sweep-budget-over-cap", "beta-nan", "beta-infinite", "radius-nan",
+        "radius-infinite", "target-nan", "jobs-zero", "jobs-negative",
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
@@ -253,6 +264,42 @@ def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_pool_is_sized_by_tasks_and_cores(monkeypatch):
+    # a spy stands in for the pool: no worker process is started
+    import os
+
+    from flowsearch import harness
+
+    sizes = []
+
+    class SpyPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(harness, "_WORKER_CONFIGS", {})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert len(run_table(small_config(seeds=[0]), jobs=64)) == 1
+    assert sizes == []  # one task runs in this process
+    assert len(run_table(small_config(seeds=[0, 1]), jobs=64)) == 2
+    assert len(run_table(small_config(seeds=[0, 1, 2, 3, 4]), jobs=64)) == 5
+    assert len(run_table(small_config(seeds=[0, 1, 2, 3, 4]), jobs=2)) == 5
+    assert sizes == [2, 3, 2]  # min(jobs, tasks, cores)
+    for jobs in (0, -5):
+        with pytest.raises(ConfigError):
+            run_table(small_config(seeds=[0]), jobs=jobs)
 
 
 def test_cli_seed_offset(tmp_path):

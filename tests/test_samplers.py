@@ -114,7 +114,7 @@ def test_best_of_n_is_argmax_over_trajectory_endpoints():
 GOLDEN = {
     ("bon", "linear-ode"): ("-2.7275778790421823", 100),
     ("sop", "linear-sde"): ("-1.846741678668817", 80),
-    ("sop", "vp-sde"): ("-1.8736477967015723", 80),
+    ("sop", "vp-sde"): ("-2.148288564667879", 80),
     ("smc", "linear-sde"): ("-1.838604602980739", 100),
     ("smc", "vp-sde"): ("-2.093399580307506", 100),
     ("code", "linear-sde"): ("-6.964414877557839", 100),
@@ -123,6 +123,14 @@ GOLDEN = {
     ("svdd", "vp-sde"): ("-2.2142577332139424", 100),
     ("rbf", "linear-sde"): ("-1.8380277102715397", 100),
     ("rbf", "vp-sde"): ("-3.8430944665197506", 56),
+    ("smc", "linear-sde-adaptive-time"): ("-1.8768460856107674", 100),
+    ("code", "linear-sde-adaptive-time"): ("-2.1475574745257546", 100),
+    ("svdd", "linear-sde-adaptive-time"): ("-1.924017967210902", 100),
+    ("rbf", "linear-sde-adaptive-time"): ("-3.7174990434979858", 100),
+    ("smc", "linear-sde-scaled-diffusion"): ("-1.8384487053390188", 100),
+    ("code", "linear-sde-scaled-diffusion"): ("-4.225232083689215", 100),
+    ("svdd", "linear-sde-scaled-diffusion"): ("-1.8510737780266684", 100),
+    ("rbf", "linear-sde-scaled-diffusion"): ("-2.0357961948415713", 100),
 }
 
 
@@ -149,7 +157,7 @@ def test_budget_safety_and_determinism(name, process):
     np.testing.assert_array_equal(res1.best_x, res2.best_x)
     assert res1.best_reward == res2.best_reward
     res3 = SAMPLERS[name](plan, GMM, RARE, budget(), seed=12)
-    if plan.is_stochastic() or name in ("bon", "sop"):
+    if plan.g.any() or name in ("bon", "sop"):
         assert not np.array_equal(res1.best_x, res3.best_x)
 
 
@@ -203,6 +211,47 @@ def test_sop_degenerate_single_branch():
     assert res.nfe_used <= 500
 
 
+@pytest.mark.parametrize("process", ["vp-sde", "linear-sde-adaptive-time"])
+def test_sop_forward_noise_lands_on_the_target_marginal(process):
+    # an exact latent at grid point j, re-noised to j - 1, is distributed as
+    # the marginal at j - 1 in the latent's own coordinates and clock
+    from flowsearch.analytic_flow import GaussianMixtureModel, marginal_at
+    from flowsearch.interpolants import eval_schedule
+    from flowsearch.samplers import _forward_noise
+
+    prior = GaussianMixtureModel([1.0], [[2.0, -1.0]], [[0.25, 1.0]])
+    plan = make_plan(process, 10)
+    rng = np.random.default_rng(12)
+    n = 200_000
+    for j in (5, 8):
+        alpha, sigma, _, _ = eval_schedule(plan.schedule, plan.times[j])
+        x0 = prior.means[0] + np.sqrt(prior.variances[0]) * rng.standard_normal((n, 2))
+        xj = alpha * x0 + sigma * rng.standard_normal((n, 2))
+        out = _forward_noise(plan, xj, j, rng.standard_normal((n, 2)))
+        want = marginal_at(prior, plan.schedule, plan.times[j - 1])
+        np.testing.assert_allclose(out.mean(axis=0), want.means_t[0], atol=0.01)
+        np.testing.assert_allclose(out.std(axis=0), np.sqrt(want.variances_t[0]), rtol=0.01)
+
+
+@pytest.mark.parametrize("process", ["linear-sde", "vp-sde", "linear-sde-adaptive-time"])
+def test_sop_never_steps_identical_proposals(monkeypatch, process):
+    # every round, the noise end included, branches into distinct latents
+    import flowsearch.samplers as S
+
+    orig = S.denoise_interval
+    batches = []
+
+    def spy(plan, x, i, z, velocity):
+        batches.append(np.array(x))
+        return orig(plan, x, i, z, velocity)
+
+    monkeypatch.setattr(S, "denoise_interval", spy)
+    search_over_paths(make_plan(process, 5), GMM, RARE, budget(100, 5), seed=0)
+    assert batches
+    for x in batches:
+        assert np.unique(x, axis=0).shape[0] == x.shape[0]
+
+
 def test_smc_uniform_values_never_resample():
     # equal values at every step keep the weights equal, so the ESS stays at
     # N and resampling never triggers
@@ -216,7 +265,7 @@ def test_smc_uniform_values_never_resample():
         calls.append(len(w))
         return orig_resample(w, n, rng)
 
-    def flat_value(self, x, s):
+    def flat_value(self, x, k):
         x = np.asarray(x)
         return np.zeros(x.shape[0]) if x.ndim > 1 else 0.0
 
@@ -307,9 +356,9 @@ def test_rbf_worst_case_consumes_everything():
 
     orig_value = samplers_mod._Runner.value
 
-    def declining(self, x, s):
+    def declining(self, x, k):
         # strictly declining values: the initial estimate is never beaten
-        base = -100.0 * (1.0 - s)
+        base = -100.0 * k
         if np.asarray(x).ndim > 1:
             return np.full(np.asarray(x).shape[0], base)
         return base
@@ -330,7 +379,7 @@ def test_rbf_immediate_improvement_spends_minimum():
     orig_value = samplers_mod._Runner.value
     counter = {"v": 0.0}
 
-    def rising(self, x, s):
+    def rising(self, x, k):
         counter["v"] += 1.0
         if np.asarray(x).ndim > 1:
             return np.full(np.asarray(x).shape[0], counter["v"])
@@ -388,10 +437,10 @@ def _record_noise(monkeypatch):
     seen = {}
     orig = S.denoise_interval
 
-    def spy(plan, x, s_left, s_right, z, velocity):
+    def spy(plan, x, i, z, velocity):
         if z is not None:
-            seen.setdefault(s_left, []).append(np.array(z))
-        return orig(plan, x, s_left, s_right, z, velocity)
+            seen.setdefault(i, []).append(np.array(z))
+        return orig(plan, x, i, z, velocity)
 
     monkeypatch.setattr(S, "denoise_interval", spy)
     return seen
@@ -415,11 +464,11 @@ def _step_each_row(monkeypatch):
 
     orig = S.denoise_interval
 
-    def per_row(plan, x, s_left, s_right, z, velocity):
+    def per_row(plan, x, i, z, velocity):
         if z is None or x.shape[0] != 1:
-            return orig(plan, x, s_left, s_right, z, velocity)
+            return orig(plan, x, i, z, velocity)
         return np.concatenate(
-            [orig(plan, x, s_left, s_right, z[j : j + 1], velocity) for j in range(z.shape[0])]
+            [orig(plan, x, i, z[j : j + 1], velocity) for j in range(z.shape[0])]
         )
 
     monkeypatch.setattr(S, "denoise_interval", per_row)
@@ -437,7 +486,7 @@ def _sequential_rbf(plan, gmm, reward, budget, seed, batches=2):
         quotas = _uniform_split(share - 1, plan.steps)
         x = starts[b]
         budget.charge(1)
-        r_star = float(r.value(x, plan.grid[0]))
+        r_star = float(r.value(x, 0))
         for i in range(plan.steps):
             q = quotas[i]
             z = r.noise(i, b, q)
@@ -446,7 +495,7 @@ def _sequential_rbf(plan, gmm, reward, budget, seed, batches=2):
                 r.charge(i, 1)
                 xj = r.step_batch(x[None, :], i, None if z is None else z[j : j + 1])[0]
                 proposals.append(xj)
-                values.append(float(r.value(xj, plan.grid[i + 1])))
+                values.append(float(r.value(xj, i + 1)))
                 if values[-1] > r_star:
                     break
             if values[-1] > r_star:
