@@ -90,6 +90,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        named = [("nfe", self.nfe), ("steps", self.steps)] + [("seed", s) for s in self.seeds]
+        for name, value in named:  # 10.7 or "12" is an error, never truncated
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.process not in PROCESS_NAMES:
             raise ConfigError(f"unknown process {self.process!r}")
         if self.sampler not in SAMPLER_NAMES:
@@ -189,9 +193,9 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
             reward=reward,
             process=doc.get("process", "vp-sde"),
             sampler=doc.get("sampler", "rbf"),
-            nfe=int(doc.get("nfe", 500)),
-            steps=int(doc.get("steps", 10)),
-            seeds=tuple(int(s) for s in doc.get("seeds", [0])),
+            nfe=doc.get("nfe", 500),
+            steps=doc.get("steps", 10),
+            seeds=tuple(doc.get("seeds", [0])),
             sampler_opts=dict(_object(doc, "sampler_opts", "sampler_opts")),
             out=out,
         )

@@ -79,7 +79,8 @@ def evaluate_reward(spec: RewardSpec, x) -> np.ndarray | float:
         diff = x - spec.params["target"]
         out = -np.sum(diff * diff, axis=-1)
     elif spec.kind == "ring":
-        out = -((np.linalg.norm(x, axis=-1) - spec.params["radius"]) ** 2)
+        # the same bits alone as in a batch: no BLAS dot (norm) or libm pow (**)
+        out = -np.square(np.sqrt(np.sum(x * x, axis=-1)) - spec.params["radius"])
     else:  # rare-mode: diagonal Gaussian log-density
         mean = spec.params["mean"]
         var = spec.params["variance"]

@@ -13,10 +13,15 @@ evaluation yields both the proposal and the Tweedie posterior mean.  Only
 valuing a latent nobody stepped to, such as rbf's initial noise, costs an
 extra call.  ``nfe_used`` never exceeds ``total_nfe``.
 
+Each selection point makes one velocity call and one value call: svdd and
+code advance all batches together, and rbf values a step's whole proposal
+block at once, charging up to the accepted index; the rows past it are
+uncharged, speculative oracle work.
+
 Every sampler is built on ``_Runner``, which owns the per-step ledger
 (charge the budget and book the step together), the per-step proposal
 noise, stepping through ``engine.denoise_interval`` (the one stepping
-kernel), valuing, and the final highest-reward selection.
+kernel), valuing, per-batch selection and the final highest-reward pick.
 
 Determinism
 -----------
@@ -140,9 +145,7 @@ class _Runner:
         seed: int,
     ):
         if budget.steps != plan.steps:
-            raise BudgetError(
-                f"budget has {budget.steps} steps but the plan has {plan.steps}"
-            )
+            raise BudgetError(f"budget has {budget.steps} steps but the plan has {plan.steps}")
         self.plan = plan
         self.gmm = gmm
         self.reward = reward
@@ -166,6 +169,12 @@ class _Runner:
             (count, self.gmm.dim)
         )
 
+    def batch_noise(self, i: int, batches: int, count: int) -> np.ndarray | None:
+        """Noise of batches 0..batches-1 on interval i as ``(batches, count, d)``."""
+        if not self.plan.g[i]:
+            return None
+        return np.stack([self.noise(i, b, count) for b in range(batches)])
+
     def charge(self, i: int, n: int) -> None:
         """Spend n NFE on grid interval i: charge the budget, book the step."""
         self.budget.charge(n)
@@ -176,21 +185,23 @@ class _Runner:
         t = min(self.plan.times[k], 1.0 - T_MIN)
         return np.asarray(estimate_value(self.reward, self.gmm, self.plan.schedule, t, x))
 
-    def best(self, x: np.ndarray, k: int) -> np.ndarray:
-        """The highest-value row of x at grid point k, lowest index on ties;
-        a single row (one draw, or copies a noiseless step left as one) is
-        taken without valuing."""
-        if x.shape[0] == 1:
-            return x[0]
-        return x[_argmax_first(self.value(x, k))]
+    def select(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Per batch, the highest-value latent at grid point k, lowest index
+        on ties: ``(B, n, d)`` to ``(B, d)`` in one value call.  n == 1 (one
+        draw, or copies a noiseless step left as one) needs no valuing."""
+        if x.shape[1] == 1:
+            return x[:, 0]
+        values = self.value(x, k)
+        return x[np.arange(x.shape[0]), [_argmax_first(v) for v in values]]
 
     def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None) -> np.ndarray:
         """Advance a batch over grid interval i; caller charges the budget.
         ``z`` None takes the probability-flow step.
 
         Proposals that share a parent are one call on ``x[None, :]`` with
-        their ``(q, d)`` noise block: the parent's velocity is evaluated
-        once, and without noise the result stays ``(1, d)``."""
+        their ``(q, d)`` noise block (or ``(B, 1, d)`` with ``(B, q, d)``):
+        each parent's velocity is evaluated once, and without noise the
+        result keeps its single proposal row."""
         return denoise_interval(self.plan, x, i, z, self.velocity)
 
     def result(self, finals, values=None, trace: dict | None = None) -> SearchResult:
@@ -355,27 +366,25 @@ def run_svdd(
     argmax-value one (the beta -> 0 limit of the soft policy).
 
     The budget is split into ``total // (steps * k)`` independent batches
-    (the paper's N); the best final sample across batches is returned.
+    (the paper's N); the best final sample across batches is returned.  All
+    batches advance together: one velocity call and one value call per step.
     """
     r = _Runner(plan, gmm, reward, budget, seed)
     if k < 1:
         raise DomainError("k must be >= 1")
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
-    starts = r.initials(batches)
-    finals: list[np.ndarray] = []
-    for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
-        quotas = _uniform_split(share, steps)
-        x = starts[b]
-        for i in range(steps):
-            draws = min(k, quotas[i])
-            if draws < 1:
-                raise BudgetError("svdd step quota fell to zero")
-            z = r.noise(i, b, draws)
-            r.charge(i, draws)
-            x = r.best(r.step_batch(x[None, :], i, z), i + 1)
-        finals.append(x)
-    return r.result(finals)
+    # Two or more batches each cover k draws per step (share >= steps * k),
+    # so all batches draw alike; one batch is the plain per-batch loop.
+    quotas = _uniform_split(budget.total_nfe // batches, steps)
+    x = r.initials(batches)
+    for i in range(steps):
+        draws = min(k, quotas[i])
+        if draws < 1:
+            raise BudgetError("svdd step quota fell to zero")
+        r.charge(i, batches * draws)
+        x = r.select(r.step_batch(x[:, None], i, r.batch_noise(i, batches, draws)), i + 1)
+    return r.result(x)
 
 
 def run_code(
@@ -388,34 +397,29 @@ def run_code(
     k: int = 25,
 ) -> SearchResult:
     """Interleaved selection: every ``interval`` denoising steps, branch ``k``
-    stochastic chains per survivor and keep the argmax-value endpoint."""
+    stochastic chains per survivor and keep the argmax-value endpoint.
+    Batches are split as in svdd and advance together."""
     r = _Runner(plan, gmm, reward, budget, seed)
     if interval < 1 or k < 1:
         raise DomainError("interval and k must be >= 1")
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
-    starts = r.initials(batches)
-    finals: list[np.ndarray] = []
-    for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
-        spent = 0
-        x = starts[b]
-        i0 = 0
-        while i0 < steps:
-            span = min(interval, steps - i0)
-            remaining_blocks = steps - i0 - span
-            avail = share - spent - remaining_blocks  # reserve 1-chain finish
-            k_eff = max(1, min(k, avail // span))
-            chains = x[None, :]  # the k_eff chains share x until noise parts them
-            for off in range(span):
-                i = i0 + off
-                z = r.noise(i, b, k_eff)
-                r.charge(i, k_eff)
-                spent += k_eff
-                chains = r.step_batch(chains, i, z)
-            x = r.best(chains, i0 + span)
-            i0 += span
-        finals.append(x)
-    return r.result(finals)
+    # Two or more batches each cover k chains per step (share >= steps * k),
+    # so k_eff is k in every batch; one batch is the plain per-batch loop.
+    share = budget.total_nfe // batches
+    spent = 0
+    x = r.initials(batches)
+    for i0 in range(0, steps, interval):
+        span = min(interval, steps - i0)
+        avail = share - spent - (steps - i0 - span)  # reserve 1-chain finish
+        k_eff = max(1, min(k, avail // span))
+        chains = x[:, None]  # the k_eff chains share x until noise parts them
+        for i in range(i0, i0 + span):
+            r.charge(i, batches * k_eff)
+            chains = r.step_batch(chains, i, r.batch_noise(i, batches, k_eff))
+        spent += span * k_eff
+        x = r.select(chains, i0 + span)
+    return r.result(x)
 
 
 def run_rbf(
@@ -431,10 +435,14 @@ def run_rbf(
 
     Per batch, one NFE is reserved to value the initial noise (the incumbent
     reward r*), and the rest is split uniformly into per-step quotas.  At
-    each step, proposals are drawn sequentially; the first one whose value
-    exceeds r* is accepted immediately and the unspent quota rolls over to
-    the next step.  If the quota is exhausted the argmax-value proposal is
-    taken (without updating r*).
+    each step, proposals are drawn in order; the first one whose value
+    exceeds r* is accepted and the unspent quota rolls over to the next
+    step.  If the quota is exhausted the argmax-value proposal is taken
+    (without updating r*).
+
+    A step builds and values its ``(q, d)`` proposal block (``(1, d)`` when
+    noiseless) in one velocity and one value call and charges up to the
+    accepted proposal: the rows after it are uncharged, speculative work.
     """
     r = _Runner(plan, gmm, reward, budget, seed)
     if batches < 1:
@@ -442,50 +450,36 @@ def run_rbf(
     steps = plan.steps
     if budget.total_nfe < batches * (steps + 1):
         raise BudgetError("each rbf batch needs at least steps + 1 NFEs")
-    shares = _uniform_split(budget.total_nfe, batches)
-    init_charges = 0
     starts = r.initials(batches)
-    finals: list[np.ndarray] = []
-    trace: dict = {"batches": []} if with_trace else None
-    for b, share in enumerate(shares):
+    finals, traces = [], []
+    for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         quotas = _uniform_split(share - 1, steps)
-        batch_trace = {"quotas_at_entry": [], "accepted_at": []} if with_trace else None
+        entry, accepted = [], []
+        traces.append({"quotas_at_entry": entry, "accepted_at": accepted})
         x = starts[b]
         budget.charge(1)  # valuing the fresh initial latent costs one call
-        init_charges += 1
         r_star = float(r.value(x, 0))
         for i in range(steps):
             q = quotas[i]
             if q < 1:
                 raise BudgetError("rbf step quota fell to zero")
-            if with_trace:
-                batch_trace["quotas_at_entry"].append(list(quotas[i:]))
-            # All q proposals in one step from the shared parent; they are
-            # still charged and valued one at a time, up to the first
-            # acceptance, exactly as a sequential loop would.
-            proposals = np.broadcast_to(
-                r.step_batch(x[None, :], i, r.noise(i, b, q)), (q, gmm.dim)
-            )
-            values = np.empty(q)
-            for j in range(q):
-                r.charge(i, 1)
-                vj = float(r.value(proposals[j], i + 1))
-                values[j] = vj
-                if vj > r_star:
-                    if i + 1 < steps:
-                        quotas[i + 1] += q - 1 - j
-                    r_star = vj
-                    x = proposals[j]
-                    break
+            entry.append(list(quotas[i:]))
+            proposals = r.step_batch(x[None, :], i, r.noise(i, b, q))
+            values = r.value(proposals, i + 1)
+            beats = np.flatnonzero(values > r_star)
+            if beats.size:
+                j = int(beats[0])
+                if i + 1 < steps:
+                    quotas[i + 1] += q - 1 - j
+                r_star = float(values[j])
+                x = proposals[j]
             else:
+                j = q - 1
                 x = proposals[_argmax_first(values)]
-            if with_trace:
-                batch_trace["accepted_at"].append(j + 1)
+            r.charge(i, j + 1)
+            accepted.append(j + 1)
         finals.append(x)
-        if with_trace:
-            trace["batches"].append(batch_trace)
-    if with_trace:
-        trace["init_charges"] = init_charges
+    trace = {"batches": traces, "init_charges": batches} if with_trace else None
     return r.result(finals, trace=trace)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import subprocess
 import sys
@@ -434,3 +435,29 @@ def test_component_major_oracle_matches_row_major_reference_bitwise(sched):
                 _assert_same(score_at(gmm, sched, t, x), _ref_score(gmm, sched, t, x),
                              equal_nan=True)
             assert np.isnan(u[1]).all() and np.isfinite(u[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("sched", [LINEAR, VP], ids=["linear", "vp"])
+def test_oracle_rows_are_independent_bitwise(sched):
+    # A row's velocity, posterior mean and value do not depend on the other
+    # rows in its call or on the batch's shape: an (N, d) call and the same
+    # rows as (B, k, d) equal the one-row calls bit for bit.  Batched
+    # sampler steps and one value call per selection rest on this.
+    from flowsearch.rewards import estimate_value, rare_mode_reward, ring_reward, target_point_reward
+
+    rng = np.random.default_rng(11)
+    for gmm, n in itertools.product((default_benchmark_gmm(), WIDE),
+                                    (1, 2, 7, 8, 9, 16, 17, 25, 213, 501)):
+        rewards = (rare_mode_reward(gmm), ring_reward(2.0), target_point_reward(np.ones(gmm.dim)))
+        x = rng.normal(scale=4.0, size=(n, gmm.dim))
+        for t in (0.0, T_MIN, 0.1, 0.37, 0.9, 1.0 - T_MIN):
+            calls = [lambda y: posterior_mean(gmm, sched, t, y)]
+            calls += [lambda y, r=r: estimate_value(r, gmm, sched, t, y) for r in rewards]
+            if t >= T_MIN:
+                calls.append(lambda y: velocity_at(gmm, sched, t, y))
+            for call in calls:
+                rows = np.array([call(row) for row in x])
+                _assert_same(np.asarray(call(x)), rows)
+                for b in {1, n, next((b for b in range(2, n) if n % b == 0), 1)}:
+                    _assert_same(np.asarray(call(x.reshape(b, n // b, gmm.dim))),
+                                 rows.reshape(b, n // b, *rows.shape[1:]))

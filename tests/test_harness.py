@@ -57,6 +57,19 @@ def test_load_config_defaults_and_errors(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"seeds": "12"}, {"seeds": [1.9, 2]}, {"seeds": [0, True]}, {"seeds": ["1"]},
+     {"seeds": 12}, {"nfe": 500.9}, {"nfe": 60.0}, {"nfe": "60"}, {"nfe": True},
+     {"steps": 10.7}, {"steps": 6.0}, {"steps": False}],
+)
+def test_load_config_rejects_non_integer_counts(overrides):
+    # nfe, steps and every seed must be JSON integers: a float, string or
+    # bool is an error, never truncated or split into digits
+    with pytest.raises(ConfigError):
+        small_config(**overrides)
+
+
 def test_config_gmm_roundtrip():
     doc = {
         "gmm": {
@@ -233,6 +246,8 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         ("sweep", {}, ["--budgets", "10,abc"]),
         ("run", {"nfe": MAX_NFE + 1}, []),
         ("run", {"nfe": float("inf")}, []),
+        ("run", {"nfe": 60.9}, []),
+        ("run", {"seeds": "12"}, []),
         ("sweep", {}, ["--budgets", f"10,{MAX_NFE + 1}"]),
         ("run", {"sampler": "smc", "sampler_opts": {},
                  "reward": {"kind": "rare-mode", "beta": float("nan")}}, []),
@@ -250,6 +265,7 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         "negative-seed-offset", "target-dimension", "reward-number",
         "reward-not-object", "reward-params-not-object", "sampler-opts-not-object",
         "out-not-string", "sweep-budget-not-integer", "nfe-over-cap", "nfe-infinite",
+        "nfe-float", "seeds-string",
         "sweep-budget-over-cap", "beta-nan", "beta-infinite", "radius-nan",
         "radius-infinite", "target-nan", "jobs-zero", "jobs-negative",
     ],

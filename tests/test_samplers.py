@@ -453,20 +453,23 @@ def test_no_two_proposals_share_a_noise_row(monkeypatch, name, process):
     SAMPLERS[name](make_plan(process, 5), GMM, RARE, budget(200, 5), seed=2)
     assert len(seen) == 4  # every interval but the final one is noisy
     for blocks in seen.values():
-        rows = np.concatenate(blocks)
+        rows = np.concatenate([z.reshape(-1, GMM.dim) for z in blocks])
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
 def _step_each_row(monkeypatch):
     """Reference stepping: a proposal block from one parent is stepped one
-    row at a time, each with its own ``denoise_interval(x[None], z[j])``."""
+    row at a time, each with its own ``denoise_interval(x[None], z[j])``;
+    B parents ``(B, 1, d)`` are stepped one parent at a time."""
     import flowsearch.samplers as S
 
     orig = S.denoise_interval
 
     def per_row(plan, x, i, z, velocity):
-        if z is None or x.shape[0] != 1:
+        if z is None or x.shape[-2] != 1:
             return orig(plan, x, i, z, velocity)
+        if x.ndim == 3:
+            return np.stack([per_row(plan, xb, i, zb, velocity) for xb, zb in zip(x, z)])
         return np.concatenate(
             [orig(plan, x, i, z[j : j + 1], velocity) for j in range(z.shape[0])]
         )
@@ -545,3 +548,151 @@ def test_rbf_matches_the_sequential_loop(process):
                                                seed, batches)
             _same(res, ref)
             assert [j for bt in res.trace["batches"] for j in bt["accepted_at"]] == accepted_at
+
+
+# --- batched selection: svdd and code advance all batches together
+
+
+def _best_row(r, x, k):
+    """One batch's selection: the argmax-value row of x, lowest index on
+    ties; a single row is taken without valuing."""
+    return x[0] if x.shape[0] == 1 else x[int(np.argmax(r.value(x, k)))]
+
+
+def _per_batch_svdd(plan, gmm, reward, budget, seed, k=25):
+    """svdd one batch at a time: each batch's own share and quotas, its
+    parent stepped as ``x[None]`` with its own ``(draws, d)`` block."""
+    from flowsearch.samplers import _Runner
+
+    r = _Runner(plan, gmm, reward, budget, seed)
+    batches = max(1, budget.total_nfe // (plan.steps * k))
+    starts = r.initials(batches)
+    finals = []
+    for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
+        quotas = _uniform_split(share, plan.steps)
+        x = starts[b]
+        for i in range(plan.steps):
+            draws = min(k, quotas[i])
+            r.charge(i, draws)
+            x = _best_row(r, r.step_batch(x[None, :], i, r.noise(i, b, draws)), i + 1)
+        finals.append(x)
+    return r.result(finals)
+
+
+def _per_batch_code(plan, gmm, reward, budget, seed, interval=2, k=25):
+    """code one batch at a time, each with its own share and chain count."""
+    from flowsearch.samplers import _Runner
+
+    r = _Runner(plan, gmm, reward, budget, seed)
+    steps = plan.steps
+    batches = max(1, budget.total_nfe // (steps * k))
+    starts = r.initials(batches)
+    finals = []
+    for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
+        spent, x, i0 = 0, starts[b], 0
+        while i0 < steps:
+            span = min(interval, steps - i0)
+            avail = share - spent - (steps - i0 - span)  # reserve 1-chain finish
+            k_eff = max(1, min(k, avail // span))
+            chains = x[None, :]
+            for i in range(i0, i0 + span):
+                r.charge(i, k_eff)
+                spent += k_eff
+                chains = r.step_batch(chains, i, r.noise(i, b, k_eff))
+            x = _best_row(r, chains, i0 + span)
+            i0 += span
+        finals.append(x)
+    return r.result(finals)
+
+
+# (total NFE, steps, options): one batch with quota < k; four batches with
+# uneven shares (251, 251, 251, 250); code's interval 3 and interval > steps
+BATCH_CASES = [
+    ("svdd", 30, 5, {"k": 7}),
+    ("svdd", 1003, 10, {"k": 25}),
+    ("code", 30, 5, {"k": 7}),
+    ("code", 1003, 10, {"k": 25}),
+    ("code", 30, 5, {"k": 7, "interval": 3}),
+    ("code", 1003, 10, {"k": 25, "interval": 3}),
+    ("code", 30, 5, {"k": 7, "interval": 9}),
+    ("code", 1003, 10, {"k": 25, "interval": 12}),
+]
+PER_BATCH = {"svdd": _per_batch_svdd, "code": _per_batch_code}
+
+
+@pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
+def test_batched_svdd_and_code_match_the_per_batch_loops(process):
+    for name, total, steps, opts in BATCH_CASES:
+        plan = make_plan(process, steps)
+        for seed in range(3):
+            res = SAMPLERS[name](plan, GMM, RARE, SearchBudget(total, steps), seed, **opts)
+            ref = PER_BATCH[name](plan, GMM, RARE, SearchBudget(total, steps), seed, **opts)
+            _same(res, ref)
+
+
+def _spy_oracle(monkeypatch):
+    """Log the samplers' oracle work: the interval of every velocity call,
+    and the grid point and row count of every value call."""
+    import flowsearch.samplers as S
+
+    log = {"velocity": [], "value": []}
+    orig_step, orig_value = S.denoise_interval, S._Runner.value
+
+    def step(plan, x, i, z, velocity):
+        def counted(y, t):
+            log["velocity"].append(i)
+            return velocity(y, t)
+
+        return orig_step(plan, x, i, z, counted)
+
+    def value(self, x, k):
+        log["value"].append((k, int(np.prod(np.shape(x)[:-1]))))
+        return orig_value(self, x, k)
+
+    monkeypatch.setattr(S, "denoise_interval", step)
+    monkeypatch.setattr(S._Runner, "value", value)
+    return log
+
+
+@pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
+def test_svdd_and_code_make_one_oracle_call_per_interval(monkeypatch, process):
+    # every batch's proposals share one velocity call per interval and one
+    # value call per selection, at the per-batch loop's charges
+    for name, total, steps, opts in BATCH_CASES:
+        plan = make_plan(process, steps)
+        ref = PER_BATCH[name](plan, GMM, RARE, SearchBudget(total, steps), 5, **opts)
+        with monkeypatch.context() as m:
+            log = _spy_oracle(m)
+            res = SAMPLERS[name](plan, GMM, RARE, SearchBudget(total, steps), 5, **opts)
+        assert sorted(log["velocity"]) == list(range(steps))
+        points = [k for k, _ in log["value"]]
+        assert len(points) == len(set(points)) and set(points) <= set(range(1, steps + 1))
+        assert (res.nfe_used, res.per_step_consumption) == (
+            ref.nfe_used, ref.per_step_consumption)
+
+
+@pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
+def test_rbf_values_each_step_in_one_call(monkeypatch, process):
+    # per batch: one value call for the initial latent and one per step.  A
+    # step values all q_i proposals of a noisy interval (one row on the
+    # noiseless one) but charges only up to the accepted index, so the rows
+    # past it are declared speculative oracle work.
+    steps = 10
+    plan = make_plan(process, steps)
+    for seed in range(3):
+        ref, _ = _sequential_rbf(plan, GMM, RARE, SearchBudget(1000, steps), seed)
+        with monkeypatch.context() as m:
+            log = _spy_oracle(m)
+            res = run_rbf(plan, GMM, RARE, SearchBudget(1000, steps), seed, with_trace=True)
+        traces = res.trace["batches"]
+        batches = len(traces)
+        assert len(log["value"]) == batches * (steps + 1)
+        rows = batches + sum(
+            bt["quotas_at_entry"][i][0] if plan.g[i] else 1
+            for bt in traces for i in range(steps)
+        )
+        assert sum(n for _, n in log["value"]) == rows
+        assert sorted(log["velocity"]) == sorted(list(range(steps)) * batches)
+        assert (res.nfe_used, res.per_step_consumption) == (
+            ref.nfe_used, ref.per_step_consumption)
+        assert res.best_reward == ref.best_reward
