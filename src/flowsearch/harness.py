@@ -34,7 +34,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,18 +51,6 @@ from .rewards import (
     target_point_reward,
 )
 from .samplers import SAMPLER_NAMES, SAMPLERS, SearchBudget
-
-CSV_COLUMNS = (
-    "seed",
-    "method",
-    "process",
-    "nfe_budget",
-    "steps",
-    "best_reward",
-    "diversity_mpd",
-    "nfe_used",
-    "wall_ms",
-)
 
 DEFAULT_SWEEP_BUDGETS = (50, 100, 300, 500, 1000)
 DIVERSITY_BRANCHES = 50
@@ -226,6 +214,9 @@ class RunRecord:
             raise InvariantError("best_reward must be finite")
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
+
+
 def diversity_mpd(points) -> float:
     """Mean pairwise Euclidean distance over >= 2 points."""
     pts = np.asarray(points, dtype=float)
@@ -271,7 +262,7 @@ def run_experiment(config: ExperimentConfig, seed: int, nfe: int | None = None) 
     nfe = config.nfe if nfe is None else nfe
     plan = make_plan(config.process, config.steps)
     start = time.perf_counter()
-    budget = SearchBudget(nfe, plan.steps)
+    budget = SearchBudget(nfe)
     sampler = SAMPLERS[config.sampler]
     result = sampler(plan, config.gmm, config.reward, budget, seed, **config.sampler_opts)
     wall_ms = (time.perf_counter() - start) * 1000.0

@@ -11,7 +11,9 @@ new latent (one denoising or ODE step) costs exactly 1 NFE; the value of
 the produced latent comes bundled with that step, since the same velocity
 evaluation yields both the proposal and the Tweedie posterior mean.  Only
 valuing a latent nobody stepped to, such as rbf's initial noise, costs an
-extra call.  ``nfe_used`` never exceeds ``total_nfe``.
+extra call.  ``SearchBudget`` holds only ``total_nfe``: the plan owns the
+step count, and ``_Runner`` refuses a total below ``plan.steps``.
+``nfe_used`` never exceeds ``total_nfe``.
 
 Each selection point makes one velocity call and one value call: svdd and
 code advance all batches together, and rbf values a step's whole proposal
@@ -22,6 +24,7 @@ Every sampler is built on ``_Runner``, which owns the per-step ledger
 (charge the budget and book the step together), the per-step proposal
 noise, stepping through ``engine.denoise_interval`` (the one stepping
 kernel), valuing, per-batch selection and the final highest-reward pick.
+smc and rbf always return their small trace dicts in ``SearchResult.trace``.
 
 Determinism
 -----------
@@ -48,9 +51,6 @@ from .errors import BudgetError, DomainError
 from .interpolants import T_MIN, eval_schedule
 from .rewards import RewardSpec, estimate_value, evaluate_reward
 
-SAMPLER_NAMES = ("bon", "sop", "smc", "code", "svdd", "rbf")
-
-
 def _uniform_split(total: int, parts: int) -> list[int]:
     """Split ``total`` into ``parts`` integers, remainder to the earliest."""
     base, rem = divmod(total, parts)
@@ -59,21 +59,17 @@ def _uniform_split(total: int, parts: int) -> list[int]:
 
 @dataclass
 class SearchBudget:
-    """Total NFE, step count, and the consumed-NFE ledger.
+    """Total NFE and the consumed-NFE ledger.
 
-    Each sampler splits the total into per-step quotas itself."""
+    The plan owns the step count; each sampler splits the total into
+    per-step quotas itself."""
 
     total_nfe: int
-    steps: int
-    consumed: int = 0
+    consumed: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if self.total_nfe < 1 or self.steps < 1:
-            raise BudgetError("total_nfe and steps must be positive")
-        if self.total_nfe < self.steps:
-            raise BudgetError(
-                f"total_nfe={self.total_nfe} cannot cover {self.steps} steps"
-            )
+        if self.total_nfe < 1:
+            raise BudgetError("total_nfe must be positive")
 
     @property
     def remaining(self) -> int:
@@ -144,8 +140,8 @@ class _Runner:
         budget: SearchBudget,
         seed: int,
     ):
-        if budget.steps != plan.steps:
-            raise BudgetError(f"budget has {budget.steps} steps but the plan has {plan.steps}")
+        if budget.total_nfe < plan.steps:
+            raise BudgetError(f"total_nfe={budget.total_nfe} cannot cover {plan.steps} steps")
         self.plan = plan
         self.gmm = gmm
         self.reward = reward
@@ -213,7 +209,7 @@ class _Runner:
         best = _argmax_first(values)
         return SearchResult(
             best_x=x[best],
-            best_reward=float(evaluate_reward(self.reward, x[best])),
+            best_reward=float(values[best]),
             nfe_used=self.budget.consumed,
             per_step_consumption=self.per_step,
             trace=trace,
@@ -230,9 +226,7 @@ def best_of_n(
     """Run N = total_nfe // steps independent deterministic trajectories and
     return the highest-reward endpoint (rejection sampling)."""
     r = _Runner(plan, gmm, reward, budget, seed)
-    n = budget.total_nfe // budget.steps
-    if n < 1:
-        raise BudgetError("best-of-n needs total_nfe >= steps")
+    n = budget.total_nfe // plan.steps
     x = r.initials(n)
     for i in range(plan.steps):
         r.charge(i, n)
@@ -316,7 +310,6 @@ def run_smc(
     budget: SearchBudget,
     seed: int,
     ess_threshold_frac: float = 0.5,
-    with_trace: bool = False,
 ) -> SearchResult:
     """Sequential Monte Carlo with the reverse kernel as proposal.
 
@@ -325,14 +318,12 @@ def run_smc(
     particles are resampled and the weights reset to one.
     """
     r = _Runner(plan, gmm, reward, budget, seed)
-    n = budget.total_nfe // budget.steps
-    if n < 1:
-        raise BudgetError("smc needs total_nfe >= steps")
+    n = budget.total_nfe // plan.steps
     beta = reward.kl_temperature
     x = r.initials(n)
     values = r.value(x, 0)  # initial noises: uncharged by convention
     log_w = np.zeros(n)
-    trace = {"resampled": [], "weights_after_resample": []} if with_trace else None
+    trace = {"resampled": [], "weights_after_resample": []}
     for i in range(plan.steps):
         w = np.exp(log_w - log_w.max())
         resampled = ess(w) < ess_threshold_frac * n
@@ -341,10 +332,9 @@ def run_smc(
             x = x[ancestors]
             values = values[ancestors]
             log_w = np.zeros(n)
-        if with_trace:
-            trace["resampled"].append(resampled)
-            if resampled:
-                trace["weights_after_resample"].append(np.exp(log_w).copy())
+        trace["resampled"].append(resampled)
+        if resampled:
+            trace["weights_after_resample"].append(np.exp(log_w))
         z = r.noise(i, 0, n)
         r.charge(i, n)
         x = r.step_batch(x, i, z)
@@ -380,8 +370,6 @@ def run_svdd(
     x = r.initials(batches)
     for i in range(steps):
         draws = min(k, quotas[i])
-        if draws < 1:
-            raise BudgetError("svdd step quota fell to zero")
         r.charge(i, batches * draws)
         x = r.select(r.step_batch(x[:, None], i, r.batch_noise(i, batches, draws)), i + 1)
     return r.result(x)
@@ -429,7 +417,6 @@ def run_rbf(
     budget: SearchBudget,
     seed: int,
     batches: int = 2,
-    with_trace: bool = False,
 ) -> SearchResult:
     """Rollover budget forcing.
 
@@ -461,8 +448,6 @@ def run_rbf(
         r_star = float(r.value(x, 0))
         for i in range(steps):
             q = quotas[i]
-            if q < 1:
-                raise BudgetError("rbf step quota fell to zero")
             entry.append(list(quotas[i:]))
             proposals = r.step_batch(x[None, :], i, r.noise(i, b, q))
             values = r.value(proposals, i + 1)
@@ -479,8 +464,7 @@ def run_rbf(
             r.charge(i, j + 1)
             accepted.append(j + 1)
         finals.append(x)
-    trace = {"batches": traces, "init_charges": batches} if with_trace else None
-    return r.result(finals, trace=trace)
+    return r.result(finals, trace={"batches": traces, "init_charges": batches})
 
 
 SAMPLERS = {
@@ -491,3 +475,4 @@ SAMPLERS = {
     "svdd": run_svdd,
     "rbf": run_rbf,
 }
+SAMPLER_NAMES = tuple(SAMPLERS)

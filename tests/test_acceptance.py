@@ -87,7 +87,7 @@ def _velocity(gmm, sched):
 
 def _run(sampler, process, seed, nfe, steps=10, **opts):
     plan = make_plan(process, steps)
-    budget = SearchBudget(nfe, steps)
+    budget = SearchBudget(nfe)
     return SAMPLERS[sampler](plan, GMM, RARE, budget, seed, **opts).best_reward
 
 
@@ -363,7 +363,7 @@ def test_criterion_10_rbf_accounting():
     samplers_mod._Runner.value = scripted
     try:
         plan = make_plan("linear-sde", 2)
-        res = run_rbf(plan, GMM, RARE, SearchBudget(11, 2), seed=0, batches=1, with_trace=True)
+        res = run_rbf(plan, GMM, RARE, SearchBudget(11), seed=0, batches=1)
     finally:
         samplers_mod._Runner.value = orig_value
     batch = res.trace["batches"][0]
@@ -381,10 +381,7 @@ def test_criterion_10_rbf_accounting():
         steps = int(rng.integers(2, 6))
         total = int(rng.integers(steps + 1, 6 * steps))
         plan = make_plan("linear-sde", steps)
-        res = run_rbf(
-            plan, GMM, RARE, SearchBudget(total, steps), seed=trial, batches=1,
-            with_trace=True,
-        )
+        res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed=trial, batches=1)
         fuzz_ok &= res.nfe_used <= total
         batch = res.trace["batches"][0]
         consumed = 1  # init charge
@@ -414,7 +411,7 @@ def test_criterion_11_smc_mechanics():
 
     # post-resampling weights are exactly one
     plan = make_plan("vp-sde", 10)
-    res = run_smc(plan, GMM, RARE, SearchBudget(500, 10), seed=0, with_trace=True)
+    res = run_smc(plan, GMM, RARE, SearchBudget(500), seed=0)
     resampled = any(res.trace["resampled"])
     weights_ok = resampled and all(
         np.all(w == 1.0) for w in res.trace["weights_after_resample"]

@@ -259,6 +259,9 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
                             "params": {"target": [float("nan"), 1.0]}}}, []),
         ("run", {}, ["--jobs", "0"]),
         ("run", {}, ["--jobs", "-5"]),
+        # smc and rbf always return their trace, so with_trace is no option
+        ("run", {"sampler": "smc", "sampler_opts": {"with_trace": True}}, []),
+        ("run", {"sampler": "rbf", "sampler_opts": {"with_trace": True}}, []),
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
@@ -268,6 +271,7 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         "nfe-float", "seeds-string",
         "sweep-budget-over-cap", "beta-nan", "beta-infinite", "radius-nan",
         "radius-infinite", "target-nan", "jobs-zero", "jobs-negative",
+        "smc-with-trace", "rbf-with-trace",
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
@@ -279,6 +283,7 @@ def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -25,20 +25,28 @@ GMM = default_benchmark_gmm()
 RARE = rare_mode_reward(GMM)
 
 
-def budget(total=500, steps=10):
-    return SearchBudget(total, steps)
+def budget(total=500):
+    return SearchBudget(total)
 
 
 def test_budget_uniform_split():
     quotas = _uniform_split(503, 10)
     assert sum(quotas) == 503
     assert quotas == [51, 51, 51, 50, 50, 50, 50, 50, 50, 50]
+
+
+@pytest.mark.parametrize("name", ["bon", "sop", "smc", "code", "svdd", "rbf"])
+def test_budget_below_plan_steps_is_refused(name):
+    # the plan owns the step count; a total that cannot pay one NFE per step
+    # is refused before any work
+    with pytest.raises(BudgetError, match="cannot cover 10 steps"):
+        SAMPLERS[name](make_plan("linear-sde", 10), GMM, RARE, SearchBudget(9), seed=0)
     with pytest.raises(BudgetError):
-        SearchBudget(5, 10)
+        SearchBudget(0)
 
 
 def test_budget_charge_guard():
-    b = budget(20, 10)
+    b = budget(20)
     b.charge(20)
     with pytest.raises(BudgetError):
         b.charge(1)
@@ -78,19 +86,19 @@ def test_smc_weight_update_value():
 
 def test_best_of_n_batch_size_and_argmax():
     plan = make_plan("linear-ode", 10)
-    res = best_of_n(plan, GMM, RARE, budget(500, 10), seed=0)
+    res = best_of_n(plan, GMM, RARE, budget(500), seed=0)
     assert res.nfe_used == 500  # 50 trajectories x 10 steps
     assert res.per_step_consumption == [50] * 10
     assert res.best_reward == pytest.approx(
         float(np.max([res.best_reward])), abs=0.0
     )
     with pytest.raises(BudgetError):
-        best_of_n(plan, GMM, RARE, SearchBudget(5, 10), seed=0)
+        best_of_n(plan, GMM, RARE, SearchBudget(5), seed=0)
 
 
 def test_best_of_n_is_argmax_over_trajectory_endpoints():
     plan = make_plan("linear-ode", 5)
-    b = budget(15, 5)  # n = 3 trajectories
+    b = budget(15)  # n = 3 trajectories
     res = best_of_n(plan, GMM, RARE, b, seed=3)
     from flowsearch.engine import run_process
     from flowsearch.analytic_flow import velocity_at
@@ -137,7 +145,7 @@ GOLDEN = {
 def test_golden_results():
     got = {}
     for name, process in GOLDEN:
-        res = SAMPLERS[name](make_plan(process, 5), GMM, RARE, budget(100, 5), seed=0)
+        res = SAMPLERS[name](make_plan(process, 5), GMM, RARE, budget(100), seed=0)
         got[name, process] = (repr(res.best_reward), res.nfe_used)
     assert got == GOLDEN
 
@@ -151,8 +159,8 @@ def test_budget_safety_and_determinism(name, process):
     res1 = SAMPLERS[name](plan, GMM, RARE, budget(), seed=11)
     res2 = SAMPLERS[name](plan, GMM, RARE, budget(), seed=11)
     assert res1.nfe_used <= 500
-    assert res1.nfe_used == sum(res1.per_step_consumption) + (
-        res1.trace["init_charges"] if res1.trace else (2 if name == "rbf" else 0)
+    assert res1.nfe_used == sum(res1.per_step_consumption) + (res1.trace or {}).get(
+        "init_charges", 0
     )
     np.testing.assert_array_equal(res1.best_x, res2.best_x)
     assert res1.best_reward == res2.best_reward
@@ -176,7 +184,7 @@ def test_selection_correctness_svdd():
 
     S._argmax_first = spy
     try:
-        run_svdd(plan, GMM, RARE, budget(40, 4), seed=5, k=10)
+        run_svdd(plan, GMM, RARE, budget(40), seed=5, k=10)
     finally:
         S._argmax_first = orig
     assert captured
@@ -246,7 +254,7 @@ def test_sop_never_steps_identical_proposals(monkeypatch, process):
         return orig(plan, x, i, z, velocity)
 
     monkeypatch.setattr(S, "denoise_interval", spy)
-    search_over_paths(make_plan(process, 5), GMM, RARE, budget(100, 5), seed=0)
+    search_over_paths(make_plan(process, 5), GMM, RARE, budget(100), seed=0)
     assert batches
     for x in batches:
         assert np.unique(x, axis=0).shape[0] == x.shape[0]
@@ -272,7 +280,7 @@ def test_smc_uniform_values_never_resample():
     S.resample_multinomial = spy
     S._Runner.value = flat_value
     try:
-        run_smc(make_plan("linear-sde", 5), GMM, RARE, budget(50, 5), seed=3)
+        run_smc(make_plan("linear-sde", 5), GMM, RARE, budget(50), seed=3)
     finally:
         S.resample_multinomial = orig_resample
         S._Runner.value = orig_value
@@ -281,41 +289,41 @@ def test_smc_uniform_values_never_resample():
 
 def test_smc_budget_is_n_per_step():
     plan = make_plan("vp-sde", 10)
-    res = run_smc(plan, GMM, RARE, budget(500, 10), seed=4)
+    res = run_smc(plan, GMM, RARE, budget(500), seed=4)
     assert res.per_step_consumption == [50] * 10
     assert res.nfe_used == 500
 
 
 def test_code_defaults_consume_full_budget():
     plan = make_plan("vp-sde", 10)
-    res = run_code(plan, GMM, RARE, budget(500, 10), seed=6)
+    res = run_code(plan, GMM, RARE, budget(500), seed=6)
     assert res.nfe_used == 500
     assert sum(res.per_step_consumption) == 500
 
 
 def test_code_single_terminal_selection_when_interval_exceeds_steps():
     plan = make_plan("linear-sde", 5)
-    res = run_code(plan, GMM, RARE, budget(50, 5), seed=7, interval=9, k=10)
+    res = run_code(plan, GMM, RARE, budget(50), seed=7, interval=9, k=10)
     assert res.nfe_used <= 50
 
 
 def test_svdd_consumes_quota():
     plan = make_plan("vp-sde", 10)
-    res = run_svdd(plan, GMM, RARE, budget(500, 10), seed=8)
+    res = run_svdd(plan, GMM, RARE, budget(500), seed=8)
     assert res.nfe_used == 500
     assert res.per_step_consumption == [50] * 10  # two batches of 25
 
 
 def test_svdd_k1_is_plain_trajectory():
     plan = make_plan("linear-sde", 10)
-    res = run_svdd(plan, GMM, RARE, budget(10, 10), seed=9, k=1)
+    res = run_svdd(plan, GMM, RARE, budget(10), seed=9, k=1)
     assert res.nfe_used == 10
 
 
 def test_rbf_hand_traced_rollover():
     # quotas (5,5): improvement at j=2 in step 1 must set step 2's quota to 8
     plan = make_plan("linear-sde", 2)
-    res = run_rbf(plan, GMM, RARE, SearchBudget(11, 2), seed=0, batches=1, with_trace=True)
+    res = run_rbf(plan, GMM, RARE, SearchBudget(11), seed=0, batches=1)
     batch = res.trace["batches"][0]
     assert batch["quotas_at_entry"][0][0] == 5
     j = batch["accepted_at"][0]
@@ -332,9 +340,7 @@ def test_rbf_accounting_and_conservation_fuzz():
         steps = int(rng.integers(2, 7))
         total = int(rng.integers(steps + 1, 8 * steps))
         plan = make_plan("linear-sde", steps)
-        res = run_rbf(
-            plan, GMM, RARE, SearchBudget(total, steps), seed=trial, batches=1, with_trace=True
-        )
+        res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed=trial, batches=1)
         assert res.nfe_used <= total
         batch = res.trace["batches"][0]
         consumed = 1  # init charge
@@ -366,7 +372,7 @@ def test_rbf_worst_case_consumes_everything():
     samplers_mod._Runner.value = declining
     try:
         plan = make_plan("linear-sde", 4)
-        res = run_rbf(plan, GMM, RARE, SearchBudget(21, 4), seed=0, batches=1, with_trace=True)
+        res = run_rbf(plan, GMM, RARE, SearchBudget(21), seed=0, batches=1)
     finally:
         samplers_mod._Runner.value = orig_value
     assert res.nfe_used == 21  # 1 init + quotas (5,5,5,5)
@@ -388,7 +394,7 @@ def test_rbf_immediate_improvement_spends_minimum():
     samplers_mod._Runner.value = rising
     try:
         plan = make_plan("linear-sde", 4)
-        res = run_rbf(plan, GMM, RARE, SearchBudget(41, 4), seed=0, batches=1)
+        res = run_rbf(plan, GMM, RARE, SearchBudget(41), seed=0, batches=1)
     finally:
         samplers_mod._Runner.value = orig_value
     assert res.nfe_used == 1 + 4  # init + one accepted proposal per step
@@ -397,7 +403,7 @@ def test_rbf_immediate_improvement_spends_minimum():
 def test_rbf_batch_minimum():
     plan = make_plan("linear-sde", 10)
     with pytest.raises(BudgetError):
-        run_rbf(plan, GMM, RARE, SearchBudget(20, 10), seed=0, batches=2)
+        run_rbf(plan, GMM, RARE, SearchBudget(20), seed=0, batches=2)
 
 
 # --- block noise: one stream per (seed, domain, step, batch), particle = row
@@ -406,7 +412,7 @@ def test_rbf_batch_minimum():
 def _runner(process="linear-sde", steps=5, seed=0):
     from flowsearch.samplers import _Runner
 
-    return _Runner(make_plan(process, steps), GMM, RARE, SearchBudget(100, steps), seed)
+    return _Runner(make_plan(process, steps), GMM, RARE, SearchBudget(100), seed)
 
 
 def test_blocks_have_the_prefix_property():
@@ -450,7 +456,7 @@ def _record_noise(monkeypatch):
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
 def test_no_two_proposals_share_a_noise_row(monkeypatch, name, process):
     seen = _record_noise(monkeypatch)
-    SAMPLERS[name](make_plan(process, 5), GMM, RARE, budget(200, 5), seed=2)
+    SAMPLERS[name](make_plan(process, 5), GMM, RARE, budget(200), seed=2)
     assert len(seen) == 4  # every interval but the final one is noisy
     for blocks in seen.values():
         rows = np.concatenate([z.reshape(-1, GMM.dim) for z in blocks])
@@ -527,10 +533,10 @@ def test_shared_parent_stepping_matches_per_row_reference(monkeypatch, process):
     cases = [(run_svdd, {"k": 7}), (run_code, {"k": 7}), (run_code, {"k": 4, "interval": 3})]
     for seed in range(4):
         plan = make_plan(process, 5)
-        batched = [fn(plan, GMM, RARE, budget(90, 5), seed, **kw) for fn, kw in cases]
+        batched = [fn(plan, GMM, RARE, budget(90), seed, **kw) for fn, kw in cases]
         with monkeypatch.context() as m:
             _step_each_row(m)
-            reference = [fn(plan, GMM, RARE, budget(90, 5), seed, **kw) for fn, kw in cases]
+            reference = [fn(plan, GMM, RARE, budget(90), seed, **kw) for fn, kw in cases]
         for a, b in zip(batched, reference):
             _same(a, b)
 
@@ -542,9 +548,8 @@ def test_rbf_matches_the_sequential_loop(process):
     for seed in range(6):
         for total, steps, batches in ((100, 5, 2), (61, 4, 1)):
             plan = make_plan(process, steps)
-            res = run_rbf(plan, GMM, RARE, SearchBudget(total, steps), seed,
-                          batches=batches, with_trace=True)
-            ref, accepted_at = _sequential_rbf(plan, GMM, RARE, SearchBudget(total, steps),
+            res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed, batches=batches)
+            ref, accepted_at = _sequential_rbf(plan, GMM, RARE, SearchBudget(total),
                                                seed, batches)
             _same(res, ref)
             assert [j for bt in res.trace["batches"] for j in bt["accepted_at"]] == accepted_at
@@ -625,8 +630,8 @@ def test_batched_svdd_and_code_match_the_per_batch_loops(process):
     for name, total, steps, opts in BATCH_CASES:
         plan = make_plan(process, steps)
         for seed in range(3):
-            res = SAMPLERS[name](plan, GMM, RARE, SearchBudget(total, steps), seed, **opts)
-            ref = PER_BATCH[name](plan, GMM, RARE, SearchBudget(total, steps), seed, **opts)
+            res = SAMPLERS[name](plan, GMM, RARE, SearchBudget(total), seed, **opts)
+            ref = PER_BATCH[name](plan, GMM, RARE, SearchBudget(total), seed, **opts)
             _same(res, ref)
 
 
@@ -660,10 +665,10 @@ def test_svdd_and_code_make_one_oracle_call_per_interval(monkeypatch, process):
     # value call per selection, at the per-batch loop's charges
     for name, total, steps, opts in BATCH_CASES:
         plan = make_plan(process, steps)
-        ref = PER_BATCH[name](plan, GMM, RARE, SearchBudget(total, steps), 5, **opts)
+        ref = PER_BATCH[name](plan, GMM, RARE, SearchBudget(total), 5, **opts)
         with monkeypatch.context() as m:
             log = _spy_oracle(m)
-            res = SAMPLERS[name](plan, GMM, RARE, SearchBudget(total, steps), 5, **opts)
+            res = SAMPLERS[name](plan, GMM, RARE, SearchBudget(total), 5, **opts)
         assert sorted(log["velocity"]) == list(range(steps))
         points = [k for k, _ in log["value"]]
         assert len(points) == len(set(points)) and set(points) <= set(range(1, steps + 1))
@@ -680,10 +685,10 @@ def test_rbf_values_each_step_in_one_call(monkeypatch, process):
     steps = 10
     plan = make_plan(process, steps)
     for seed in range(3):
-        ref, _ = _sequential_rbf(plan, GMM, RARE, SearchBudget(1000, steps), seed)
+        ref, _ = _sequential_rbf(plan, GMM, RARE, SearchBudget(1000), seed)
         with monkeypatch.context() as m:
             log = _spy_oracle(m)
-            res = run_rbf(plan, GMM, RARE, SearchBudget(1000, steps), seed, with_trace=True)
+            res = run_rbf(plan, GMM, RARE, SearchBudget(1000), seed)
         traces = res.trace["batches"]
         batches = len(traces)
         assert len(log["value"]) == batches * (steps + 1)
