@@ -57,6 +57,8 @@ class GaussianMixtureModel:
     def __post_init__(self) -> None:
         for name in ("weights", "means", "variances"):
             arr = np.array(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} must be finite")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.weights.ndim != 1 or self.weights.size < 1:
@@ -116,7 +118,6 @@ class MarginalParams:
     weights: np.ndarray      # (K,)
     means_t: np.ndarray      # (K, d): alpha_t * mu_k
     variances_t: np.ndarray  # (K, d): alpha_t^2 * v_k + sigma_t^2
-    t: float = 0.0
 
 
 def marginal_at(
@@ -128,7 +129,6 @@ def marginal_at(
         weights=gmm.weights,
         means_t=alpha * gmm.means,
         variances_t=alpha * alpha * gmm.variances + sigma * sigma,
-        t=t,
     )
 
 

@@ -22,7 +22,9 @@ scale and the scale-time map, so nothing downstream reads the process name.
 ``denoise_interval(plan, x, i, z, velocity)`` is the single stepping
 kernel: ``run_process``, the samplers and the diversity protocol all
 advance latents through it by interval index.  It makes one velocity-oracle
-call per step, and ``nfe_used`` counts exactly those calls.
+call per step, and ``run_process`` returns that call count.  A sampler's
+``nfe_used`` is its budget ledger instead, which charges proposals, not
+oracle calls (see ``samplers``).
 """
 
 from __future__ import annotations
@@ -56,21 +58,16 @@ _MATCHED_GRID = ("linear-sde-adaptive-time", "linear-sde-scaled-diffusion")
 
 @dataclass(frozen=True)
 class DiffusionCoefficient:
-    """Power-law noise schedule g(t) = norm * t**exponent."""
+    """Power-law noise schedule g(t) = norm * t**2."""
 
     norm: float = 3.0
-    exponent: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.norm < 0.0 or self.exponent < 0.0:
-            raise DomainError("diffusion coefficient needs norm, exponent >= 0")
+        if self.norm < 0.0:
+            raise DomainError("diffusion coefficient needs norm >= 0")
 
     def __call__(self, t: float) -> float:
-        return self.norm * t**self.exponent
-
-    @classmethod
-    def zero(cls) -> "DiffusionCoefficient":
-        return cls(norm=0.0, exponent=2.0)
+        return self.norm * t**2.0
 
 
 def make_time_grid(steps: int) -> np.ndarray:
@@ -163,7 +160,7 @@ def make_plan(process: str, steps: int) -> StepPlan:
     """Build a StepPlan with the conventional defaults for each mode."""
     src = InterpolantSchedule("linear")
     dst = InterpolantSchedule("vp") if process in _CONVERTED + _MATCHED_GRID else src
-    diffusion = DiffusionCoefficient.zero() if process == "linear-ode" else DiffusionCoefficient()
+    diffusion = DiffusionCoefficient(0.0) if process == "linear-ode" else DiffusionCoefficient()
     return StepPlan(
         process=process,
         src_schedule=src,

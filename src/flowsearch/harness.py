@@ -60,6 +60,13 @@ DIVERSITY_BRANCHES = 50
 MAX_NFE = 1_000_000
 
 
+def _integer(name: str, value) -> int:
+    """``value``, which must be an integer: 10.7, true or "12" is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _check_nfe(nfe: int) -> None:
     if nfe > MAX_NFE:
         raise ConfigError(f"nfe {nfe} exceeds the cap of {MAX_NFE}")
@@ -79,9 +86,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         named = [("nfe", self.nfe), ("steps", self.steps)] + [("seed", s) for s in self.seeds]
-        for name, value in named:  # 10.7 or "12" is an error, never truncated
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, value in named:
+            _integer(name, value)
         if self.process not in PROCESS_NAMES:
             raise ConfigError(f"unknown process {self.process!r}")
         if self.sampler not in SAMPLER_NAMES:
@@ -130,7 +136,7 @@ def _gmm_from_dict(doc: dict) -> GaussianMixtureModel:
         )
     except KeyError as exc:
         raise ConfigError(f"gmm config missing key {exc}") from exc
-    if "dim" in doc and int(doc["dim"]) != gmm.dim:
+    if "dim" in doc and _integer("gmm.dim", doc["dim"]) != gmm.dim:
         raise ConfigError(f"gmm dim {doc['dim']} does not match means of dim {gmm.dim}")
     return gmm
 
@@ -156,7 +162,10 @@ def _reward_from_dict(doc: dict, gmm: GaussianMixtureModel) -> RewardSpec:
             raise ConfigError("ring reward needs params.radius")
         return ring_reward(float(params["radius"]), beta)
     if kind == "rare-mode":
-        return rare_mode_reward(gmm, params.get("component"), beta)
+        component = params.get("component")
+        if component is not None:
+            _integer("reward.params.component", component)
+        return rare_mode_reward(gmm, component, beta)
     raise ConfigError(f"unknown reward kind {kind!r}")
 
 
@@ -227,30 +236,25 @@ def diversity_mpd(points) -> float:
     return float(dists[iu].mean())
 
 
-def branched_proposals(
-    plan: StepPlan,
-    gmm: GaussianMixtureModel,
-    seed: int,
-    k: int = DIVERSITY_BRANCHES,
-) -> np.ndarray:
+def branched_proposals(plan: StepPlan, gmm: GaussianMixtureModel, seed: int) -> np.ndarray:
     """The same-initial-latent diversity protocol.
 
-    ``k`` branches share one initial latent and diverge from the first
-    denoise step on, each evolving under the plan's own (stochastic)
-    dynamics with a per-branch noise stream; for deterministic plans all
-    branches coincide and the diversity is exactly zero.  Returns the
-    endpoints, shape (k, dim).
+    DIVERSITY_BRANCHES branches share one initial latent and diverge from
+    the first denoise step on, each evolving under the plan's own
+    (stochastic) dynamics with a per-branch noise stream; for deterministic
+    plans all branches coincide and the diversity is exactly zero.  Returns
+    the endpoints, shape (DIVERSITY_BRANCHES, dim).
     """
     velocity = lambda x, t: velocity_at(gmm, plan.src_schedule, t, x)
     x1 = streams.stream(seed, streams.DIVERSITY, 0).standard_normal(gmm.dim)
-    xs = np.tile(x1, (k, 1))
+    xs = np.tile(x1, (DIVERSITY_BRANCHES, 1))
     for i in range(plan.steps):
         z = None
         if plan.g[i]:
             z = np.stack(
                 [
                     streams.stream(seed, streams.DIVERSITY, i + 1, j).standard_normal(gmm.dim)
-                    for j in range(k)
+                    for j in range(DIVERSITY_BRANCHES)
                 ]
             )
         xs = denoise_interval(plan, xs, i, z, velocity)

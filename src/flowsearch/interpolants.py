@@ -7,7 +7,8 @@ Two instances are provided:
 * ``linear``: ``alpha = 1 - t``, ``sigma = t`` (the flow-matching default);
 * ``vp``: variance preserving, ``alpha = exp(-B(t)/2)``,
   ``sigma = sqrt(1 - alpha^2)`` with ``B(t) = integral_0^t beta(s) ds`` for
-  the affine schedule ``beta(s) = beta_min + (beta_max - beta_min) * s``.
+  the standard affine schedule ``beta(s) = beta_min + (beta_max - beta_min)
+  * s``, ``beta_min = 0.1`` and ``beta_max = 20``.
 
 The scale-time transform matches a time ``s`` of a target interpolant to the
 time ``t_s`` of a source interpolant with equal signal-to-noise ratio, plus
@@ -26,35 +27,29 @@ from .errors import DomainError
 # map) are singular at time 0, so SNR-related evaluations stop at T_MIN.
 T_MIN = 1e-3
 
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
+# The vp schedule's affine beta(s) runs from VP_BETA_MIN at s=0 to
+# VP_BETA_MAX at s=1.
+VP_BETA_MIN = 0.1
+VP_BETA_MAX = 20.0
 
 
 @dataclass(frozen=True)
 class InterpolantSchedule:
     """One interpolant: ``kind`` is ``"linear"`` or ``"vp"``.
 
-    The vp parameters are ignored for the linear kind.  Instances compare by
-    value, which the SDE engine relies on to recognise identity conversions.
+    Instances compare by value, which the SDE engine relies on to recognise
+    identity conversions.
     """
 
     kind: str
-    vp_beta_min: float = 0.1
-    vp_beta_max: float = 20.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "vp"):
             raise DomainError(f"unknown interpolant kind: {self.kind!r}")
-        if self.kind == "vp":
-            if not (0.0 < self.vp_beta_min < self.vp_beta_max):
-                raise DomainError(
-                    f"vp beta schedule needs 0 < beta_min < beta_max, "
-                    f"got ({self.vp_beta_min}, {self.vp_beta_max})"
-                )
 
 
-def vp_schedule(beta_min: float = 0.1, beta_max: float = 20.0) -> InterpolantSchedule:
-    return InterpolantSchedule("vp", vp_beta_min=beta_min, vp_beta_max=beta_max)
+def vp_schedule() -> InterpolantSchedule:
+    return InterpolantSchedule("vp")
 
 
 def eval_schedule(sched: InterpolantSchedule, t: float) -> tuple[float, float, float, float]:
@@ -68,7 +63,7 @@ def eval_schedule(sched: InterpolantSchedule, t: float) -> tuple[float, float, f
     if sched.kind == "linear":
         return 1.0 - t, t, -1.0, 1.0
     # vp with affine beta: B(t) = beta_min*t + (beta_max - beta_min)*t^2/2
-    bmin, bmax = sched.vp_beta_min, sched.vp_beta_max
+    bmin, bmax = VP_BETA_MIN, VP_BETA_MAX
     beta_t = bmin + (bmax - bmin) * t
     big_b = t * (bmin + 0.5 * (bmax - bmin) * t)
     alpha = math.exp(-0.5 * big_b)
@@ -91,20 +86,11 @@ def snr_ratio(sched: InterpolantSchedule, t: float) -> float:
     return alpha / sigma
 
 
-def log_snr(sched: InterpolantSchedule, t: float) -> float:
-    """``log(alpha_t^2 / sigma_t^2)``, strictly decreasing in ``t``."""
-    if t < T_MIN or t > 1.0 - T_MIN:
-        raise DomainError(f"log-SNR needs t in [{T_MIN}, {1.0 - T_MIN}], got {t}")
-    alpha, sigma, _, _ = eval_schedule(sched, t)
-    return 2.0 * (math.log(alpha) - math.log(sigma))
-
-
 def snr_time_inverse(sched: InterpolantSchedule, ratio: float) -> float:
     """Return the time ``t`` with ``alpha_t / sigma_t == ratio``.
 
     The ratio must lie in the range the schedule attains on [T_MIN, 1].
-    Linear is solved in closed form; vp by bisection on the log-SNR, which
-    keeps the schedule definition swappable.
+    Both kinds are inverted in closed form.
     """
     if not math.isfinite(ratio) or ratio < 0.0:
         raise DomainError(f"snr ratio must be finite and >= 0, got {ratio}")
@@ -117,18 +103,11 @@ def snr_time_inverse(sched: InterpolantSchedule, ratio: float) -> float:
     if sched.kind == "linear":
         # (1 - t)/t = ratio
         return 1.0 / (1.0 + ratio)
-    target = math.log(ratio) if ratio > 0.0 else -math.inf
-    lo, hi = T_MIN, 1.0  # log-SNR decreasing: value >= target at lo, <= at hi
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        alpha, sigma, _, _ = eval_schedule(sched, mid)
-        if math.log(alpha) - math.log(sigma) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
+    # alpha^2/sigma^2 = ratio^2 gives B(t) = log1p(1/ratio^2); the positive
+    # root of the quadratic B(t), written without cancellation.
+    big_b = math.log1p(1.0 / (ratio * ratio))
+    bmin, bmax = VP_BETA_MIN, VP_BETA_MAX
+    return 2.0 * big_b / (bmin + math.sqrt(bmin * bmin + 2.0 * (bmax - bmin) * big_b))
 
 
 @dataclass(frozen=True)

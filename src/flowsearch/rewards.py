@@ -98,8 +98,8 @@ def estimate_value(
 ) -> np.ndarray | float:
     """Value of a latent through its posterior mean: r(E[x0 | x_t]).
 
-    The NFE ledger lives in ``samplers.SearchBudget``: the samplers charge
-    for the velocity evaluation that produced or valued a latent.
+    The NFE ledger lives in ``samplers.SearchBudget``; the ``samplers``
+    module docstring says which valuations are charged.
     """
     return evaluate_reward(spec, posterior_mean(gmm, sched, t, np.asarray(x_t, dtype=float)))
 
@@ -110,18 +110,14 @@ def reward_gradient_through_posterior(
     sched: InterpolantSchedule,
     t: float,
     x_t: np.ndarray,
-    h: float = _FD_STEP,
 ) -> np.ndarray:
     """grad_x r(posterior_mean(x)) by central differences, batched over x."""
     x = np.asarray(x_t, dtype=float)
-    d = x.shape[-1]
     grad = np.empty_like(x)
-    for i in range(d):
-        shift = np.zeros(d)
-        shift[i] = h
+    for i, shift in enumerate(_FD_STEP * np.eye(x.shape[-1])):
         up = evaluate_reward(spec, posterior_mean(gmm, sched, t, x + shift))
         dn = evaluate_reward(spec, posterior_mean(gmm, sched, t, x - shift))
-        grad[..., i] = (np.asarray(up) - np.asarray(dn)) / (2.0 * h)
+        grad[..., i] = (np.asarray(up) - np.asarray(dn)) / (2.0 * _FD_STEP)
     return grad
 
 

@@ -7,18 +7,21 @@ per-step argmax selection (svdd), and rollover budget forcing (rbf).
 Budget accounting
 -----------------
 The unit of compute is one velocity-field evaluation (NFE).  Producing a
-new latent (one denoising or ODE step) costs exactly 1 NFE; the value of
-the produced latent comes bundled with that step, since the same velocity
-evaluation yields both the proposal and the Tweedie posterior mean.  Only
-valuing a latent nobody stepped to, such as rbf's initial noise, costs an
-extra call.  ``SearchBudget`` holds only ``total_nfe``: the plan owns the
-step count, and ``_Runner`` refuses a total below ``plan.steps``.
+new latent (one denoising or ODE step) is charged 1 NFE; the value of the
+produced latent comes bundled with that step, since the same velocity
+evaluation yields both the proposal and the Tweedie posterior mean.
+Valuing a latent nobody stepped to is not uniform: rbf charges 1 NFE per
+batch for its initial noise, while smc values its initial latents without
+charging them.  ``SearchBudget`` holds only ``total_nfe``: the plan owns
+the step count, and ``_Runner`` refuses a total below ``plan.steps``.
 ``nfe_used`` never exceeds ``total_nfe``.
 
-Each selection point makes one velocity call and one value call: svdd and
-code advance all batches together, and rbf values a step's whole proposal
-block at once, charging up to the accepted index; the rows past it are
-uncharged, speculative oracle work.
+The ledger charges proposals, not oracle rows.  Each selection point makes
+one velocity call and one value call: svdd and code advance all batches
+together, and their proposals that share a parent share that parent's
+velocity row while each is charged 1 NFE.  rbf values a step's whole
+proposal block at once, charging up to the accepted index; the rows past
+it are uncharged, speculative oracle work.
 
 Every sampler is built on ``_Runner``, which owns the per-step ledger
 (charge the budget and book the step together), the per-step proposal

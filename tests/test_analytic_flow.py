@@ -59,6 +59,19 @@ def test_gmm_validation():
         GaussianMixtureModel([1.0], [[0.0, 0.0]], [[1.0]])  # shape mismatch
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["weights", "means", "variances"])
+def test_gmm_rejects_non_finite_parameters(field, bad):
+    # nan <= 0 and abs(nan - 1) > 1e-12 are both False, so the positivity
+    # and sum checks alone would let these through
+    params = {"weights": [0.5, 0.5], "means": [[0.0, 0.0], [1.0, 1.0]],
+              "variances": [[1.0, 1.0], [1.0, 1.0]]}
+    params[field] = np.array(params[field])
+    params[field].flat[-1] = bad
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        GaussianMixtureModel(**params)
+
+
 def test_gmm_pickle_round_trip_stays_read_only():
     # Pool workers under spawn or forkserver receive the mixture pickled;
     # the oracle cache relies on its arrays staying read-only there too.

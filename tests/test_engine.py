@@ -95,7 +95,7 @@ def test_drift_examples():
     # is recovered as (x - x') / ds
     x = np.array([1.0, 0.0])
     u = np.array([0.7, -0.1])
-    zero = linear_sde_plan(DiffusionCoefficient.zero())
+    zero = linear_sde_plan(DiffusionCoefficient(0.0))
     ds = width(zero, HALF)
     # g = 0: the drift is u itself, bit for bit
     out = denoise_interval(zero, x, HALF, np.ones(2), constant(u))
@@ -150,7 +150,7 @@ def test_sde_step_mean_and_variance():
     f = u - 0.5 * diff(t) ** 2 * score_from_velocity(LINEAR, t, x, u)
     np.testing.assert_allclose(out, x - f * ds, atol=1e-15)
     # g = 0, and z None, reduce to the ODE step
-    zero = linear_sde_plan(DiffusionCoefficient.zero())
+    zero = linear_sde_plan(DiffusionCoefficient(0.0))
     out0 = denoise_interval(zero, x, HALF, np.ones(2), oracle(GMM))
     np.testing.assert_allclose(out0, x - u * ds, atol=1e-15)
     flow = denoise_interval(plan, x, HALF, None, oracle(GMM))
@@ -165,7 +165,7 @@ def test_sde_step_mean_and_variance():
 
 def test_transform_velocity_identity():
     # an identity conversion queries the oracle with its arguments untouched
-    plan = StepPlan("vp-sde", LINEAR, LINEAR, DiffusionCoefficient.zero(), make_time_grid(10))
+    plan = StepPlan("vp-sde", LINEAR, LINEAR, DiffusionCoefficient(0.0), make_time_grid(10))
     x = np.array([0.3, -1.2])
     queries = []
 
@@ -404,6 +404,106 @@ def _queried_run(run, plan):
     return x0, nfe, queries
 
 
+# make_plan(p, 10) for every process, as float.hex: the latent's times, the
+# per-interval noise scale g, and each interval's scale-time map.
+PLAN_PINS = {
+    "linear-ode": (
+        (  # times
+            "0x1.0000000000000p+0 0x1.ccccccccccccdp-1 0x1.999999999999ap-1 "
+            "0x1.6666666666666p-1 0x1.3333333333333p-1 0x1.0000000000000p-1 "
+            "0x1.9999999999998p-2 0x1.3333333333332p-2 0x1.9999999999998p-3 "
+            "0x1.9999999999998p-4 0x0.0p+0"
+        ),
+        (  # g
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+            "0x0.0p+0 0x0.0p+0"
+        ),
+        (None,) * 10,
+    ),
+    "linear-sde": (
+        (  # times
+            "0x1.0000000000000p+0 0x1.ccccccccccccdp-1 0x1.999999999999ap-1 "
+            "0x1.6666666666666p-1 0x1.3333333333333p-1 0x1.0000000000000p-1 "
+            "0x1.9999999999998p-2 0x1.3333333333332p-2 0x1.9999999999998p-3 "
+            "0x1.9999999999998p-4 0x0.0p+0"
+        ),
+        (  # g
+            "0x1.8000000000000p+1 0x1.370a3d70a3d71p+1 0x1.eb851eb851ebap+0 "
+            "0x1.7851eb851eb84p+0 0x1.147ae147ae148p+0 0x1.8000000000000p-1 "
+            "0x1.eb851eb851eb4p-2 0x1.147ae147ae145p-2 0x1.eb851eb851eb4p-4 0x0.0p+0"
+        ),
+        (None,) * 10,
+    ),
+    "linear-sde-adaptive-time": (
+        (  # times
+            "0x1.fca8410f9f5c4p-1 0x1.f77128de011c1p-1 0x1.ec63b97b1b62fp-1 "
+            "0x1.d80a30f56c3dfp-1 0x1.b7da37ab1a758p-1 0x1.8bfa1cfbc4bcbp-1 "
+            "0x1.56edf429c44e5p-1 0x1.1ad48864ef69ep-1 0x1.acc6b8f463305p-2 "
+            "0x1.03ebeaf2cc1bdp-2 0x0.0p+0"
+        ),
+        (  # g
+            "0x1.7b00924c4c102p+1 0x1.7345343b1113cp+1 0x1.6325ccebd0d38p+1 "
+            "0x1.466617da52612p+1 0x1.1b674dd9e2192p+1 0x1.cb5e575a2c1a0p+0 "
+            "0x1.58887c2a3108cp+0 0x1.d4b56368d6f3cp-1 0x1.0d4f67c36c3f4p-1 0x0.0p+0"
+        ),
+        (None,) * 10,
+    ),
+    "linear-sde-scaled-diffusion": (
+        (  # times
+            "0x1.fca8410f9f5c4p-1 0x1.f77128de011c1p-1 0x1.ec63b97b1b62fp-1 "
+            "0x1.d80a30f56c3dfp-1 0x1.b7da37ab1a758p-1 0x1.8bfa1cfbc4bcbp-1 "
+            "0x1.56edf429c44e5p-1 0x1.1ad48864ef69ep-1 0x1.acc6b8f463305p-2 "
+            "0x1.03ebeaf2cc1bdp-2 0x0.0p+0"
+        ),
+        (  # g
+            "0x1.2ad65afaba104p+3 0x1.492e1bdbb3707p+2 0x1.77305092dc63ep+1 "
+            "0x1.b7254b66f66a7p+0 0x1.0402965412fcep+0 0x1.30082309f3f27p-1 "
+            "0x1.52c8d9840ff57p-2 0x1.5409183938bd5p-3 0x1.12359eb86635cp-4 0x0.0p+0"
+        ),
+        (None,) * 10,
+    ),
+    "vp-sde": (
+        (  # times
+            "0x1.0000000000000p+0 0x1.ccccccccccccdp-1 0x1.999999999999ap-1 "
+            "0x1.6666666666666p-1 0x1.3333333333333p-1 0x1.0000000000000p-1 "
+            "0x1.9999999999998p-2 0x1.3333333333332p-2 0x1.9999999999998p-3 "
+            "0x1.9999999999998p-4 0x0.0p+0"
+        ),
+        (  # g
+            "0x1.8000000000000p+1 0x1.370a3d70a3d71p+1 0x1.eb851eb851ebap+0 "
+            "0x1.7851eb851eb84p+0 0x1.147ae147ae148p+0 0x1.8000000000000p-1 "
+            "0x1.eb851eb851eb4p-2 0x1.147ae147ae145p-2 0x1.eb851eb851eb4p-4 0x0.0p+0"
+        ),
+        (  # maps: t_s c_s t_dot c_dot
+            "0x1.fca8410f9f5c4p-1 0x1.01ad42a763284p+0 0x1.09afa50ac37f5p-4 -0x1.0b673bcef521bp-4",
+            "0x1.f77128de011c1p-1 0x1.045069dc7ab3ap+0 0x1.2f3175d10d631p-3 -0x1.341fdee7b5bc2p-3",
+            "0x1.ec63b97b1b62fp-1 0x1.09fc2078b6552p+0 0x1.2e9b17af250fap-2 -0x1.3969a29e0ae92p-2",
+            "0x1.d80a30f56c3dfp-1 0x1.14ae8ecd695a1p+0 0x1.044b6877a363fp-1 -0x1.1551e8282fd4fp-1",
+            "0x1.b7da37ab1a758p-1 0x1.260fb0aff5c44p+0 0x1.7f2a2aa1cb646p-1 -0x1.a111d23c6a505p-1",
+            "0x1.8bfa1cfbc4bcbp-1 0x1.3da77fc2917cbp+0 0x1.e99c4111bec2bp-1 -0x1.ff75bf0bd1ca0p-1",
+            "0x1.56edf429c44e5p-1 0x1.56d03c0840735p+0 0x1.1ba4a4ee53c03p+0 -0x1.ce9372a9170e4p-1",
+            "0x1.1ad48864ef69ep-1 0x1.68110999e1718p+0 0x1.3e3b8919d1342p+0 -0x1.73353291ef174p-2",
+            "0x1.acc6b8f463305p-2 0x1.6559404fd9f41p+0 0x1.740fdf2b52d03p+0 0x1.48fcbcde89c7bp-1",
+            "0x1.03ebeaf2cc1bdp-2 0x1.44ce6510046a0p+0 0x1.e885591b9fd84p+0 0x1.eb3fd9bd98357p+0",
+        ),
+    ),
+}
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("process", PROCESS_NAMES)
+def test_production_plans_pinned_bitwise(process):
+    times, g, maps = PLAN_PINS[process]
+    plan = make_plan(process, 10)
+    assert _hexes(plan.times) == times.split()
+    assert _hexes(plan.g) == g.split()
+    got = [None if m is None else _hexes((m.t_s, m.c_s, m.t_dot, m.c_dot)) for m in plan.maps]
+    assert got == [None if m is None else m.split() for m in maps]
+
+
 def _trajectories_equal(a, b):
     (xa, na, qa), (xb, nb, qb) = a, b
     assert na == nb and len(qa) == len(qb) == na
@@ -419,7 +519,7 @@ def test_index_kernel_matches_float_time_reference_bitwise(process, steps):
     _trajectories_equal(_queried_run(run_process, plan), _queried_run(reference_run, plan))
     # z None is the probability-flow step of the zero-diffusion twin plan
     twin = StepPlan(process, plan.src_schedule, plan.dst_schedule,
-                    DiffusionCoefficient.zero(), plan.grid)
+                    DiffusionCoefficient(0.0), plan.grid)
 
     def flow(plan, x1, rng, velocity):
         x = np.asarray(x1, dtype=float)

@@ -99,7 +99,7 @@ def test_diversity_mpd_examples():
 
 def test_branched_proposals_deterministic_plan_collapses():
     gmm = default_benchmark_gmm()
-    endpoints = branched_proposals(make_plan("linear-ode", 6), gmm, seed=0, k=10)
+    endpoints = branched_proposals(make_plan("linear-ode", 6), gmm, seed=0)
     assert diversity_mpd(endpoints) == 0.0
 
 
@@ -179,6 +179,10 @@ def test_diversity_table_shares_the_oracle_cache_across_seeds():
         diversity_table(small_config(seeds=seeds))
         misses.append(_at_time.cache_info().misses)
     assert misses[1] <= misses[0]
+
+
+TWO_MODES = {"weights": [0.5, 0.5], "means": [[4.0, 4.0], [-4.0, -4.0]],
+             "variances": [[1.0, 1.0], [1.0, 1.0]]}
 
 
 def _write_config(tmp_path, **overrides):
@@ -262,6 +266,12 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         # smc and rbf always return their trace, so with_trace is no option
         ("run", {"sampler": "smc", "sampler_opts": {"with_trace": True}}, []),
         ("run", {"sampler": "rbf", "sampler_opts": {"with_trace": True}}, []),
+        ("run", {"gmm": {**TWO_MODES, "variances": [[1.0, 1.0], [1.0, float("inf")]]}}, []),
+        ("run", {"reward": {"kind": "rare-mode", "params": {"component": 1.7}}}, []),
+        ("run", {"reward": {"kind": "rare-mode", "params": {"component": True}}}, []),
+        ("run", {"reward": {"kind": "rare-mode", "params": {"component": "1"}}}, []),
+        ("run", {"gmm": {**TWO_MODES, "dim": 2.7}}, []),
+        ("run", {"gmm": {**TWO_MODES, "dim": "2"}}, []),
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
@@ -271,7 +281,8 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         "nfe-float", "seeds-string",
         "sweep-budget-over-cap", "beta-nan", "beta-infinite", "radius-nan",
         "radius-infinite", "target-nan", "jobs-zero", "jobs-negative",
-        "smc-with-trace", "rbf-with-trace",
+        "smc-with-trace", "rbf-with-trace", "variance-infinite", "component-float",
+        "component-bool", "component-string", "dim-float", "dim-string",
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):

