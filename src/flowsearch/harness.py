@@ -23,6 +23,12 @@ floats serialised to 12 significant digits.  For a fixed (config, seed) all
 columns except wall_ms are identical regardless of harness parallelism.
 With ``jobs > 1`` each pool worker receives the per-process configs once,
 through the pool initializer; a task is only ``(process, nfe, seed)``.
+
+A record's ``diversity_mpd`` comes from the branched-proposal protocol,
+which depends on the mixture, process, steps and seed but not on the sampler
+or the budget.  ``run_experiment`` reads it from a bounded cache keyed by
+``(gmm, process, steps, seed)``, the mixture by identity as in
+``analytic_flow._at_time``, so each Python process runs it once per key.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +72,25 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _number(name: str, value) -> float:
+    """``value``, which must be a JSON number: true or "0.5" is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(name: str, value) -> np.ndarray:
+    """``value`` as a float array; each entry, at any depth, must be a JSON number."""
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, list):
+            pending.extend(v)
+        else:
+            _number(f"each entry of {name}", v)
+    return np.asarray(value, dtype=float)
 
 
 def _check_nfe(nfe: int) -> None:
@@ -130,9 +156,7 @@ def _check_sampler_opts(sampler: str, opts: dict) -> None:
 def _gmm_from_dict(doc: dict) -> GaussianMixtureModel:
     try:
         gmm = GaussianMixtureModel(
-            weights=np.asarray(doc["weights"], dtype=float),
-            means=np.asarray(doc["means"], dtype=float),
-            variances=np.asarray(doc["variances"], dtype=float),
+            **{key: _numbers(f"gmm.{key}", doc[key]) for key in ("weights", "means", "variances")}
         )
     except KeyError as exc:
         raise ConfigError(f"gmm config missing key {exc}") from exc
@@ -152,15 +176,15 @@ def _object(doc: dict, key: str, name: str) -> dict:
 def _reward_from_dict(doc: dict, gmm: GaussianMixtureModel) -> RewardSpec:
     kind = doc.get("kind", "rare-mode")
     params = _object(doc, "params", "reward.params")
-    beta = float(doc.get("beta", 0.1))
+    beta = _number("reward.beta", doc.get("beta", 0.1))
     if kind == "target-point":
         if "target" not in params:
             raise ConfigError("target-point reward needs params.target")
-        return target_point_reward(params["target"], beta)
+        return target_point_reward(_numbers("reward.params.target", params["target"]), beta)
     if kind == "ring":
         if "radius" not in params:
             raise ConfigError("ring reward needs params.radius")
-        return ring_reward(float(params["radius"]), beta)
+        return ring_reward(_number("reward.params.radius", params["radius"]), beta)
     if kind == "rare-mode":
         component = params.get("component")
         if component is not None:
@@ -261,8 +285,18 @@ def branched_proposals(plan: StepPlan, gmm: GaussianMixtureModel, seed: int) -> 
     return xs
 
 
+# The cache keys each mixture by identity and holds a reference to it, so
+# its id cannot be reused by another mixture while the entry lives.
+@lru_cache(maxsize=256)
+def _protocol_diversity(gmm: GaussianMixtureModel, process: str, steps: int, seed: int) -> float:
+    """``diversity_mpd`` of the branched-proposal protocol at these arguments."""
+    return diversity_mpd(branched_proposals(make_plan(process, steps), gmm, seed))
+
+
 def run_experiment(config: ExperimentConfig, seed: int, nfe: int | None = None) -> RunRecord:
-    """Execute one seeded run and measure branched-proposal diversity."""
+    """Execute one seeded run.  Its ``diversity_mpd`` is the branched-proposal
+    protocol's, from ``_protocol_diversity``: computed once per
+    ``(gmm, process, steps, seed)`` in each Python process."""
     nfe = config.nfe if nfe is None else nfe
     plan = make_plan(config.process, config.steps)
     start = time.perf_counter()
@@ -270,7 +304,7 @@ def run_experiment(config: ExperimentConfig, seed: int, nfe: int | None = None) 
     sampler = SAMPLERS[config.sampler]
     result = sampler(plan, config.gmm, config.reward, budget, seed, **config.sampler_opts)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    div = diversity_mpd(branched_proposals(plan, config.gmm, seed))
+    div = _protocol_diversity(config.gmm, config.process, config.steps, seed)
     record = RunRecord(
         seed=seed,
         method=config.sampler,
@@ -307,12 +341,13 @@ def _worker_record(task) -> RunRecord:
 
 def _records(config: ExperimentConfig, processes, budgets, jobs: int) -> list[RunRecord]:
     """One record per (process, budget, seed), sorted; a budget of None
-    makes a diversity record instead of a sampler run.  The pool has no
-    more workers than tasks or cores."""
+    makes a diversity record instead of a sampler run.  Tasks run in
+    (process, seed, budget) order, so a serial run reuses each protocol
+    diversity at once.  The pool has no more workers than tasks or cores."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     configs = {p: replace(config, process=p) for p in processes}
-    tasks = [(p, nfe, seed) for p in processes for nfe in budgets for seed in config.seeds]
+    tasks = [(p, nfe, seed) for p in processes for seed in config.seeds for nfe in budgets]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, len(tasks), cores or 1)
     if workers <= 1:
@@ -336,7 +371,7 @@ def sweep(
     jobs: int = 1,
 ) -> list[RunRecord]:
     """One record per (budget, seed); budgets must be sorted ascending."""
-    budgets = [int(b) for b in budgets]
+    budgets = [_integer("budget", b) for b in budgets]
     if budgets != sorted(budgets):
         raise ConfigError("budgets must be sorted ascending")
     for b in budgets:
@@ -352,7 +387,10 @@ def ablate_interpolant(config: ExperimentConfig, jobs: int = 1) -> list[RunRecor
 
 
 def diversity_record(config: ExperimentConfig, seed: int) -> RunRecord:
-    """Diversity-only record: no sampler run; best_reward is the best branch."""
+    """Diversity-only record: no sampler run; best_reward is the best branch.
+
+    It runs ``branched_proposals`` itself, past ``_protocol_diversity``'s
+    cache, because its ``wall_ms`` is the protocol's own time."""
     plan = make_plan(config.process, config.steps)
     start = time.perf_counter()
     endpoints = branched_proposals(plan, config.gmm, seed)

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flowsearch import harness
+from flowsearch.engine import PROCESS_NAMES
 from flowsearch.errors import ConfigError, InvariantError
 from flowsearch.harness import (
     CSV_COLUMNS,
     MAX_NFE,
     RunRecord,
+    _protocol_diversity,
     branched_proposals,
     diversity_mpd,
+    diversity_record,
     diversity_table,
     load_config,
     run_experiment,
@@ -106,12 +111,52 @@ def test_branched_proposals_deterministic_plan_collapses():
 def test_run_experiment_deterministic():
     cfg = small_config()
     rec1 = run_experiment(cfg, seed=0)
+    _protocol_diversity.cache_clear()  # the second call recomputes the diversity
     rec2 = run_experiment(cfg, seed=0)
     assert rec1.best_reward == rec2.best_reward
     assert rec1.diversity_mpd == rec2.diversity_mpd
     assert rec1.nfe_used == rec2.nfe_used <= cfg.nfe
     rec3 = run_experiment(cfg, seed=1)
     assert rec3.best_reward != rec1.best_reward
+
+
+def test_run_experiment_diversity_is_the_protocol_diversity():
+    # Every config shares one mixture, so a cache key that dropped the
+    # process or the steps would hand one plan's diversity to another.  The
+    # cached value is bitwise the protocol's own, as a diversity record
+    # measures it, and a recomputation after clearing the cache agrees.
+    base = small_config(seeds=[3])
+    _protocol_diversity.cache_clear()
+    for process in PROCESS_NAMES:
+        for steps in (4, 6):
+            cfg = replace(base, process=process, steps=steps)
+            cached = run_experiment(cfg, seed=3).diversity_mpd
+            assert cached == diversity_record(cfg, seed=3).diversity_mpd
+            _protocol_diversity.cache_clear()
+            assert run_experiment(cfg, seed=3).diversity_mpd == cached
+
+
+def test_sweep_runs_the_protocol_once_per_seed(monkeypatch):
+    cfg = small_config()
+    budgets = [12, 18, 24, 30, 36]
+    _protocol_diversity.cache_clear()
+    cached = sweep(cfg, budgets)
+    assert _protocol_diversity.cache_info().misses == len(cfg.seeds)
+
+    record = harness._record
+    tasks = []
+
+    def uncached_record(configs, task):
+        tasks.append(task)
+        _protocol_diversity.cache_clear()
+        return record(configs, task)
+
+    monkeypatch.setattr(harness, "_record", uncached_record)
+    uncached = sweep(cfg, budgets)
+    # a seed's budgets run back to back, so any seed count reuses the entry
+    assert tasks == [(cfg.process, b, s) for s in cfg.seeds for b in budgets]
+    assert len(cached) == len(budgets) * len(cfg.seeds)
+    assert [replace(r, wall_ms=0.0) for r in cached] == [replace(r, wall_ms=0.0) for r in uncached]
 
 
 def test_record_validation():
@@ -152,6 +197,13 @@ def test_sweep_budgets_must_ascend():
     ]
 
 
+@pytest.mark.parametrize("budgets", [[12.5, 24], [12, 24.0], [True, 24], ["12", 24]])
+def test_sweep_budgets_must_be_integers(budgets):
+    # a library caller's budget is never truncated: 12.5 does not run at 12
+    with pytest.raises(ConfigError, match="budget"):
+        sweep(small_config(), budgets=budgets)
+
+
 def test_nfe_cap_is_validated_before_any_run():
     # only the validation: a config at the cap loads, one above it does not
     assert small_config(nfe=MAX_NFE, sampler="bon", sampler_opts={}).nfe == MAX_NFE
@@ -183,6 +235,32 @@ def test_diversity_table_shares_the_oracle_cache_across_seeds():
 
 TWO_MODES = {"weights": [0.5, 0.5], "means": [[4.0, 4.0], [-4.0, -4.0]],
              "variances": [[1.0, 1.0], [1.0, 1.0]]}
+
+# (config overrides, the field its error names): a float field takes a JSON
+# number, never a bool or a string that float() would coerce
+NON_NUMBER_FLOATS = [
+    ({"reward": {"kind": "rare-mode", "beta": True}}, "reward.beta"),
+    ({"reward": {"kind": "rare-mode", "beta": "0.5"}}, "reward.beta"),
+    ({"reward": {"kind": "ring", "params": {"radius": "3"}}}, "reward.params.radius"),
+    ({"reward": {"kind": "ring", "params": {"radius": True}}}, "reward.params.radius"),
+    ({"reward": {"kind": "target-point", "params": {"target": ["1", 1.0]}}},
+     "reward.params.target"),
+    ({"reward": {"kind": "target-point", "params": {"target": [1.0, True]}}},
+     "reward.params.target"),
+    ({"gmm": {**TWO_MODES, "weights": ["0.5", 0.5]}}, "gmm.weights"),
+    ({"gmm": {**TWO_MODES, "means": [[4.0, True], [-4.0, -4.0]]}}, "gmm.means"),
+    ({"gmm": {**TWO_MODES, "variances": [[1.0, 1.0], [1.0, "1"]]}}, "gmm.variances"),
+]
+NON_NUMBER_FLOAT_IDS = [
+    "beta-bool", "beta-string", "radius-string", "radius-bool", "target-string",
+    "target-bool", "weights-string", "means-bool", "variances-string",
+]
+
+
+@pytest.mark.parametrize("overrides, name", NON_NUMBER_FLOATS, ids=NON_NUMBER_FLOAT_IDS)
+def test_load_config_rejects_non_number_floats(overrides, name):
+    with pytest.raises(ConfigError, match=name):
+        small_config(**overrides)
 
 
 def _write_config(tmp_path, **overrides):
@@ -272,6 +350,7 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         ("run", {"reward": {"kind": "rare-mode", "params": {"component": "1"}}}, []),
         ("run", {"gmm": {**TWO_MODES, "dim": 2.7}}, []),
         ("run", {"gmm": {**TWO_MODES, "dim": "2"}}, []),
+        *[("run", overrides, []) for overrides, _ in NON_NUMBER_FLOATS],
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
@@ -283,6 +362,7 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         "radius-infinite", "target-nan", "jobs-zero", "jobs-negative",
         "smc-with-trace", "rbf-with-trace", "variance-infinite", "component-float",
         "component-bool", "component-string", "dim-float", "dim-string",
+        *NON_NUMBER_FLOAT_IDS,
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
