@@ -12,14 +12,12 @@ the N rows of ``x`` are read as d contiguous columns of length N, and every
 per-component quantity is a ``(K, N)`` array, or ``(d, K, N)`` per
 coordinate.  d and K are tiny and N may be 10^5, so each numpy operation
 is a pass along the rows, never a reduction over a trailing axis of size d
-or K.  The results are bitwise those of the row-major ``(..., K, d)``
-form: elementwise operations do not depend on the layout, and a sum over
-a leading axis of d or K terms adds them left to right, ((a0 + a1) + a2)
-+ a3, which is also the order numpy uses for short trailing-axis sums.
-Temporaries are updated in place, which keeps a call's peak allocation
-down.  Mixture responsibilities are always formed in log space, with this
-module's own numpy log-sum-exp; far from a mode the naive ratio underflows
-and corrupts scores.
+or K.  Sums over d add their terms left to right, and numpy adds fewer
+than 8 terms over K the same way, so for K < 8 each row's result depends
+on that row alone, bit for bit, whatever the batch's shape.  Temporaries
+are updated in place, which keeps a call's peak allocation down.  Mixture
+responsibilities are a max-shifted softmax of the log joint; far from a
+mode the naive ratio of densities underflows and corrupts scores.
 
 Samplers make many small oracle calls at the same few times, so everything
 that depends on ``(gmm, sched, t)`` but not on ``x`` is built once per time
@@ -136,12 +134,13 @@ class _AtTime(NamedTuple):
     """The x-free part of every oracle query at one ``(gmm, sched, t)``.
 
     The per-component constants are laid out (d, K, 1), coordinate first, so
-    they broadcast against x read as (d, 1, N) columns."""
+    they broadcast against x read as (d, 1, N) columns.  The variances are
+    kept as reciprocals, so a query multiplies where it would divide."""
 
     coeffs: tuple[float, float, float, float]  # eval_schedule(sched, t)
     log_const: np.ndarray    # (K, 1): log w_k minus the log normaliser of component k
     means_t: np.ndarray      # (d, K, 1): alpha mu_k
-    variances_t: np.ndarray  # (d, K, 1): alpha^2 v_k + sigma^2
+    inv_var: np.ndarray      # (d, K, 1): 1 / (alpha^2 v_k + sigma^2)
     gain: np.ndarray         # (d, K, 1): alpha v_k / (alpha^2 v_k + sigma^2)
     means: np.ndarray        # (d, K, 1): mu_k
 
@@ -159,7 +158,7 @@ def _at_time(gmm: GaussianMixtureModel, sched: InterpolantSchedule, t: float) ->
     return _AtTime(
         coeffs,
         (np.log(gmm.weights) - log_norm)[:, None],
-        *(a.T[:, :, None] for a in (params.means_t, var, gain, gmm.means)),
+        *(a.T[:, :, None] for a in (params.means_t, 1.0 / var, gain, gmm.means)),
     )
 
 
@@ -177,48 +176,31 @@ def _columns(x: np.ndarray, dim: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(-1, dim).T)[:, None, :]
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the leading (component) axis, kept with size 1.
-
-    The algorithm of ``scipy.special.logsumexp``, step for step, so the bits
-    match it (Blanchard, Higham & Higham 2021): the n entries equal to the
-    column max m are taken out of the shifted sum s, and the result is
-    log1p(s / n) + log(n) + m.  The entries equal to m are taken out by a
-    0/1 factor on exp(a - m), which gives the +0.0 that exp(-inf) would,
-    without a masked select.  A column whose max is not finite (all -inf,
-    or holding +inf or nan) gets the direct log(sum(exp(a))) instead.
-    """
-    m = np.maximum.reduce(a, axis=0, keepdims=True)
-    if not np.isfinite(m).all():
-        finite = np.isfinite(m)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            direct = np.log(np.add.reduce(np.exp(a), axis=0, keepdims=True))
-        return np.where(finite, _logsumexp(np.where(finite, a, 0.0)), direct)
-    keep = a != m
-    e = np.subtract(a, m)
-    np.exp(e, out=e)
-    e *= keep
-    s = np.add.reduce(e, axis=0, keepdims=True)
-    n = a.shape[0] - np.add.reduce(keep, axis=0, keepdims=True, dtype=float)
-    # n >= 1, so s / n is scipy's where(s == 0, s, s / n) bit for bit
-    return np.log1p(s / n) + np.log(n) + m
-
-
 def _component_log_joint(at: _AtTime, cols: np.ndarray) -> np.ndarray:
     """log(w_k) + log N(x; m_k, V_k) for each component, shape (K, N)."""
     sq = cols - at.means_t                # (d, K, N)
     sq *= sq
-    sq /= at.variances_t
-    quad = np.add.reduce(sq, axis=0)      # (K, N)
+    sq *= at.inv_var
+    # Summed over d left to right by plain adds, which beat np.add.reduce
+    # over the short leading axis at 10^4 rows and cost no more at one.
+    quad = sum(sq[1:], sq[0])             # (K, N)
     quad *= 0.5
     return np.subtract(at.log_const, quad, out=quad)
 
 
 def _responsibilities(at: _AtTime, cols: np.ndarray) -> np.ndarray:
-    """p(component k | x), shape (K, N)."""
-    log_joint = _component_log_joint(at, cols)
-    log_joint -= _logsumexp(log_joint)
-    return np.exp(log_joint, out=log_joint)
+    """p(component k | x), shape (K, N): exp(log_joint - m) * (1 / s), with
+    m the column max and s the column sum, in one exp pass.  The largest
+    term is exactly 1, so s lies in [1, K]; exact ties stay exactly equal,
+    and a column whose max is not finite (every quadratic form overflowed)
+    comes out nan alone."""
+    e = _component_log_joint(at, cols)
+    e -= np.maximum.reduce(e, axis=0)
+    np.exp(e, out=e)
+    inv = np.add.reduce(e, axis=0)
+    np.reciprocal(inv, out=inv)
+    e *= inv
+    return e
 
 
 def _mix(resp: np.ndarray, per_comp: np.ndarray) -> np.ndarray:
@@ -244,7 +226,7 @@ def score_at(
     cols = _columns(x, gmm.dim)
     resp = _responsibilities(at, cols)
     per_comp = at.means_t - cols
-    per_comp /= at.variances_t
+    per_comp *= at.inv_var
     return _mix(resp, per_comp).reshape(x.shape)
 
 
@@ -304,7 +286,8 @@ def velocity_at(
     at = _at_time(gmm, sched, float(t))
     alpha, sigma, alpha_dot, sigma_dot = at.coeffs
     x0_hat = _posterior_mean_unchecked(gmm, at, x)
-    x1_hat = x - alpha * x0_hat
+    x1_hat = alpha * x0_hat
+    np.subtract(x, x1_hat, out=x1_hat)
     x1_hat /= sigma
     x1_hat *= sigma_dot
     x0_hat *= alpha_dot

@@ -178,7 +178,10 @@ def score_from_velocity(
         raise DomainError(f"score-from-velocity needs t in [{T_MIN}, 1], got {t}")
     alpha, sigma, alpha_dot, sigma_dot = eval_schedule(sched, t)
     denom = alpha_dot * sigma - alpha * sigma_dot
-    return (alpha * u - alpha_dot * x) / (sigma * denom)
+    score = alpha * u
+    score -= alpha_dot * x
+    score /= sigma * denom
+    return score
 
 
 def denoise_interval(
@@ -194,7 +197,9 @@ def denoise_interval(
     protocol goes through it.  ``z`` None, or ``plan.g[i] == 0``, gives the
     probability-flow step; otherwise it is Euler-Maruyama on the reverse
     SDE, drift ``u - (g^2/2) * score``, with g taken at the interval's left
-    (noisier) end.  The velocity is evaluated no lower than T_MIN.
+    (noisier) end.  ``z`` has the result's shape; ``x`` may broadcast to it.
+    The velocity is evaluated no lower than T_MIN.  The step is computed in
+    place in arrays made here, never in the velocity callback's result.
     """
     t = plan.times[i]
     dt = t - plan.times[i + 1]
@@ -203,12 +208,20 @@ def denoise_interval(
     if m is None:
         u = velocity(x, t_eval)
     else:
-        u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
+        u = (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
+        u += (m.c_dot / m.c_s) * x
     g = plan.g[i]
     if z is None or g == 0.0:
-        return x - u * dt
-    f = u - 0.5 * g * g * score_from_velocity(plan.schedule, t_eval, x, u)
-    return x - f * dt + g * math.sqrt(dt) * z
+        step = u * dt
+        return np.subtract(x, step, out=step)
+    step = score_from_velocity(plan.schedule, t_eval, x, u)
+    step *= 0.5 * g * g
+    np.subtract(u, step, out=step)  # the drift f
+    step *= dt
+    np.subtract(x, step, out=step)
+    noise = (g * math.sqrt(dt)) * z
+    noise += step
+    return noise
 
 
 def run_process(

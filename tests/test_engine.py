@@ -163,6 +163,30 @@ def test_sde_step_mean_and_variance():
     assert np.allclose(xs.var(axis=0), want, rtol=0.05)
 
 
+@pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
+def test_denoise_interval_leaves_the_velocity_result_unchanged(process):
+    # The step works in place on its own arrays only: the array the
+    # velocity callback returns (a cache, a caller's buffer) must come back
+    # as it went out, on identity-map and converted plans, noisy and not.
+    plan = make_plan(process, 10)
+    assert (plan.maps[3] is None) == (process == "linear-sde")
+    x = np.random.default_rng(4).normal(size=(5, 2))
+    x_before = x.copy()
+    returned = []
+
+    def keep(xq, t):
+        u = velocity_at(GMM, LINEAR, t, xq)
+        returned.append((u, u.copy()))
+        return u
+
+    for i, z in [(3, np.ones((5, 2))), (3, None), (plan.steps - 1, np.ones((5, 2)))]:
+        out = denoise_interval(plan, x, i, z, keep)
+        u, u_before = returned[-1]
+        np.testing.assert_array_equal(u, u_before)
+        assert out is not u and out is not x
+    np.testing.assert_array_equal(x, x_before)
+
+
 def test_transform_velocity_identity():
     # an identity conversion queries the oracle with its arguments untouched
     plan = StepPlan("vp-sde", LINEAR, LINEAR, DiffusionCoefficient(0.0), make_time_grid(10))

@@ -122,23 +122,23 @@ def test_best_of_n_is_argmax_over_trajectory_endpoints():
 GOLDEN = {
     ("bon", "linear-ode"): ("-2.7275778790421823", 100),
     ("sop", "linear-sde"): ("-1.846741678668817", 80),
-    ("sop", "vp-sde"): ("-2.148288564667879", 80),
+    ("sop", "vp-sde"): ("-2.1482885646678787", 80),
     ("smc", "linear-sde"): ("-1.838604602980739", 100),
-    ("smc", "vp-sde"): ("-2.093399580307506", 100),
-    ("code", "linear-sde"): ("-6.964414877557839", 100),
-    ("code", "vp-sde"): ("-3.067246133817744", 100),
-    ("svdd", "linear-sde"): ("-1.8452443857908325", 100),
-    ("svdd", "vp-sde"): ("-2.2142577332139424", 100),
+    ("smc", "vp-sde"): ("-2.0933995803075067", 100),
+    ("code", "linear-sde"): ("-6.96441487755787", 100),
+    ("code", "vp-sde"): ("-3.067246133817746", 100),
+    ("svdd", "linear-sde"): ("-1.8452443857908327", 100),
+    ("svdd", "vp-sde"): ("-2.214257733213942", 100),
     ("rbf", "linear-sde"): ("-1.8380277102715397", 100),
-    ("rbf", "vp-sde"): ("-3.8430944665197506", 56),
-    ("smc", "linear-sde-adaptive-time"): ("-1.8768460856107674", 100),
-    ("code", "linear-sde-adaptive-time"): ("-2.1475574745257546", 100),
-    ("svdd", "linear-sde-adaptive-time"): ("-1.924017967210902", 100),
-    ("rbf", "linear-sde-adaptive-time"): ("-3.7174990434979858", 100),
+    ("rbf", "vp-sde"): ("-3.843094466519739", 56),
+    ("smc", "linear-sde-adaptive-time"): ("-1.8768460856107672", 100),
+    ("code", "linear-sde-adaptive-time"): ("-2.147557474525754", 100),
+    ("svdd", "linear-sde-adaptive-time"): ("-1.9240179672109021", 100),
+    ("rbf", "linear-sde-adaptive-time"): ("-3.7174990434979867", 100),
     ("smc", "linear-sde-scaled-diffusion"): ("-1.8384487053390188", 100),
-    ("code", "linear-sde-scaled-diffusion"): ("-4.225232083689215", 100),
+    ("code", "linear-sde-scaled-diffusion"): ("-4.225232083689216", 100),
     ("svdd", "linear-sde-scaled-diffusion"): ("-1.8510737780266684", 100),
-    ("rbf", "linear-sde-scaled-diffusion"): ("-2.0357961948415713", 100),
+    ("rbf", "linear-sde-scaled-diffusion"): ("-2.0357961948415717", 100),
 }
 
 
