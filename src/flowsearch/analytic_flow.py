@@ -1,8 +1,9 @@
 """Closed-form Gaussian-mixture flow model.
 
 A diagonal-covariance Gaussian mixture is closed under the interpolant
-push-forward, so the time-t marginal, its score, the marginal velocity
-field, and the Tweedie posterior mean all have exact expressions.  This
+push-forward, so the time-t marginal (``marginal_at``, again a
+``GaussianMixtureModel``), its score, the marginal velocity field, and the
+Tweedie posterior mean all have exact expressions.  This
 module is the stand-in for a pretrained velocity network: every quantity a
 sampler queries has an analytic oracle here.
 
@@ -109,24 +110,15 @@ def rare_component(gmm: GaussianMixtureModel) -> int:
     return int(np.argmin(gmm.weights))
 
 
-@dataclass(frozen=True, eq=False)
-class MarginalParams:
-    """The time-t marginal: still a diagonal Gaussian mixture."""
-
-    weights: np.ndarray      # (K,)
-    means_t: np.ndarray      # (K, d): alpha_t * mu_k
-    variances_t: np.ndarray  # (K, d): alpha_t^2 * v_k + sigma_t^2
-
-
 def marginal_at(
     gmm: GaussianMixtureModel, sched: InterpolantSchedule, t: float
-) -> MarginalParams:
-    """Push the mixture forward through the interpolant to time ``t``."""
+) -> GaussianMixtureModel:
+    """Push the mixture forward through the interpolant to time ``t``: the
+    marginal is again a diagonal Gaussian mixture, with the same weights,
+    means ``alpha_t mu_k`` and variances ``alpha_t^2 v_k + sigma_t^2``."""
     alpha, sigma, _, _ = eval_schedule(sched, t)
-    return MarginalParams(
-        weights=gmm.weights,
-        means_t=alpha * gmm.means,
-        variances_t=alpha * alpha * gmm.variances + sigma * sigma,
+    return GaussianMixtureModel(
+        gmm.weights, alpha * gmm.means, alpha * alpha * gmm.variances + sigma * sigma
     )
 
 
@@ -151,14 +143,14 @@ class _AtTime(NamedTuple):
 @lru_cache(maxsize=256)
 def _at_time(gmm: GaussianMixtureModel, sched: InterpolantSchedule, t: float) -> _AtTime:
     coeffs = eval_schedule(sched, t)
-    params = marginal_at(gmm, sched, t)
-    var = params.variances_t
+    marginal = marginal_at(gmm, sched, t)
+    var = marginal.variances
     log_norm = 0.5 * np.add.reduce(np.log(var), axis=-1) + 0.5 * var.shape[-1] * _LOG_2PI
     gain = coeffs[0] * gmm.variances / var
     return _AtTime(
         coeffs,
         (np.log(gmm.weights) - log_norm)[:, None],
-        *(a.T[:, :, None] for a in (params.means_t, 1.0 / var, gain, gmm.means)),
+        *(a.T[:, :, None] for a in (marginal.means, 1.0 / var, gain, gmm.means)),
     )
 
 

@@ -66,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         if args.seed_offset:
             config = replace(config, seeds=tuple(s + args.seed_offset for s in config.seeds))
+        out = args.out or config.out
+        if out is None:
+            raise ConfigError("no output path: pass --out or set 'out' in the config")
         if args.command == "run":
             records = run_table(config, jobs=args.jobs)
         elif args.command == "sweep":
@@ -74,9 +77,6 @@ def main(argv: list[str] | None = None) -> int:
             records = ablate_interpolant(config, jobs=args.jobs)
         else:
             records = diversity_table(config, jobs=args.jobs)
-        out = args.out or config.out
-        if out is None:
-            raise ConfigError("no output path: pass --out or set 'out' in the config")
         write_csv(records, out)
     except (ConfigError, DomainError, BudgetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -89,7 +89,7 @@ class StepPlan:
     * ``g[i]``: interval i's noise scale, 0 on the final interval and on
       deterministic plans;
     * ``maps[i]``: interval i's scale-time map from the latent's coordinates
-      to the velocity oracle's, None where it is the identity.
+      to the velocity oracle's, None when the latent is in source coordinates.
     """
 
     process: str
@@ -122,13 +122,11 @@ class StepPlan:
             # Source coordinates, stepped between matched source times.
             self.schedule = self.src_schedule
             times = [m.t_s for m in maps] + [0.0]
-            self.maps = (None,) * self.steps
         else:
-            # Target coordinates on the plan grid; the oracle is queried at
-            # the matched source point.
+            # Target coordinates on the plan grid.
             self.schedule = self.dst_schedule
             times = list(grid)
-            self.maps = tuple(None if m.is_identity else m for m in maps)
+        self.maps = tuple(None if self.schedule == self.src_schedule else m for m in maps)
         if self.process == "linear-sde-adaptive-time":
             g = [self.diffusion(t) for t in times[:-1]]
         elif self.process == "linear-sde-scaled-diffusion":

@@ -204,8 +204,8 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out must be a path string or null, got {out!r}")
+    if out is not None and not (isinstance(out, str) and out):
+        raise ConfigError(f"out must be a non-empty path string or null, got {out!r}")
     try:
         gmm = _gmm_from_dict(doc["gmm"]) if "gmm" in doc else default_benchmark_gmm()
         reward = _reward_from_dict(_object(doc, "reward", "reward"), gmm)
@@ -226,6 +226,8 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One CSV row; it validates itself on construction."""
+
     seed: int
     method: str
     process: str
@@ -235,6 +237,9 @@ class RunRecord:
     diversity_mpd: float
     nfe_used: int
     wall_ms: float
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.nfe_used > self.nfe_budget:
@@ -305,7 +310,7 @@ def run_experiment(config: ExperimentConfig, seed: int, nfe: int | None = None) 
     result = sampler(plan, config.gmm, config.reward, budget, seed, **config.sampler_opts)
     wall_ms = (time.perf_counter() - start) * 1000.0
     div = _protocol_diversity(config.gmm, config.process, config.steps, seed)
-    record = RunRecord(
+    return RunRecord(
         seed=seed,
         method=config.sampler,
         process=config.process,
@@ -316,8 +321,6 @@ def run_experiment(config: ExperimentConfig, seed: int, nfe: int | None = None) 
         nfe_used=result.nfe_used,
         wall_ms=wall_ms,
     )
-    record.validate()
-    return record
 
 
 _WORKER_CONFIGS: dict[str, ExperimentConfig] = {}
@@ -397,7 +400,7 @@ def diversity_record(config: ExperimentConfig, seed: int) -> RunRecord:
     wall_ms = (time.perf_counter() - start) * 1000.0
     rewards = np.asarray(evaluate_reward(config.reward, endpoints))
     protocol_nfe = DIVERSITY_BRANCHES * config.steps  # measurement cost, not the search budget
-    record = RunRecord(
+    return RunRecord(
         seed=seed,
         method="diversity",
         process=config.process,
@@ -408,8 +411,6 @@ def diversity_record(config: ExperimentConfig, seed: int) -> RunRecord:
         nfe_used=protocol_nfe,
         wall_ms=wall_ms,
     )
-    record.validate()
-    return record
 
 
 def diversity_table(config: ExperimentConfig, jobs: int = 1) -> list[RunRecord]:
@@ -431,14 +432,15 @@ def _fmt(value) -> str:
 
 
 def write_csv(records: list[RunRecord], path: str | Path) -> None:
-    """Validate and write records with the fixed column order."""
-    for rec in records:
-        rec.validate()
+    """Write records with the fixed column order; a path that cannot be
+    written is a ConfigError."""
     path = Path(path)
-    if path.parent != Path("."):
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, col)) for col in CSV_COLUMNS])
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
+            for rec in records:
+                writer.writerow([_fmt(getattr(rec, col)) for col in CSV_COLUMNS])
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc

@@ -37,8 +37,8 @@ VP_BETA_MAX = 20.0
 class InterpolantSchedule:
     """One interpolant: ``kind`` is ``"linear"`` or ``"vp"``.
 
-    Instances compare by value, which the SDE engine relies on to recognise
-    identity conversions.
+    Instances compare by value; equal source and target schedules are the
+    identity conversion.
     """
 
     kind: str
@@ -123,10 +123,6 @@ class ScaleTimeMap:
     c_s: float
     t_dot: float
     c_dot: float
-
-    @property
-    def is_identity(self) -> bool:
-        return self.t_dot == 1.0 and self.c_s == 1.0 and self.c_dot == 0.0
 
 
 def scale_time_transform(

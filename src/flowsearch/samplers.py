@@ -120,11 +120,6 @@ def resample_multinomial(weights, n: int, rng: np.random.Generator) -> np.ndarra
     return rng.choice(w.size, size=n, p=w / w.sum())
 
 
-def _argmax_first(values: np.ndarray) -> int:
-    """Index of the maximum; np.argmax already returns the first on ties."""
-    return int(np.argmax(values))
-
-
 def _top_k_first(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest values, ties resolved toward lower indices."""
     order = np.argsort(-values, kind="stable")
@@ -174,6 +169,12 @@ class _Runner:
             return None
         return np.stack([self.noise(i, b, count) for b in range(batches)])
 
+    def batches(self, k: int) -> int:
+        """svdd's and code's batch count, the paper's N: total // (steps * k),
+        at least 1.  Two or more batches each get a share of at least steps * k,
+        so every batch draws k per step alike; one batch is the plain loop."""
+        return max(1, self.budget.total_nfe // (self.plan.steps * k))
+
     def charge(self, i: int, n: int) -> None:
         """Spend n NFE on grid interval i: charge the budget, book the step."""
         self.budget.charge(n)
@@ -190,8 +191,7 @@ class _Runner:
         draw, or copies a noiseless step left as one) needs no valuing."""
         if x.shape[1] == 1:
             return x[:, 0]
-        values = self.value(x, k)
-        return x[np.arange(x.shape[0]), [_argmax_first(v) for v in values]]
+        return x[np.arange(x.shape[0]), self.value(x, k).argmax(axis=1)]
 
     def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None) -> np.ndarray:
         """Advance a batch over grid interval i; caller charges the budget.
@@ -209,7 +209,7 @@ class _Runner:
         x = np.asarray(finals)
         if values is None:
             values = np.asarray(evaluate_reward(self.reward, x))
-        best = _argmax_first(values)
+        best = np.argmax(values)
         return SearchResult(
             best_x=x[best],
             best_reward=float(values[best]),
@@ -321,6 +321,8 @@ def run_smc(
     particles are resampled and the weights reset to one.
     """
     r = _Runner(plan, gmm, reward, budget, seed)
+    if not 0.0 <= ess_threshold_frac <= 1.0:
+        raise DomainError(f"ess_threshold_frac must be in [0, 1], got {ess_threshold_frac}")
     n = budget.total_nfe // plan.steps
     beta = reward.kl_temperature
     x = r.initials(n)
@@ -366,9 +368,7 @@ def run_svdd(
     if k < 1:
         raise DomainError("k must be >= 1")
     steps = plan.steps
-    batches = max(1, budget.total_nfe // (steps * k))
-    # Two or more batches each cover k draws per step (share >= steps * k),
-    # so all batches draw alike; one batch is the plain per-batch loop.
+    batches = r.batches(k)
     quotas = _uniform_split(budget.total_nfe // batches, steps)
     x = r.initials(batches)
     for i in range(steps):
@@ -394,9 +394,7 @@ def run_code(
     if interval < 1 or k < 1:
         raise DomainError("interval and k must be >= 1")
     steps = plan.steps
-    batches = max(1, budget.total_nfe // (steps * k))
-    # Two or more batches each cover k chains per step (share >= steps * k),
-    # so k_eff is k in every batch; one batch is the plain per-batch loop.
+    batches = r.batches(k)
     share = budget.total_nfe // batches
     spent = 0
     x = r.initials(batches)
@@ -463,7 +461,7 @@ def run_rbf(
                 x = proposals[j]
             else:
                 j = q - 1
-                x = proposals[_argmax_first(values)]
+                x = proposals[np.argmax(values)]
             r.charge(i, j + 1)
             accepted.append(j + 1)
         finals.append(x)

@@ -2,6 +2,7 @@ import itertools
 import pickle
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.special import logsumexp
 
 from flowsearch.analytic_flow import (
     GaussianMixtureModel,
-    MarginalParams,
     _at_time,
     _columns,
     _component_log_joint,
@@ -91,19 +91,21 @@ def test_default_benchmark_prior():
 
 
 def test_marginal_at_halfway():
-    params = marginal_at(SHIFTED, LINEAR, 0.5)
-    np.testing.assert_allclose(params.means_t, [[2.0, 0.0]])
-    np.testing.assert_allclose(params.variances_t, [[0.5, 0.5]])
+    marginal = marginal_at(SHIFTED, LINEAR, 0.5)
+    assert isinstance(marginal, GaussianMixtureModel)
+    np.testing.assert_array_equal(marginal.weights, SHIFTED.weights)
+    np.testing.assert_allclose(marginal.means, [[2.0, 0.0]])
+    np.testing.assert_allclose(marginal.variances, [[0.5, 0.5]])
 
 
 def test_marginal_at_boundaries():
     gmm = default_benchmark_gmm()
     p0 = marginal_at(gmm, LINEAR, 0.0)
-    np.testing.assert_array_equal(p0.means_t, gmm.means)
-    np.testing.assert_array_equal(p0.variances_t, gmm.variances)
+    np.testing.assert_array_equal(p0.means, gmm.means)
+    np.testing.assert_array_equal(p0.variances, gmm.variances)
     p1 = marginal_at(gmm, LINEAR, 1.0)
-    np.testing.assert_allclose(p1.means_t, 0.0)
-    np.testing.assert_allclose(p1.variances_t, 1.0)
+    np.testing.assert_allclose(p1.means, 0.0)
+    np.testing.assert_allclose(p1.variances, 1.0)
 
 
 def test_score_single_gaussian():
@@ -242,17 +244,18 @@ def test_interpolant_sampling_moments():
     n = 100_000
     t = 0.37
     xs = sample_interpolant(gmm, LINEAR, t, n, rng)
-    params = marginal_at(gmm, LINEAR, t)
-    mean_true = np.sum(params.weights[:, None] * params.means_t, axis=0)
+    marginal = marginal_at(gmm, LINEAR, t)
+    mean_true = np.sum(marginal.weights[:, None] * marginal.means, axis=0)
     second_true = np.sum(
-        params.weights[:, None] * (params.variances_t + params.means_t**2), axis=0
+        marginal.weights[:, None] * (marginal.variances + marginal.means**2), axis=0
     )
     var_true = second_true - mean_true**2
     se_mean = np.sqrt(var_true / n)
     assert np.all(np.abs(xs.mean(axis=0) - mean_true) < 3 * se_mean)
     fourth = np.sum(
-        params.weights[:, None]
-        * (3 * params.variances_t**2 + 6 * params.variances_t * params.means_t**2 + params.means_t**4),
+        marginal.weights[:, None]
+        * (3 * marginal.variances**2 + 6 * marginal.variances * marginal.means**2
+           + marginal.means**4),
         axis=0,
     )
     se_second = np.sqrt((fourth - second_true**2) / n)
@@ -324,13 +327,21 @@ def _ref_logsumexp(a):
     return np.log1p(np.where(s == 0.0, s, s / n)) + np.log(n) + m
 
 
+class _RefMarginal(NamedTuple):
+    """The time-t marginal in any dtype (a GaussianMixtureModel is float64)."""
+
+    weights: np.ndarray
+    means_t: np.ndarray
+    variances_t: np.ndarray
+
+
 def _ref_marginal(gmm, sched, t, dtype):
     """The schedule's coefficients at t and the time-t marginal, in dtype."""
     coeffs = tuple(dtype(c) for c in eval_schedule(sched, t))
     alpha, sigma = coeffs[:2]
     weights, means, variances = (np.asarray(a, dtype) for a in
                                  (gmm.weights, gmm.means, gmm.variances))
-    return coeffs, MarginalParams(weights, alpha * means, alpha * alpha * variances + sigma * sigma)
+    return coeffs, _RefMarginal(weights, alpha * means, alpha * alpha * variances + sigma * sigma)
 
 
 def _ref_log_joint(params, x):

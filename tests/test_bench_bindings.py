@@ -1,0 +1,30 @@
+"""The names the benchmark's tracer binds must exist in ``flowsearch``.
+
+``bench/spans.py`` wraps each function named in ``FUNCTION_SPANS`` (and
+``StepPlan.scale_map``) by ``getattr``, and the benchmark's checks call
+``RunRecord.validate``; a refactor that drops one of these names breaks
+every traced benchmark run.  Skipped when ``bench/`` is not present.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.mark.skipif(not SPANS.is_file(), reason="bench/ is not present")
+def test_benchmark_bound_names_resolve():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bound = [(module, attr) for _, module, attr, _ in spans.FUNCTION_SPANS]
+    bound += [("engine", "StepPlan.scale_map"), ("harness", "RunRecord.validate")]
+    for module, attr in bound:
+        target = importlib.import_module(f"flowsearch.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+            assert target is not None, f"flowsearch.{module}.{attr} is gone"
+        assert callable(target), f"flowsearch.{module}.{attr} is not callable"

@@ -387,7 +387,7 @@ def reference_interval(plan, x, s_left, s_right, z, velocity):
         dt = s_left - s_right
         t_eval = max(s_left, T_MIN)
         m = _ref_scale_map(plan, s_left)
-        if m.is_identity:
+        if plan.src_schedule == plan.dst_schedule:
             u = velocity(x, t_eval)
         else:
             u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)

@@ -160,18 +160,16 @@ def test_sweep_runs_the_protocol_once_per_seed(monkeypatch):
 
 
 def test_record_validation():
-    bad = RunRecord(
-        seed=0, method="bon", process="linear-ode", nfe_budget=10, steps=2,
-        best_reward=0.0, diversity_mpd=-1.0, nfe_used=5, wall_ms=1.0,
-    )
-    with pytest.raises(InvariantError):
-        bad.validate()
-    over = RunRecord(
-        seed=0, method="bon", process="linear-ode", nfe_budget=10, steps=2,
-        best_reward=0.0, diversity_mpd=0.0, nfe_used=11, wall_ms=1.0,
-    )
-    with pytest.raises(InvariantError):
-        over.validate()
+    # a record validates itself on construction, replace() included
+    base = dict(seed=0, method="bon", process="linear-ode", nfe_budget=10, steps=2,
+                best_reward=0.0, diversity_mpd=0.0, nfe_used=5, wall_ms=1.0)
+    good = RunRecord(**base)
+    good.validate()
+    for bad in ({"diversity_mpd": -1.0}, {"nfe_used": 11}, {"best_reward": float("nan")}):
+        with pytest.raises(InvariantError):
+            RunRecord(**{**base, **bad})
+        with pytest.raises(InvariantError):
+            replace(good, **bad)
 
 
 def test_write_csv_schema(tmp_path):
@@ -325,6 +323,9 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         ("run", {"reward": {"kind": "rare-mode", "params": []}}, []),
         ("run", {"sampler_opts": []}, []),
         ("run", {"out": 5}, None),
+        ("run", {"out": ""}, None),
+        ("run", {}, ["--out", "{tmp}"]),
+        ("run", {}, ["--out", "{cfg}/x.csv"]),
         ("sweep", {}, ["--budgets", "10,abc"]),
         ("run", {"nfe": MAX_NFE + 1}, []),
         ("run", {"nfe": float("inf")}, []),
@@ -350,25 +351,31 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         ("run", {"reward": {"kind": "rare-mode", "params": {"component": "1"}}}, []),
         ("run", {"gmm": {**TWO_MODES, "dim": 2.7}}, []),
         ("run", {"gmm": {**TWO_MODES, "dim": "2"}}, []),
+        *[("run", {"sampler": "smc", "sampler_opts": {"ess_threshold_frac": frac}}, [])
+          for frac in (-1, float("nan"), 7.5, float("inf"))],
         *[("run", overrides, []) for overrides, _ in NON_NUMBER_FLOATS],
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
         "negative-seed-offset", "target-dimension", "reward-number",
         "reward-not-object", "reward-params-not-object", "sampler-opts-not-object",
-        "out-not-string", "sweep-budget-not-integer", "nfe-over-cap", "nfe-infinite",
+        "out-not-string", "out-empty", "out-directory", "out-under-file",
+        "sweep-budget-not-integer", "nfe-over-cap", "nfe-infinite",
         "nfe-float", "seeds-string",
         "sweep-budget-over-cap", "beta-nan", "beta-infinite", "radius-nan",
         "radius-infinite", "target-nan", "jobs-zero", "jobs-negative",
         "smc-with-trace", "rbf-with-trace", "variance-infinite", "component-float",
         "component-bool", "component-string", "dim-float", "dim-string",
-        *NON_NUMBER_FLOAT_IDS,
+        "smc-threshold-negative", "smc-threshold-nan", "smc-threshold-above-one",
+        "smc-threshold-infinite", *NON_NUMBER_FLOAT_IDS,
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
-    # extra_args None: no --out, so the config's own "out" is the one used
+    # extra_args None: no --out, so the config's own "out" is the one used;
+    # in extra_args, {tmp} is a directory and {cfg} a regular file
     cfg_path = _write_config(tmp_path, **overrides)
     out_args = [] if extra_args is None else ["--out", str(tmp_path / "x.csv"), *extra_args]
+    out_args = [a.format(tmp=tmp_path, cfg=cfg_path) for a in out_args]
     proc = subprocess.run(
         [sys.executable, "-m", "flowsearch.cli", command, str(cfg_path), *out_args],
         capture_output=True, text=True,
@@ -376,6 +383,18 @@ def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_resolves_the_output_path_before_running(tmp_path, monkeypatch, capsys):
+    # a missing output path is reported before any record runs
+    from flowsearch import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("records ran without an output path")
+
+    monkeypatch.setattr(cli, "run_table", no_run)
+    assert cli.main(["run", str(_write_config(tmp_path))]) == cli.EXIT_CONFIG
+    assert "no output path" in capsys.readouterr().err
 
 
 def test_pool_is_sized_by_tasks_and_cores(monkeypatch):

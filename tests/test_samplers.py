@@ -169,33 +169,49 @@ def test_budget_safety_and_determinism(name, process):
         assert not np.array_equal(res1.best_x, res3.best_x)
 
 
-def test_selection_correctness_svdd():
-    # the kept particle's value must dominate its selection set
-    plan = make_plan("linear-sde", 4)
-    captured = []
-    from flowsearch import samplers as S
-
-    orig = S._argmax_first
-
-    def spy(values):
-        idx = orig(values)
-        captured.append((np.asarray(values).copy(), idx))
-        return idx
-
-    S._argmax_first = spy
-    try:
-        run_svdd(plan, GMM, RARE, budget(40), seed=5, k=10)
-    finally:
-        S._argmax_first = orig
-    assert captured
-    for values, idx in captured:
-        assert values[idx] >= values.max()
-        assert idx == int(np.argmax(values))
+def _first_max(values):
+    """Per row, the lowest index holding the row's maximum."""
+    return [int(np.flatnonzero(v == v.max())[0]) for v in values]
 
 
-def test_tie_break_lowest_index():
-    values = np.array([0.1, 0.9, 0.9])
-    assert int(np.argmax(values)) == 1
+def test_selection_correctness_svdd(monkeypatch):
+    # each batch keeps the lowest-index maximum of the values select computed
+    from flowsearch.samplers import _Runner
+
+    value, select = _Runner.value, _Runner.select
+    valued, kept = [], []
+
+    def value_spy(self, x, k):
+        valued.append(value(self, x, k))
+        return valued[-1]
+
+    def select_spy(self, x, k):
+        kept.append((x, select(self, x, k)))
+        return kept[-1][1]
+
+    monkeypatch.setattr(_Runner, "value", value_spy)
+    monkeypatch.setattr(_Runner, "select", select_spy)
+    run_svdd(make_plan("linear-sde", 4), GMM, RARE, budget(40), seed=5, k=10)
+    selections = [(x, out) for x, out in kept if x.shape[1] > 1]
+    assert len(selections) == len(valued) > 0
+    for (x, out), values in zip(selections, valued):
+        assert values.shape == x.shape[:2]
+        np.testing.assert_array_equal(out, x[np.arange(x.shape[0]), _first_max(values)])
+
+
+def test_tie_break_lowest_index(monkeypatch):
+    # tied values scripted through _Runner.value: select keeps the lowest
+    # index in every batch, and the final pick the lowest tied final
+    from flowsearch.samplers import _Runner
+
+    scripted = np.array([[0.1, 0.9, 0.9, 0.2], [0.5, 0.5, 0.5, 0.5], [-1.0, 0.3, -2.0, 0.3]])
+    monkeypatch.setattr(_Runner, "value", lambda self, x, k: scripted)
+    r = _Runner(make_plan("linear-sde", 4), GMM, RARE, budget(), seed=0)
+    x = np.random.default_rng(0).standard_normal((3, 4, 2))
+    assert _first_max(scripted) == [1, 0, 1]
+    np.testing.assert_array_equal(r.select(x, 1), x[[0, 1, 2], [1, 0, 1]])
+    res = r.result(x[0], values=np.array([1.0, 3.0, 3.0, 2.0]))
+    np.testing.assert_array_equal(res.best_x, x[0, 1])
 
 
 def test_top_k_tie_break():
@@ -237,8 +253,8 @@ def test_sop_forward_noise_lands_on_the_target_marginal(process):
         xj = alpha * x0 + sigma * rng.standard_normal((n, 2))
         out = _forward_noise(plan, xj, j, rng.standard_normal((n, 2)))
         want = marginal_at(prior, plan.schedule, plan.times[j - 1])
-        np.testing.assert_allclose(out.mean(axis=0), want.means_t[0], atol=0.01)
-        np.testing.assert_allclose(out.std(axis=0), np.sqrt(want.variances_t[0]), rtol=0.01)
+        np.testing.assert_allclose(out.mean(axis=0), want.means[0], atol=0.01)
+        np.testing.assert_allclose(out.std(axis=0), np.sqrt(want.variances[0]), rtol=0.01)
 
 
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde", "linear-sde-adaptive-time"])
