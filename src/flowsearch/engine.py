@@ -16,9 +16,11 @@ accepts:
   coefficient rescaled to ``g_s / c_s * sqrt(ds/dt_s)`` so each step injects
   the converted process's noise magnitude in source coordinates.
 
-``StepPlan`` owns the latent's clock: at construction it works out, per
-grid point and interval, the latent's own time, its coordinates, the noise
-scale and the scale-time map, so nothing downstream reads the process name.
+A plan is its process and its step count: ``StepPlan(process, steps)``
+derives the uniform grid, the interpolants and the noise scale, and works
+out per grid point and interval the latent's own time, its coordinates,
+the noise scale and the scale-time map, so nothing downstream reads the
+process name.
 ``denoise_interval(plan, x, i, z, velocity)`` is the single stepping
 kernel: ``run_process``, the samplers and the diversity protocol all
 advance latents through it by interval index.  It makes one velocity-oracle
@@ -30,6 +32,7 @@ oracle calls (see ``samplers``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,27 +57,12 @@ PROCESS_NAMES = (
 _CONVERTED = ("vp-sde",)
 # Modes that step in source coordinates on the matched time grid.
 _MATCHED_GRID = ("linear-sde-adaptive-time", "linear-sde-scaled-diffusion")
+G_NORM = 3.0
 
 
-@dataclass(frozen=True)
-class DiffusionCoefficient:
-    """Power-law noise schedule g(t) = norm * t**2."""
-
-    norm: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.norm < 0.0:
-            raise DomainError("diffusion coefficient needs norm >= 0")
-
-    def __call__(self, t: float) -> float:
-        return self.norm * t**2.0
-
-
-def make_time_grid(steps: int) -> np.ndarray:
-    """Uniform decreasing time grid from 1 to 0 with ``steps`` intervals."""
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
-    return np.linspace(1.0, 0.0, steps + 1)
+def diffusion(t: float) -> float:
+    """The power-law noise scale g(t) = G_NORM * t**2."""
+    return G_NORM * t**2.0
 
 
 @dataclass(eq=False)
@@ -83,20 +71,24 @@ class StepPlan:
 
     The mode is read here and nowhere else.  Construction derives:
 
+    * ``grid``: the uniform plan grid, ``steps + 1`` times from 1 to 0;
+    * ``src_schedule``: linear, the velocity oracle's interpolant;
+    * ``dst_schedule``, unless given: vp for the converted and matched-grid
+      modes, linear otherwise;
     * ``times[k]``: the latent's own clock at grid point k (the plan grid,
       or the matched source times for the matched-grid modes);
     * ``schedule``: the interpolant in whose coordinates the latent lives;
-    * ``g[i]``: interval i's noise scale, 0 on the final interval and on
-      deterministic plans;
+    * ``g[i]``: interval i's noise scale from ``diffusion``, 0 on the final
+      interval and on linear-ode;
     * ``maps[i]``: interval i's scale-time map from the latent's coordinates
       to the velocity oracle's, None when the latent is in source coordinates.
     """
 
     process: str
-    src_schedule: InterpolantSchedule
-    dst_schedule: InterpolantSchedule
-    diffusion: DiffusionCoefficient
-    grid: np.ndarray
+    steps: int
+    dst_schedule: InterpolantSchedule | None = None
+    src_schedule: InterpolantSchedule = field(init=False, repr=False)
+    grid: np.ndarray = field(init=False, repr=False)
     times: np.ndarray = field(init=False, repr=False)
     schedule: InterpolantSchedule = field(init=False, repr=False)
     g: np.ndarray = field(init=False, repr=False)
@@ -105,17 +97,17 @@ class StepPlan:
     def __post_init__(self) -> None:
         if self.process not in PROCESS_NAMES:
             raise DomainError(f"unknown process: {self.process!r}")
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise DomainError("grid must be a 1-D sequence of at least 2 times")
-        if grid[0] != 1.0 or grid[-1] != 0.0 or np.any(np.diff(grid) >= 0.0):
-            raise DomainError("grid must decrease strictly from 1 to 0")
-        if self.process == "linear-ode" and self.diffusion.norm != 0.0:
-            raise DomainError("linear-ode requires a zero diffusion coefficient")
+        steps = self.steps
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+            raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
         matched = self.process in _MATCHED_GRID
+        self.src_schedule = InterpolantSchedule("linear")
+        if self.dst_schedule is None:
+            converted = self.process in _CONVERTED or matched
+            self.dst_schedule = InterpolantSchedule("vp") if converted else self.src_schedule
         if matched and self.src_schedule == self.dst_schedule:
             raise DomainError(f"{self.process} needs distinct src/dst schedules")
-        self.grid = grid
+        grid = self.grid = np.linspace(1.0, 0.0, steps + 1)
         left = grid[:-1]
         maps = [self.scale_map(s) for s in left]
         if matched:
@@ -127,26 +119,24 @@ class StepPlan:
             self.schedule = self.dst_schedule
             times = list(grid)
         self.maps = tuple(None if self.schedule == self.src_schedule else m for m in maps)
-        if self.process == "linear-sde-adaptive-time":
-            g = [self.diffusion(t) for t in times[:-1]]
+        if self.process == "linear-ode":
+            g = [0.0] * steps
+        elif self.process == "linear-sde-adaptive-time":
+            g = [diffusion(t) for t in times[:-1]]
         elif self.process == "linear-sde-scaled-diffusion":
             # The converted process's noise magnitude in source coordinates.
             g = [
-                self.diffusion(s) / m.c_s * math.sqrt((s - s_next) / (t - t_next))
+                diffusion(s) / m.c_s * math.sqrt((s - s_next) / (t - t_next))
                 for s, s_next, m, t, t_next in zip(left, grid[1:], maps, times, times[1:])
             ]
         else:
-            g = [self.diffusion(s) for s in left]
+            g = [diffusion(s) for s in left]
         # The final interval lands at time 0, where 1/sigma is singular; it
         # is integrated without noise (with g ~ t^2 the discarded noise is
         # O(T_MIN^2)).
         g[-1] = 0.0
         self.times = np.array(times)
         self.g = np.array(g)
-
-    @property
-    def steps(self) -> int:
-        return self.grid.size - 1
 
     def scale_map(self, s: float) -> ScaleTimeMap:
         """Scale-time map from the target to the source interpolant at plan
@@ -155,17 +145,8 @@ class StepPlan:
 
 
 def make_plan(process: str, steps: int) -> StepPlan:
-    """Build a StepPlan with the conventional defaults for each mode."""
-    src = InterpolantSchedule("linear")
-    dst = InterpolantSchedule("vp") if process in _CONVERTED + _MATCHED_GRID else src
-    diffusion = DiffusionCoefficient(0.0) if process == "linear-ode" else DiffusionCoefficient()
-    return StepPlan(
-        process=process,
-        src_schedule=src,
-        dst_schedule=dst,
-        diffusion=diffusion,
-        grid=make_time_grid(steps),
-    )
+    """The plan of ``process`` over ``steps`` uniform intervals."""
+    return StepPlan(process, steps)
 
 
 def score_from_velocity(

@@ -39,7 +39,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -356,6 +355,10 @@ def _records(config: ExperimentConfig, processes, budgets, jobs: int) -> list[Ru
     if workers <= 1:
         records = [_record(configs, t) for t in tasks]
     else:
+        # Imported here, so a run that starts no pool never imports
+        # multiprocessing (about a third of the CLI's import time).
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(configs,)
         ) as pool:

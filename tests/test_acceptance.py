@@ -40,10 +40,8 @@ from flowsearch.analytic_flow import (
     velocity_at,
 )
 from flowsearch.engine import (
-    DiffusionCoefficient,
     StepPlan,
     make_plan,
-    make_time_grid,
     run_process,
     score_from_velocity,
 )
@@ -162,7 +160,7 @@ def test_criterion_03_corollary_score_free_drift():
 def test_criterion_04_identity_conversion():
     start = time.perf_counter()
     sde = make_plan("linear-sde", 10)
-    vp_id = StepPlan("vp-sde", LINEAR, LINEAR, DiffusionCoefficient(), make_time_grid(10))
+    vp_id = StepPlan("vp-sde", 10, LINEAR)
     bitwise = True
     for seed in range(5):
         x1 = streams.stream(seed, streams.INIT).standard_normal(2)

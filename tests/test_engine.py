@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flowsearch import engine
 from flowsearch import rng as streams
 from flowsearch.analytic_flow import (
     GaussianMixtureModel,
@@ -12,12 +13,11 @@ from flowsearch.analytic_flow import (
     velocity_at,
 )
 from flowsearch.engine import (
+    G_NORM,
     PROCESS_NAMES,
-    DiffusionCoefficient,
     StepPlan,
     denoise_interval,
     make_plan,
-    make_time_grid,
     run_process,
     score_from_velocity,
 )
@@ -43,12 +43,6 @@ def oracle(gmm):
 def constant(u):
     """A velocity field that returns ``u`` everywhere."""
     return lambda x, t: u
-
-
-def linear_sde_plan(diffusion=None):
-    """Unconverted reverse SDE (src = dst = linear) on a 10-step grid."""
-    g = DiffusionCoefficient() if diffusion is None else diffusion
-    return StepPlan("linear-sde", LINEAR, LINEAR, g, make_time_grid(10))
 
 
 # On the 10-step grid, interval 5 runs from t = 0.5 to t = 0.4 (up to the
@@ -95,13 +89,14 @@ def test_drift_examples():
     # is recovered as (x - x') / ds
     x = np.array([1.0, 0.0])
     u = np.array([0.7, -0.1])
-    zero = linear_sde_plan(DiffusionCoefficient(0.0))
+    zero = make_plan("linear-ode", 10)
     ds = width(zero, HALF)
     # g = 0: the drift is u itself, bit for bit
     out = denoise_interval(zero, x, HALF, np.ones(2), constant(u))
     np.testing.assert_array_equal(out, x - u * ds)
     # g(0.5) = 0.75; u = 0 gives -(g^2/2) * score = (0.5625, 0)
-    out = denoise_interval(linear_sde_plan(), x, HALF, np.zeros(2), constant(np.zeros(2)))
+    sde = make_plan("linear-sde", 10)
+    out = denoise_interval(sde, x, HALF, np.zeros(2), constant(np.zeros(2)))
     np.testing.assert_allclose((x - out) / ds, [0.5625, 0.0], atol=1e-12)
 
 
@@ -139,8 +134,8 @@ def test_ode_marginal_variance():
 
 
 def test_sde_step_mean_and_variance():
-    plan = linear_sde_plan()
-    diff = plan.diffusion
+    plan = make_plan("linear-sde", 10)
+    diff = engine.diffusion
     x = np.array([1.0, 0.0])
     t = plan.times[HALF]
     ds = width(plan, HALF)
@@ -150,7 +145,7 @@ def test_sde_step_mean_and_variance():
     f = u - 0.5 * diff(t) ** 2 * score_from_velocity(LINEAR, t, x, u)
     np.testing.assert_allclose(out, x - f * ds, atol=1e-15)
     # g = 0, and z None, reduce to the ODE step
-    zero = linear_sde_plan(DiffusionCoefficient(0.0))
+    zero = make_plan("linear-ode", 10)
     out0 = denoise_interval(zero, x, HALF, np.ones(2), oracle(GMM))
     np.testing.assert_allclose(out0, x - u * ds, atol=1e-15)
     flow = denoise_interval(plan, x, HALF, None, oracle(GMM))
@@ -189,7 +184,7 @@ def test_denoise_interval_leaves_the_velocity_result_unchanged(process):
 
 def test_transform_velocity_identity():
     # an identity conversion queries the oracle with its arguments untouched
-    plan = StepPlan("vp-sde", LINEAR, LINEAR, DiffusionCoefficient(0.0), make_time_grid(10))
+    plan = StepPlan("vp-sde", 10, LINEAR)
     x = np.array([0.3, -1.2])
     queries = []
 
@@ -204,38 +199,31 @@ def test_transform_velocity_identity():
 
 
 def test_transform_velocity_vp_closed_form():
-    # for an N(0, I) prior the converted velocity equals the vp closed form;
-    # a probability-flow step s -> 0 is x - u s, so u = (x - x') / s
+    # for an N(0, I) prior the converted velocity equals the vp closed form
+    # at every plan time: a probability-flow step over interval i is
+    # x - u (s_i - s_{i+1}), so u = (x - x') / (s_i - s_{i+1})
     rng = np.random.default_rng(3)
     for _ in range(100):
-        s = rng.uniform(1e-2, 1.0)
+        n = int(rng.integers(1, 201))
+        i = int(rng.integers(n))
         x = rng.normal(size=2)
-        plan = StepPlan("vp-sde", LINEAR, VP, DiffusionCoefficient(), np.array([1.0, s, 0.0]))
-        got = (x - denoise_interval(plan, x, 1, None, oracle(SINGLE))) / s
+        plan = make_plan("vp-sde", n)
+        s, s_next = plan.grid[i], plan.grid[i + 1]
+        got = (x - denoise_interval(plan, x, i, None, oracle(SINGLE))) / (s - s_next)
         alpha, sigma, alpha_dot, sigma_dot = eval_schedule(VP, s)
         want = (alpha_dot * alpha + sigma_dot * sigma) / (alpha**2 + sigma**2) * x
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
-def test_make_time_grid():
-    np.testing.assert_allclose(make_time_grid(10), np.linspace(1.0, 0.0, 11))
-    with pytest.raises(DomainError):
-        make_time_grid(0)
-
-
 def test_step_plan_validation():
     with pytest.raises(DomainError):
-        StepPlan("linear-ode", LINEAR, LINEAR, DiffusionCoefficient(), make_time_grid(10))
+        StepPlan("rbf", 4)
     with pytest.raises(DomainError):
-        StepPlan("rbf", LINEAR, LINEAR, DiffusionCoefficient(), make_time_grid(4))
-    with pytest.raises(DomainError):
-        StepPlan(
-            "linear-sde-adaptive-time", LINEAR, LINEAR, DiffusionCoefficient(), make_time_grid(4)
-        )
-    with pytest.raises(DomainError):
-        StepPlan(
-            "linear-sde", LINEAR, LINEAR, DiffusionCoefficient(), np.array([0.9, 0.5, 0.0])
-        )
+        StepPlan("linear-sde-adaptive-time", 4, LINEAR)
+    # a step count is an integer >= 1; a bool or a float is not one
+    for steps in (0, -3, 2.5, 3.0, True, False, "3", None):
+        with pytest.raises(DomainError):
+            make_plan("vp-sde", steps)
 
 
 def test_stoch_denoise_linear_ode_matches_ode_step():
@@ -264,7 +252,7 @@ def test_stoch_denoise_vp_zero_noise_matches_closed_form():
     u_src = velocity_at(SINGLE, LINEAR, m.t_s, x / m.c_s)
     u_bar = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * u_src
     sc = score_from_velocity(VP, s, x, u_bar)
-    f = u_bar - 0.5 * plan.diffusion(s) ** 2 * sc
+    f = u_bar - 0.5 * engine.diffusion(s) ** 2 * sc
     out = denoise_interval(plan, x, 1, np.zeros(2), oracle(SINGLE))
     np.testing.assert_allclose(out, x - f * 0.1, rtol=1e-12)
 
@@ -276,16 +264,16 @@ def test_scaled_diffusion_inflates_early_noise():
     m = plan.scale_map(g[0])
     dt = width(plan, 0)
     ds = g[0] - g[1]
-    g_scaled = plan.diffusion(g[0]) / m.c_s * np.sqrt(ds / dt)
+    g_scaled = engine.diffusion(g[0]) / m.c_s * np.sqrt(ds / dt)
     assert plan.g[0] == pytest.approx(g_scaled, rel=1e-15)
-    assert g_scaled > plan.diffusion(plan.times[0])
+    assert g_scaled > engine.diffusion(plan.times[0])
     # and the realised one-step noise is correspondingly larger
     x = np.zeros((2, 2))
     z = np.stack([np.zeros(2), np.ones(2)])
     stepped = denoise_interval(plan, x, 0, z, oracle(GMM))
     noise_norm = np.linalg.norm(stepped[1] - stepped[0])
     plain = make_plan("linear-sde-adaptive-time", 10)
-    assert plain.g[0] == plan.diffusion(plan.times[0])
+    assert plain.g[0] == engine.diffusion(plan.times[0])
     stepped_plain = denoise_interval(plain, x, 0, z, oracle(GMM))
     assert noise_norm > np.linalg.norm(stepped_plain[1] - stepped_plain[0])
 
@@ -293,7 +281,7 @@ def test_scaled_diffusion_inflates_early_noise():
 def test_identity_conversion_bitwise():
     # vp-sde plan with dst = src reproduces linear-sde bit for bit
     sde = make_plan("linear-sde", 10)
-    vp_id = StepPlan("vp-sde", LINEAR, LINEAR, DiffusionCoefficient(), make_time_grid(10))
+    vp_id = StepPlan("vp-sde", 10, LINEAR)
     x1 = streams.stream(5, streams.INIT).standard_normal(2)
     xa, _ = run_process(sde, x1, streams.stream(5, streams.PROCESS), oracle(GMM))
     xb, _ = run_process(vp_id, x1, streams.stream(5, streams.PROCESS), oracle(GMM))
@@ -357,7 +345,8 @@ def test_plan_owns_the_latent_clock():
 
 # --- the float-time kernel the index kernel replaced, kept as a reference:
 # it re-derives the latent's clock, coordinates, map and noise scale from
-# the process name and plan-time floats at every step.
+# the process name, plan-time floats and the norm of g(t) = norm * t**2 at
+# every step.
 
 _MATCHED = ("linear-sde-adaptive-time", "linear-sde-scaled-diffusion")
 
@@ -372,11 +361,11 @@ def _ref_latent_time(plan, s):
     return 0.0 if s <= 1e-12 else _ref_scale_map(plan, s).t_s
 
 
-def _ref_noisy(plan, s_right):
-    return s_right > 1e-12 and plan.process != "linear-ode" and plan.diffusion.norm != 0.0
+def _ref_noisy(plan, s_right, g_norm):
+    return s_right > 1e-12 and plan.process != "linear-ode" and g_norm != 0.0
 
 
-def reference_interval(plan, x, s_left, s_right, z, velocity):
+def reference_interval(plan, x, s_left, s_right, z, velocity, g_norm):
     if plan.process in _MATCHED:
         t_left = _ref_latent_time(plan, s_left)
         dt = t_left - _ref_latent_time(plan, s_right)
@@ -392,26 +381,26 @@ def reference_interval(plan, x, s_left, s_right, z, velocity):
         else:
             u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
         sched = plan.dst_schedule
-    if not _ref_noisy(plan, s_right):
+    if not _ref_noisy(plan, s_right, g_norm):
         return x - u * dt
     if plan.process == "linear-sde-adaptive-time":
-        g = plan.diffusion(t_left)
+        g = g_norm * t_left**2.0
     elif plan.process == "linear-sde-scaled-diffusion":
-        g = plan.diffusion(s_left) / _ref_scale_map(plan, s_left).c_s * math.sqrt(
+        g = g_norm * s_left**2.0 / _ref_scale_map(plan, s_left).c_s * math.sqrt(
             (s_left - s_right) / dt
         )
     else:
-        g = plan.diffusion(s_left)
+        g = g_norm * s_left**2.0
     f = u - 0.5 * g * g * score_from_velocity(sched, t_eval, x, u)
     return x - f * dt + g * math.sqrt(dt) * z
 
 
-def reference_run(plan, x1, rng, velocity):
+def reference_run(plan, x1, rng, velocity, g_norm=G_NORM):
     x = np.asarray(x1, dtype=float)
     grid = plan.grid
     for i in range(plan.steps):
-        z = rng.standard_normal(x.shape) if _ref_noisy(plan, grid[i + 1]) else None
-        x = reference_interval(plan, x, grid[i], grid[i + 1], z, velocity)
+        z = rng.standard_normal(x.shape) if _ref_noisy(plan, grid[i + 1], g_norm) else None
+        x = reference_interval(plan, x, grid[i], grid[i + 1], z, velocity, g_norm)
     return x, plan.steps
 
 
@@ -514,18 +503,34 @@ PLAN_PINS = {
 }
 
 
+# make_plan(p, 1): g is [0], and the matched-grid modes start at the source
+# time matched to 1.
+ONE_STEP_PINS = {
+    "linear-ode": ("0x1.0000000000000p+0 0x0.0p+0", "0x0.0p+0", (None,)),
+    "linear-sde": ("0x1.0000000000000p+0 0x0.0p+0", "0x0.0p+0", (None,)),
+    "linear-sde-adaptive-time": ("0x1.fca8410f9f5c4p-1 0x0.0p+0", "0x0.0p+0", (None,)),
+    "linear-sde-scaled-diffusion": ("0x1.fca8410f9f5c4p-1 0x0.0p+0", "0x0.0p+0", (None,)),
+    "vp-sde": (
+        "0x1.0000000000000p+0 0x0.0p+0",
+        "0x0.0p+0",
+        ("0x1.fca8410f9f5c4p-1 0x1.01ad42a763284p+0 0x1.09afa50ac37f5p-4 -0x1.0b673bcef521bp-4",),
+    ),
+}
+
+
 def _hexes(values):
     return [float(v).hex() for v in values]
 
 
 @pytest.mark.parametrize("process", PROCESS_NAMES)
 def test_production_plans_pinned_bitwise(process):
-    times, g, maps = PLAN_PINS[process]
-    plan = make_plan(process, 10)
-    assert _hexes(plan.times) == times.split()
-    assert _hexes(plan.g) == g.split()
-    got = [None if m is None else _hexes((m.t_s, m.c_s, m.t_dot, m.c_dot)) for m in plan.maps]
-    assert got == [None if m is None else m.split() for m in maps]
+    for steps, pins in ((10, PLAN_PINS), (1, ONE_STEP_PINS)):
+        times, g, maps = pins[process]
+        plan = make_plan(process, steps)
+        assert _hexes(plan.times) == times.split()
+        assert _hexes(plan.g) == g.split()
+        got = [None if m is None else _hexes((m.t_s, m.c_s, m.t_dot, m.c_dot)) for m in plan.maps]
+        assert got == [None if m is None else m.split() for m in maps]
 
 
 def _trajectories_equal(a, b):
@@ -541,9 +546,7 @@ def _trajectories_equal(a, b):
 def test_index_kernel_matches_float_time_reference_bitwise(process, steps):
     plan = make_plan(process, steps)
     _trajectories_equal(_queried_run(run_process, plan), _queried_run(reference_run, plan))
-    # z None is the probability-flow step of the zero-diffusion twin plan
-    twin = StepPlan(process, plan.src_schedule, plan.dst_schedule,
-                    DiffusionCoefficient(0.0), plan.grid)
+    # z None is the probability-flow step: the reference with g = 0
 
     def flow(plan, x1, rng, velocity):
         x = np.asarray(x1, dtype=float)
@@ -551,4 +554,7 @@ def test_index_kernel_matches_float_time_reference_bitwise(process, steps):
             x = denoise_interval(plan, x, i, None, velocity)
         return x, plan.steps
 
-    _trajectories_equal(_queried_run(flow, plan), _queried_run(reference_run, twin))
+    def zero_g(plan, x1, rng, velocity):
+        return reference_run(plan, x1, rng, velocity, g_norm=0.0)
+
+    _trajectories_equal(_queried_run(flow, plan), _queried_run(zero_g, plan))

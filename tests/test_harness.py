@@ -399,6 +399,7 @@ def test_cli_resolves_the_output_path_before_running(tmp_path, monkeypatch, caps
 
 def test_pool_is_sized_by_tasks_and_cores(monkeypatch):
     # a spy stands in for the pool: no worker process is started
+    import concurrent.futures
     import os
 
     from flowsearch import harness
@@ -419,7 +420,7 @@ def test_pool_is_sized_by_tasks_and_cores(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
     monkeypatch.setattr(harness, "_WORKER_CONFIGS", {})
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert len(run_table(small_config(seeds=[0]), jobs=64)) == 1
@@ -431,6 +432,14 @@ def test_pool_is_sized_by_tasks_and_cores(monkeypatch):
     for jobs in (0, -5):
         with pytest.raises(ConfigError):
             run_table(small_config(seeds=[0]), jobs=jobs)
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported only by a run that starts one
+    code = "import sys, flowsearch.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_seed_offset(tmp_path):

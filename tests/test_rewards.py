@@ -124,10 +124,9 @@ def test_guided_drift_tilts_toward_rare_mode():
     # directional property: guidance raises the rare-mode responsibility of
     # the one-step proposal mean versus the unguided drift
     from flowsearch.analytic_flow import _at_time, _columns, _responsibilities
-    from flowsearch.engine import DiffusionCoefficient
+    from flowsearch.engine import diffusion
 
     spec = rare_mode_reward(GMM)
-    diff = DiffusionCoefficient()
     t, dt = 0.5, 0.1
     rng = np.random.default_rng(2)
     wins = 0
@@ -136,7 +135,7 @@ def test_guided_drift_tilts_toward_rare_mode():
     from flowsearch.analytic_flow import velocity_at
 
     at = _at_time(GMM, LINEAR, t - dt)
-    g = diff(t)
+    g = diffusion(t)
     for x in xs:
         u = velocity_at(GMM, LINEAR, t, x)
         plain = u - 0.5 * g * g * score_at(GMM, LINEAR, t, x)
