@@ -13,9 +13,10 @@ the N rows of ``x`` are read as d contiguous columns of length N, and every
 per-component quantity is a ``(K, N)`` array, or ``(d, K, N)`` per
 coordinate.  d and K are tiny and N may be 10^5, so each numpy operation
 is a pass along the rows, never a reduction over a trailing axis of size d
-or K.  Sums over d add their terms left to right, and numpy adds fewer
-than 8 terms over K the same way, so for K < 8 each row's result depends
-on that row alone, bit for bit, whatever the batch's shape.  Temporaries
+or K.  Sums over d and over K add their terms left to right (numpy's
+reduce would sum 8 or more contiguous terms pairwise, and a one-row call's
+K terms are contiguous), so each row's result depends on that row alone,
+bit for bit, whatever the batch's shape.  Temporaries
 are updated in place, which keeps a call's peak allocation down.  Mixture
 responsibilities are a max-shifted softmax of the log joint; far from a
 mode the naive ratio of densities underflows and corrupts scores.
@@ -85,12 +86,6 @@ class GaussianMixtureModel:
     @property
     def n_components(self) -> int:
         return self.weights.size
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` exact samples from the mixture."""
-        comps = rng.choice(self.n_components, size=n, p=self.weights)
-        eps = rng.standard_normal((n, self.dim))
-        return self.means[comps] + np.sqrt(self.variances[comps]) * eps
 
 
 def default_benchmark_gmm() -> GaussianMixtureModel:
@@ -189,21 +184,25 @@ def _responsibilities(at: _AtTime, cols: np.ndarray) -> np.ndarray:
     e = _component_log_joint(at, cols)
     e -= np.maximum.reduce(e, axis=0)
     np.exp(e, out=e)
-    inv = np.add.reduce(e, axis=0)
+    inv = e[0].copy()
+    for term in e[1:]:
+        inv += term
     np.reciprocal(inv, out=inv)
     e *= inv
     return e
 
 
 def _mix(resp: np.ndarray, per_comp: np.ndarray) -> np.ndarray:
-    """sum_k resp[k] * per_comp[:, k] as (N, d) rows.
+    """sum_k resp[k] * per_comp[:, k] as (N, d) rows, summed over k left
+    to right.
 
     ``resp`` is (K, N); the (d, K, N) ``per_comp`` is overwritten."""
     per_comp *= resp
-    d, _, n = per_comp.shape
-    rows = np.empty((n, d))
-    np.add.reduce(per_comp, axis=1, out=rows.T)
-    return rows
+    terms = per_comp.swapaxes(0, 1)  # (K, d, N)
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total.T.copy()
 
 
 def score_at(

@@ -20,7 +20,8 @@ A plan is its process and its step count: ``StepPlan(process, steps)``
 derives the uniform grid, the interpolants and the noise scale, and works
 out per grid point and interval the latent's own time, its coordinates,
 the noise scale and the scale-time map, so nothing downstream reads the
-process name.
+process name.  Its arrays are read-only, and ``make_plan`` hands out one
+shared plan per ``(process, steps)``.
 ``denoise_interval(plan, x, i, z, velocity)`` is the single stepping
 kernel: ``run_process``, the samplers and the diversity protocol all
 advance latents through it by interval index.  It makes one velocity-oracle
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,6 +139,8 @@ class StepPlan:
         g[-1] = 0.0
         self.times = np.array(times)
         self.g = np.array(g)
+        for arr in (self.grid, self.times, self.g):
+            arr.flags.writeable = False
 
     def scale_map(self, s: float) -> ScaleTimeMap:
         """Scale-time map from the target to the source interpolant at plan
@@ -144,8 +148,12 @@ class StepPlan:
         return scale_time_transform(self.src_schedule, self.dst_schedule, max(s, T_MIN))
 
 
+# Typed, so make_plan("vp-sde", 3.0) or (..., True) reaches StepPlan's
+# validation instead of hitting the entry for 3 or 1 steps.
+@lru_cache(maxsize=16, typed=True)
 def make_plan(process: str, steps: int) -> StepPlan:
-    """The plan of ``process`` over ``steps`` uniform intervals."""
+    """The plan of ``process`` over ``steps`` uniform intervals, one shared
+    object per ``(process, steps)``."""
     return StepPlan(process, steps)
 
 

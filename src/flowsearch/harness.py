@@ -274,17 +274,12 @@ def branched_proposals(plan: StepPlan, gmm: GaussianMixtureModel, seed: int) -> 
     the endpoints, shape (DIVERSITY_BRANCHES, dim).
     """
     velocity = lambda x, t: velocity_at(gmm, plan.src_schedule, t, x)
-    x1 = streams.stream(seed, streams.DIVERSITY, 0).standard_normal(gmm.dim)
+    x1 = streams.normals(seed, (streams.DIVERSITY, 0), (gmm.dim,))
     xs = np.tile(x1, (DIVERSITY_BRANCHES, 1))
     for i in range(plan.steps):
         z = None
         if plan.g[i]:
-            z = np.stack(
-                [
-                    streams.stream(seed, streams.DIVERSITY, i + 1, j).standard_normal(gmm.dim)
-                    for j in range(DIVERSITY_BRANCHES)
-                ]
-            )
+            z = streams.branch_normals(seed, (streams.DIVERSITY, i + 1), DIVERSITY_BRANCHES, gmm.dim)
         xs = denoise_interval(plan, xs, i, z, velocity)
     return xs
 
@@ -396,7 +391,13 @@ def diversity_record(config: ExperimentConfig, seed: int) -> RunRecord:
     """Diversity-only record: no sampler run; best_reward is the best branch.
 
     It runs ``branched_proposals`` itself, past ``_protocol_diversity``'s
-    cache, because its ``wall_ms`` is the protocol's own time."""
+    cache, because its ``wall_ms`` is the protocol's own time.  That time
+    leaves out drawing the noise when the ``rng`` memo still holds the
+    seed's blocks: the protocol's keys name no process, so in seed-major
+    in-process use every process after the first finds them there.  The
+    CLI's tables run process-major, so a seed comes back only after every
+    other seed, and only a table of about 20 seeds or fewer still finds its
+    blocks."""
     plan = make_plan(config.process, config.steps)
     start = time.perf_counter()
     endpoints = branched_proposals(plan, config.gmm, seed)

@@ -151,7 +151,7 @@ class _Runner:
 
     def initials(self, count: int) -> np.ndarray:
         """Initial latents: the first ``count`` rows of the run's INIT block."""
-        return streams.stream(self.seed, streams.INIT).standard_normal((count, self.gmm.dim))
+        return streams.normals(self.seed, (streams.INIT,), (count, self.gmm.dim))
 
     def noise(self, i: int, batch: int, count: int) -> np.ndarray | None:
         """Proposal noise of ``batch`` on grid interval i, one ``(count, d)``
@@ -159,9 +159,7 @@ class _Runner:
         no noise."""
         if not self.plan.g[i]:
             return None
-        return streams.stream(self.seed, streams.PROPOSAL, i, batch).standard_normal(
-            (count, self.gmm.dim)
-        )
+        return streams.normals(self.seed, (streams.PROPOSAL, i, batch), (count, self.gmm.dim))
 
     def batch_noise(self, i: int, batches: int, count: int) -> np.ndarray | None:
         """Noise of batches 0..batches-1 on interval i as ``(batches, count, d)``."""
@@ -283,9 +281,7 @@ def search_over_paths(
         finish_after = n_keep * (steps - (fwd_idx + db))
         if budget.remaining < cost + finish_after:
             break
-        zeta = streams.stream(seed, streams.FORWARD, round_no).standard_normal(
-            (n_keep * k_branch, gmm.dim)
-        )
+        zeta = streams.normals(seed, (streams.FORWARD, round_no), (n_keep * k_branch, gmm.dim))
         branched = zeta  # at the noise end the branches are fresh latents
         if idx:
             branched = _forward_noise(plan, np.repeat(x, k_branch, axis=0), idx, zeta)

@@ -45,7 +45,9 @@ def marginal_log_density(gmm, sched, t, x):
 def sample_interpolant(gmm, sched, t, n, rng):
     """Exact samples of the time-t marginal: alpha x0 + sigma x1."""
     alpha, sigma, _, _ = eval_schedule(sched, t)
-    x0 = gmm.sample(n, rng)
+    comps = rng.choice(gmm.n_components, size=n, p=gmm.weights)
+    eps = rng.standard_normal((n, gmm.dim))
+    x0 = gmm.means[comps] + np.sqrt(gmm.variances[comps]) * eps
     x1 = rng.standard_normal((n, gmm.dim))
     return alpha * x0 + sigma * x1
 
@@ -344,25 +346,37 @@ def _ref_marginal(gmm, sched, t, dtype):
     return coeffs, _RefMarginal(weights, alpha * means, alpha * alpha * variances + sigma * sigma)
 
 
-def _ref_log_joint(params, x):
+class _RefTerms(NamedTuple):
+    """The x-dependent pieces at one (gmm, sched, t, x) in one dtype: the
+    reference oracle and the rounding scale both read them."""
+
+    coeffs: tuple            # eval_schedule(sched, t) in dtype
+    params: _RefMarginal
+    x: np.ndarray            # (..., d)
+    diff: np.ndarray         # x - alpha mu_k, (..., K, d)
+    quad: np.ndarray         # (..., K)
+    log_joint: np.ndarray    # (..., K)
+    resp: np.ndarray         # (..., K, 1)
+
+
+def _ref_terms(gmm, sched, t, x, dtype=float):
+    x = np.asarray(x, dtype)
+    coeffs, params = _ref_marginal(gmm, sched, t, dtype)
     var = params.variances_t
     log_norm = 0.5 * np.sum(np.log(var), axis=-1) + 0.5 * var.shape[-1] * np.log(2.0 * np.pi)
     diff = x[..., None, :] - params.means_t
-    quad = np.sum(diff * diff / params.variances_t, axis=-1)
-    return (np.log(params.weights) - log_norm) - 0.5 * quad
+    quad = np.sum(diff * diff / var, axis=-1)
+    log_joint = (np.log(params.weights) - log_norm) - 0.5 * quad
+    resp = np.exp(log_joint - _ref_logsumexp(log_joint))[..., :, None]
+    return _RefTerms(coeffs, params, x, diff, quad, log_joint, resp)
 
 
-def _ref_responsibilities(params, x):
-    log_joint = _ref_log_joint(params, x)
-    return np.exp(log_joint - _ref_logsumexp(log_joint))
-
-
-def _ref_oracle(gmm, sched, t, x, dtype=float):
+def _ref_oracle(gmm, terms):
     """(velocity, posterior mean, score) at one (t, x), from one set of
     responsibilities."""
-    x = np.asarray(x, dtype)
-    (alpha, sigma, alpha_dot, sigma_dot), params = _ref_marginal(gmm, sched, t, dtype)
-    resp = _ref_responsibilities(params, x)[..., :, None]
+    alpha, sigma, alpha_dot, sigma_dot = terms.coeffs
+    params, x, resp = terms.params, terms.x, terms.resp
+    dtype = x.dtype
     per_comp = (params.means_t - x[..., None, :]) / params.variances_t
     score = np.sum(resp * per_comp, axis=-2)
     if sigma == 0.0:
@@ -376,7 +390,7 @@ def _ref_oracle(gmm, sched, t, x, dtype=float):
 
 
 def _ref_mode_assignments(gmm, x):
-    return np.argmax(_ref_log_joint(_ref_marginal(gmm, LINEAR, 0.0, float)[1], x), axis=-1)
+    return np.argmax(_ref_terms(gmm, LINEAR, 0.0, x).log_joint, axis=-1)
 
 
 def _assert_same(got, want, equal_nan=False):
@@ -384,7 +398,7 @@ def _assert_same(got, want, equal_nan=False):
     assert np.array_equal(got, want, equal_nan=equal_nan)
 
 
-def _rounding_scale(gmm, sched, t, x):
+def _rounding_scale(gmm, terms):
     """Per entry of (velocity, posterior mean, score), in long double, the
     scale at which float64 rounding enters their formulas to first order.
 
@@ -393,14 +407,10 @@ def _rounding_scale(gmm, sched, t, x):
     a few ulps of its own size (and of its quadratic form's) and an error
     there moves r_k relatively by as much; the velocity scales the
     posterior mean's by its coefficients, with the 1/sigma of x1_hat.
-    An error of a few ulps of this scale is rounding, not a fault."""
-    x = np.asarray(x, np.longdouble)
-    (alpha, sigma, alpha_dot, sigma_dot), params = _ref_marginal(gmm, sched, t, np.longdouble)
+    An error of a few ulps of this scale is rounding, not a fault.
+    ``terms`` are the long-double ``_ref_terms``."""
+    (alpha, sigma, alpha_dot, sigma_dot), params, x, diff, quad, log_joint, resp = terms
     means, variances = (np.asarray(a, np.longdouble) for a in (gmm.means, gmm.variances))
-    diff = x[..., None, :] - params.means_t
-    quad = np.sum(diff * diff / params.variances_t, axis=-1)
-    log_joint = _ref_log_joint(params, x)
-    resp = np.exp(log_joint - _ref_logsumexp(log_joint))[..., :, None]
     size = (np.abs(log_joint) + 0.5 * quad)[..., :, None]
 
     def mixed(per_comp, pieces):
@@ -464,9 +474,9 @@ def test_component_major_oracle_as_accurate_as_row_major_reference(sched):
             if shape[0] == 100_000:
                 times = (0.05, 0.9)  # keeps the test to a few seconds
             for t in times:
-                checks = zip(oracles, _ref_oracle(gmm, sched, t, x),
-                             _ref_oracle(gmm, sched, t, x, np.longdouble),
-                             _rounding_scale(gmm, sched, t, x))
+                long_terms = _ref_terms(gmm, sched, t, x, np.longdouble)
+                checks = zip(oracles, _ref_oracle(gmm, _ref_terms(gmm, sched, t, x)),
+                             _ref_oracle(gmm, long_terms), _rounding_scale(gmm, long_terms))
                 for oracle, ref, exact, scale in checks:
                     if t < 1.0 or oracle is velocity_at:
                         _assert_as_accurate(oracle(gmm, sched, t, x), ref, exact, scale)
@@ -487,6 +497,20 @@ def test_component_major_oracle_as_accurate_as_row_major_reference(sched):
                     assert np.isnan(got[1]).all() and np.isfinite(got[[0, 2]]).all()
 
 
+def _many_modes(k):
+    """K modes in 2-D with unequal weights and variances."""
+    rng = np.random.default_rng(k)
+    w = rng.uniform(0.5, 1.5, k)
+    return GaussianMixtureModel(w / w.sum(), rng.normal(scale=4.0, size=(k, 2)),
+                                rng.uniform(0.5, 2.0, (k, 2)))
+
+
+# numpy's reduce sums 8 or more contiguous terms pairwise, and a one-row
+# call's K terms are contiguous, so with K >= 8 a K-sum by np.add.reduce
+# rounds a one-row call differently from a batch.
+MANY_MODES = [_many_modes(k) for k in (8, 9, 16, 33)]
+
+
 @pytest.mark.parametrize("sched", [LINEAR, VP], ids=["linear", "vp"])
 def test_oracle_rows_are_independent_bitwise(sched):
     # A row's velocity, posterior mean and value do not depend on the other
@@ -496,8 +520,10 @@ def test_oracle_rows_are_independent_bitwise(sched):
     from flowsearch.rewards import estimate_value, rare_mode_reward, ring_reward, target_point_reward
 
     rng = np.random.default_rng(11)
-    for gmm, n in itertools.product((default_benchmark_gmm(), WIDE),
-                                    (1, 2, 7, 8, 9, 16, 17, 25, 213, 501)):
+    cases = [*itertools.product((default_benchmark_gmm(), WIDE),
+                                (1, 2, 7, 8, 9, 16, 17, 25, 213, 501)),
+             *itertools.product(MANY_MODES, (2, 9))]
+    for gmm, n in cases:
         rewards = (rare_mode_reward(gmm), ring_reward(2.0), target_point_reward(np.ones(gmm.dim)))
         x = rng.normal(scale=4.0, size=(n, gmm.dim))
         for t in (0.0, T_MIN, 0.1, 0.37, 0.9, 1.0 - T_MIN):

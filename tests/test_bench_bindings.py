@@ -28,3 +28,26 @@ def test_benchmark_bound_names_resolve():
             target = getattr(target, part, None)
             assert target is not None, f"flowsearch.{module}.{attr} is gone"
         assert callable(target), f"flowsearch.{module}.{attr} is not callable"
+
+
+def _module_bindings() -> dict:
+    import sys
+
+    return {(name, key): id(value) for name, module in list(sys.modules.items())
+            if name == "flowsearch" or name.startswith("flowsearch.")
+            for key, value in vars(module).items()}
+
+
+def test_a_run_rebinds_no_module_name():
+    # The traced benchmark checks that every name of every flowsearch module
+    # is bound to the same object after a run as before it (so that its
+    # wrappers were undone).  Module state must be mutated in place, never
+    # rebound: a global counter would fail that check on every run.
+    from flowsearch import harness
+
+    before = _module_bindings()
+    config = harness.load_config({"sampler": "smc", "nfe": 40, "steps": 4, "seeds": [0, 1]})
+    harness.run_table(config)
+    harness.diversity_table(config)
+    now = _module_bindings()
+    assert [key for key, value in before.items() if now.get(key) != value] == []

@@ -226,6 +226,21 @@ def test_step_plan_validation():
             make_plan("vp-sde", steps)
 
 
+def test_make_plan_shares_one_read_only_plan_per_process_and_steps():
+    for process in PROCESS_NAMES:
+        plan = make_plan(process, 7)
+        assert make_plan(process, 7) is plan
+        assert make_plan(process, 8) is not plan
+        for arr in (plan.grid, plan.times, plan.g):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+    # A cached entry never stands in for a malformed step count equal to it.
+    make_plan("vp-sde", 3), make_plan("vp-sde", 1)
+    for steps in (3.0, True):
+        with pytest.raises(DomainError):
+            make_plan("vp-sde", steps)
+
+
 def test_stoch_denoise_linear_ode_matches_ode_step():
     plan = make_plan("linear-ode", 10)
     x = np.array([0.4, -0.9])
