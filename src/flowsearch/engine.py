@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import DomainError
 from .interpolants import (
+    SOURCE,
     T_MIN,
     InterpolantSchedule,
     ScaleTimeMap,
@@ -74,7 +75,7 @@ class StepPlan:
     The mode is read here and nowhere else.  Construction derives:
 
     * ``grid``: the uniform plan grid, ``steps + 1`` times from 1 to 0;
-    * ``src_schedule``: linear, the velocity oracle's interpolant;
+    * ``src_schedule``: ``SOURCE``, the velocity oracle's linear interpolant;
     * ``dst_schedule``, unless given: vp for the converted and matched-grid
       modes, linear otherwise;
     * ``times[k]``: the latent's own clock at grid point k (the plan grid,
@@ -103,7 +104,7 @@ class StepPlan:
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
             raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
         matched = self.process in _MATCHED_GRID
-        self.src_schedule = InterpolantSchedule("linear")
+        self.src_schedule = SOURCE
         if self.dst_schedule is None:
             converted = self.process in _CONVERTED or matched
             self.dst_schedule = InterpolantSchedule("vp") if converted else self.src_schedule
@@ -145,7 +146,7 @@ class StepPlan:
     def scale_map(self, s: float) -> ScaleTimeMap:
         """Scale-time map from the target to the source interpolant at plan
         time ``s`` (clamped to T_MIN)."""
-        return scale_time_transform(self.src_schedule, self.dst_schedule, max(s, T_MIN))
+        return scale_time_transform(self.dst_schedule, max(s, T_MIN))
 
 
 # Typed, so make_plan("vp-sde", 3.0) or (..., True) reaches StepPlan's

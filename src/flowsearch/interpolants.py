@@ -1,4 +1,4 @@
-"""Interpolant schedules and the scale-time map between two interpolants.
+"""Interpolant schedules and the scale-time map onto the linear source.
 
 An interpolant is the coefficient pair ``(alpha_t, sigma_t)`` of the bridge
 ``x_t = alpha_t * x0 + sigma_t * x1`` between data (t=0) and noise (t=1).
@@ -10,10 +10,11 @@ Two instances are provided:
   the standard affine schedule ``beta(s) = beta_min + (beta_max - beta_min)
   * s``, ``beta_min = 0.1`` and ``beta_max = 20``.
 
+The velocity oracle's interpolant is always linear: that is ``SOURCE``.
 The scale-time transform matches a time ``s`` of a target interpolant to the
-time ``t_s`` of a source interpolant with equal signal-to-noise ratio, plus
-the scale ``c_s`` and the derivatives needed to transport a velocity field
-from one interpolant to the other.
+source time ``t_s`` with equal signal-to-noise ratio, plus the scale ``c_s``
+and the derivatives needed to transport the source velocity field onto the
+target interpolant.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ VP_BETA_MAX = 20.0
 class InterpolantSchedule:
     """One interpolant: ``kind`` is ``"linear"`` or ``"vp"``.
 
-    Instances compare by value; equal source and target schedules are the
-    identity conversion.
+    Instances compare by value.
     """
 
     kind: str
@@ -46,6 +46,10 @@ class InterpolantSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "vp"):
             raise DomainError(f"unknown interpolant kind: {self.kind!r}")
+
+
+# The source interpolant: the one the velocity oracle is trained on.
+SOURCE = InterpolantSchedule("linear")
 
 
 def vp_schedule() -> InterpolantSchedule:
@@ -78,41 +82,10 @@ def eval_schedule(sched: InterpolantSchedule, t: float) -> tuple[float, float, f
     return alpha, sigma, alpha_dot, sigma_dot
 
 
-def snr_ratio(sched: InterpolantSchedule, t: float) -> float:
-    """The signal-to-noise ratio ``alpha_t / sigma_t`` (t >= T_MIN)."""
-    if t < T_MIN or t > 1.0:
-        raise DomainError(f"snr ratio needs t in [{T_MIN}, 1], got {t}")
-    alpha, sigma, _, _ = eval_schedule(sched, t)
-    return alpha / sigma
-
-
-def snr_time_inverse(sched: InterpolantSchedule, ratio: float) -> float:
-    """Return the time ``t`` with ``alpha_t / sigma_t == ratio``.
-
-    The ratio must lie in the range the schedule attains on [T_MIN, 1].
-    Both kinds are inverted in closed form.
-    """
-    if not math.isfinite(ratio) or ratio < 0.0:
-        raise DomainError(f"snr ratio must be finite and >= 0, got {ratio}")
-    lo_ratio = snr_ratio(sched, 1.0)
-    hi_ratio = snr_ratio(sched, T_MIN)
-    if not lo_ratio <= ratio <= hi_ratio:
-        raise DomainError(
-            f"ratio {ratio} outside attainable range [{lo_ratio}, {hi_ratio}]"
-        )
-    if sched.kind == "linear":
-        # (1 - t)/t = ratio
-        return 1.0 / (1.0 + ratio)
-    # alpha^2/sigma^2 = ratio^2 gives B(t) = log1p(1/ratio^2); the positive
-    # root of the quadratic B(t), written without cancellation.
-    big_b = math.log1p(1.0 / (ratio * ratio))
-    bmin, bmax = VP_BETA_MIN, VP_BETA_MAX
-    return 2.0 * big_b / (bmin + math.sqrt(bmin * bmin + 2.0 * (bmax - bmin) * big_b))
-
-
 @dataclass(frozen=True)
 class ScaleTimeMap:
-    """The matched time/scale pair between two interpolants at target time s.
+    """The matched time/scale pair from a target interpolant's time s onto
+    ``SOURCE``.
 
     ``t_s`` is the source time with equal SNR, ``c_s = sigma_bar_s /
     sigma_{t_s}`` the spatial scale, and ``t_dot``/``c_dot`` their time
@@ -125,23 +98,24 @@ class ScaleTimeMap:
     c_dot: float
 
 
-def scale_time_transform(
-    src: InterpolantSchedule, dst: InterpolantSchedule, s: float
-) -> ScaleTimeMap:
-    """Map target-interpolant time ``s`` onto the source interpolant.
+def scale_time_transform(dst: InterpolantSchedule, s: float) -> ScaleTimeMap:
+    """Map time ``s`` of the target interpolant ``dst`` onto ``SOURCE``.
 
-    When the two schedules are identical the exact identity map is returned,
-    so that converted processes reproduce unconverted ones bit for bit.
+    A linear target returns the exact identity map, which only direct
+    callers see: a plan whose latent lives in source coordinates applies no
+    map at all (``StepPlan`` leaves its ``maps[i]`` None), and that is why
+    converted processes reproduce unconverted ones bit for bit.
     """
     if s < T_MIN:
         raise DomainError(f"scale-time transform needs s >= {T_MIN}, got {s}")
     if s > 1.0:
         raise DomainError(f"scale-time transform needs s <= 1, got {s}")
-    if src == dst:
+    if dst.kind == "linear":
         return ScaleTimeMap(t_s=s, c_s=1.0, t_dot=1.0, c_dot=0.0)
     a_bar, s_bar, a_bar_dot, s_bar_dot = eval_schedule(dst, s)
-    t_s = snr_time_inverse(src, a_bar / s_bar)
-    alpha, sigma, alpha_dot, sigma_dot = eval_schedule(src, t_s)
+    # The linear source's SNR (1 - t)/t equals a_bar/s_bar at this time.
+    t_s = 1.0 / (1.0 + a_bar / s_bar)
+    alpha, sigma, alpha_dot, sigma_dot = eval_schedule(SOURCE, t_s)
     c_s = s_bar / sigma
     t_dot = (sigma * sigma * (s_bar * a_bar_dot - a_bar * s_bar_dot)) / (
         s_bar * s_bar * (sigma * alpha_dot - alpha * sigma_dot)

@@ -115,8 +115,6 @@ def resample_multinomial(weights, n: int, rng: np.random.Generator) -> np.ndarra
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0.0) or w.sum() == 0.0:
         raise DomainError("weights must be nonnegative with positive sum")
-    if n == 0:
-        return np.empty(0, dtype=int)
     return rng.choice(w.size, size=n, p=w / w.sum())
 
 

@@ -169,7 +169,7 @@ def test_criterion_04_identity_conversion():
         bitwise &= bool(np.array_equal(xa, xb))
     worst_field = 0.0
     for s in np.linspace(1e-3, 1.0, 1000):
-        m = scale_time_transform(LINEAR, LINEAR, float(s))
+        m = scale_time_transform(LINEAR, float(s))
         worst_field = max(
             worst_field, abs(m.t_s - s), abs(m.c_s - 1.0), abs(m.t_dot - 1.0), abs(m.c_dot)
         )

@@ -1,18 +1,21 @@
-"""The names the benchmark's tracer binds must exist in ``flowsearch``.
+"""The names the benchmark uses must exist in ``flowsearch``.
 
 ``bench/spans.py`` wraps each function named in ``FUNCTION_SPANS`` (and
-``StepPlan.scale_map``) by ``getattr``, and the benchmark's checks call
-``RunRecord.validate``; a refactor that drops one of these names breaks
-every traced benchmark run.  Skipped when ``bench/`` is not present.
+``StepPlan.scale_map``) by ``getattr``, the benchmark's checks call
+``RunRecord.validate``, and the benchmark's modules read module attributes
+through ``from flowsearch import ...``; a refactor that drops one of these
+names breaks every benchmark run.  Skipped when ``bench/`` is not present.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 @pytest.mark.skipif(not SPANS.is_file(), reason="bench/ is not present")
@@ -28,6 +31,31 @@ def test_benchmark_bound_names_resolve():
             target = getattr(target, part, None)
             assert target is not None, f"flowsearch.{module}.{attr} is gone"
         assert callable(target), f"flowsearch.{module}.{attr} is not callable"
+
+
+def _bench_module_attributes() -> set:
+    """Every ``(module, attribute)`` that ``bench/*.py`` reads as
+    ``alias.attribute`` after ``from flowsearch import module as alias``."""
+    found = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "flowsearch"
+                   for alias in node.names}
+        found |= {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases}
+    return found
+
+
+@pytest.mark.skipif(not BENCH.is_dir(), reason="bench/ is not present")
+def test_benchmark_module_attributes_resolve():
+    used = _bench_module_attributes()
+    assert ("interpolants", "vp_schedule") in used and ("rng", "PROCESS") in used
+    missing = [f"flowsearch.{module}.{attr}" for module, attr in sorted(used)
+               if not hasattr(importlib.import_module(f"flowsearch.{module}"), attr)]
+    assert missing == []
 
 
 def _module_bindings() -> dict:

@@ -263,7 +263,7 @@ def test_stoch_denoise_vp_zero_noise_matches_closed_form():
     plan = make_plan("vp-sde", 10)
     x = np.array([0.8, 0.5])
     s = 0.9
-    m = scale_time_transform(LINEAR, VP, s)
+    m = scale_time_transform(VP, s)
     u_src = velocity_at(SINGLE, LINEAR, m.t_s, x / m.c_s)
     u_bar = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * u_src
     sc = score_from_velocity(VP, s, x, u_bar)
@@ -341,6 +341,51 @@ def test_marginal_mode_weights(process):
     assert np.all(np.abs(counts - GMM.weights) < 0.02)
 
 
+N41 = GaussianMixtureModel([1.0], [[4.0]], [[1.0]])
+
+# The exact endpoint law (mean, variance) of each plan from N(0, 1) noise to
+# the data law N(4, 1), at 10 and 200 steps.  The linear-clock modes keep the
+# mean at 4; the three vp-clock modes (matched grid or converted) miss it.
+ENDPOINT_LAW = {
+    ("linear-ode", 10): (4.0000000000, 0.7726135376),
+    ("linear-sde", 10): (4.0000000000, 0.9862091391),
+    ("linear-sde-adaptive-time", 10): (3.9960702471, 0.8551413740),
+    ("linear-sde-scaled-diffusion", 10): (3.9947021125, 0.8051378901),
+    ("vp-sde", 10): (4.0022569536, 1.1160457279),
+    ("linear-ode", 200): (4.0000000000, 0.9872281678),
+    ("linear-sde", 200): (4.0000000000, 0.9974627531),
+    ("linear-sde-adaptive-time", 200): (3.9923344729, 0.9912496719),
+    ("linear-sde-scaled-diffusion", 200): (3.9896042737, 0.9893049033),
+    ("vp-sde", 200): (3.9916940070, 1.0039998595),
+}
+
+
+def endpoint_law(plan):
+    """Mean and variance of the endpoint, propagated exactly.
+
+    With a single Gaussian the velocity is affine in x, so every interval
+    maps x to a x + c + s z; a, c and s are read off ``denoise_interval``
+    at x in {0, 1} with zero noise (z None would take the probability-flow
+    step) and at x = 0 with unit noise.
+    """
+    velocity = lambda x, t: velocity_at(N41, plan.src_schedule, t, x)
+    x = np.array([[0.0], [1.0]])
+    mean, var = 0.0, 1.0
+    for i in range(plan.steps):
+        c, a_plus_c = denoise_interval(plan, x, i, np.zeros((2, 1)), velocity)[:, 0]
+        s = denoise_interval(plan, x[:1], i, np.ones((1, 1)), velocity)[0, 0] - c
+        a = a_plus_c - c
+        mean, var = a * mean + c, a * a * var + s * s
+    return mean, var
+
+
+@pytest.mark.parametrize("process", PROCESS_NAMES)
+def test_endpoint_law_of_every_plan(process):
+    for steps in (10, 200):
+        mean, var = endpoint_law(make_plan(process, steps))
+        assert (mean, var) == pytest.approx(ENDPOINT_LAW[process, steps], abs=1e-9)
+
+
 def test_plan_owns_the_latent_clock():
     # the matched-grid modes step on the source times matched to the grid;
     # the others on the grid itself; no interval after the last injects noise
@@ -367,7 +412,7 @@ _MATCHED = ("linear-sde-adaptive-time", "linear-sde-scaled-diffusion")
 
 
 def _ref_scale_map(plan, s):
-    return scale_time_transform(plan.src_schedule, plan.dst_schedule, max(s, T_MIN))
+    return scale_time_transform(plan.dst_schedule, max(s, T_MIN))
 
 
 def _ref_latent_time(plan, s):

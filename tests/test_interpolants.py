@@ -10,13 +10,29 @@ from flowsearch.interpolants import (
     InterpolantSchedule,
     eval_schedule,
     scale_time_transform,
-    snr_ratio,
-    snr_time_inverse,
     vp_schedule,
 )
 
 LINEAR = InterpolantSchedule("linear")
 VP = vp_schedule()
+
+
+def snr(sched, t):
+    """The signal-to-noise ratio alpha_t / sigma_t."""
+    alpha, sigma, _, _ = eval_schedule(sched, t)
+    return alpha / sigma
+
+
+def vp_time_at_snr(ratio):
+    """The vp time whose SNR is ``ratio``, by bisection."""
+    lo, hi = T_MIN, 1.0 - T_MIN
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if snr(VP, mid) >= ratio:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def test_linear_values():
@@ -69,103 +85,70 @@ def test_eval_schedule_domain():
 
 
 def test_log_snr_examples():
-    # log-SNR is 2 log(snr_ratio)
-    assert math.log(snr_ratio(LINEAR, 0.5)) == 0.0
-    assert math.log(snr_ratio(LINEAR, 0.25)) == pytest.approx(math.log(3.0), rel=1e-12)
+    # log-SNR is 2 log(snr)
+    assert math.log(snr(LINEAR, 0.5)) == 0.0
+    assert math.log(snr(LINEAR, 0.25)) == pytest.approx(math.log(3.0), rel=1e-12)
     # vp sits below linear at matched time
-    assert snr_ratio(VP, 0.5) < snr_ratio(LINEAR, 0.5)
+    assert snr(VP, 0.5) < snr(LINEAR, 0.5)
 
 
 @pytest.mark.parametrize("sched", [LINEAR, VP], ids=["linear", "vp"])
 def test_log_snr_strictly_decreasing(sched):
     grid = np.linspace(T_MIN, 1.0 - T_MIN, 1000)
-    vals = [math.log(snr_ratio(sched, float(t))) for t in grid]
+    vals = [math.log(snr(sched, float(t))) for t in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_snr_ratio_domain():
-    with pytest.raises(DomainError):
-        snr_ratio(LINEAR, 0.0)
-    with pytest.raises(DomainError):
-        snr_ratio(LINEAR, 1.0 + 1e-12)
-
-
 def test_snr_time_inverse_closed_form():
-    assert snr_time_inverse(LINEAR, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert snr_time_inverse(LINEAR, 3.0) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_snr_time_inverse_roundtrip_vp():
-    t = snr_time_inverse(VP, snr_ratio(VP, 0.3))
-    assert t == pytest.approx(0.3, abs=1e-10)
-
-
-@pytest.mark.parametrize("sched", [LINEAR, VP], ids=["linear", "vp"])
-def test_snr_time_inverse_roundtrip_grid(sched):
-    for t in np.linspace(T_MIN, 1.0 - T_MIN, 1000):
-        back = snr_time_inverse(sched, snr_ratio(sched, float(t)))
-        assert abs(back - t) < 1e-9
-
-
-def test_snr_time_inverse_domain():
-    with pytest.raises(DomainError):
-        snr_time_inverse(LINEAR, -1.0)
-    with pytest.raises(DomainError):
-        snr_time_inverse(VP, 1e-9)  # below the vp terminal ratio
+    # the linear source inverts its SNR (1 - t)/t = ratio as t = 1/(1 + ratio)
+    assert scale_time_transform(VP, vp_time_at_snr(3.0)).t_s == pytest.approx(0.25, abs=1e-9)
+    assert scale_time_transform(VP, vp_time_at_snr(1 / 3)).t_s == pytest.approx(0.75, abs=1e-9)
 
 
 def test_scale_time_identity_map():
     for s in np.linspace(T_MIN, 1.0, 1000):
-        m = scale_time_transform(LINEAR, LINEAR, float(s))
+        m = scale_time_transform(LINEAR, float(s))
         assert m.t_s == float(s)
         assert m.c_s == 1.0 and m.t_dot == 1.0 and m.c_dot == 0.0
 
 
 def test_scale_time_matched_log_snr():
-    # half the old log-SNR tolerance: log(snr_ratio) is half the log-SNR
+    # half the old log-SNR tolerance: log(snr) is half the log-SNR
     for s in np.linspace(2e-3, 1.0 - T_MIN, 1000):
-        m = scale_time_transform(LINEAR, VP, float(s))
-        assert abs(math.log(snr_ratio(LINEAR, m.t_s) / snr_ratio(VP, float(s)))) < 0.5e-9
+        m = scale_time_transform(VP, float(s))
+        assert abs(math.log(snr(LINEAR, m.t_s) / snr(VP, float(s)))) < 0.5e-9
 
 
 def test_scale_time_linear_dst_scale():
     # with a linear source, sigma_t = t, so c_s = sigma_bar / t_s
     for s in (0.2, 0.5, 0.9):
-        m = scale_time_transform(LINEAR, VP, s)
+        m = scale_time_transform(VP, s)
         _, sigma_bar, _, _ = eval_schedule(VP, s)
         assert m.c_s == pytest.approx(sigma_bar / m.t_s, rel=1e-12)
         assert m.c_s > 0.0
 
 
 def test_scale_time_rho_bar_unity():
-    # find s with snr ratio 1 under vp by bisection, then t_s must be 0.5
-    lo, hi = T_MIN, 1.0 - T_MIN
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if snr_ratio(VP, mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    s_star = 0.5 * (lo + hi)
-    m = scale_time_transform(LINEAR, VP, s_star)
+    # at the vp time with snr 1, t_s must be 0.5
+    m = scale_time_transform(VP, vp_time_at_snr(1.0))
     assert m.t_s == pytest.approx(0.5, abs=1e-9)
 
 
 def test_scale_time_derivatives_match_finite_differences():
     h = 1e-6
     for s in (0.1, 0.45, 0.8):
-        m0 = scale_time_transform(LINEAR, VP, s)
-        mp = scale_time_transform(LINEAR, VP, s + h)
-        mm = scale_time_transform(LINEAR, VP, s - h)
+        m0 = scale_time_transform(VP, s)
+        mp = scale_time_transform(VP, s + h)
+        mm = scale_time_transform(VP, s - h)
         assert (mp.t_s - mm.t_s) / (2 * h) == pytest.approx(m0.t_dot, rel=1e-5)
         assert (mp.c_s - mm.c_s) / (2 * h) == pytest.approx(m0.c_dot, rel=1e-5)
 
 
 def test_scale_time_domain():
     with pytest.raises(DomainError):
-        scale_time_transform(LINEAR, VP, T_MIN / 2)
+        scale_time_transform(VP, T_MIN / 2)
     with pytest.raises(DomainError):
-        scale_time_transform(LINEAR, VP, 1.5)
+        scale_time_transform(VP, 1.5)
 
 
 def test_bad_schedule_kind():

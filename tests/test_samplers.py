@@ -5,6 +5,7 @@ from scipy.stats import chi2
 from flowsearch.analytic_flow import default_benchmark_gmm
 from flowsearch.engine import make_plan
 from flowsearch.errors import BudgetError, DomainError
+from flowsearch.harness import branched_proposals, diversity_mpd
 from flowsearch.rewards import rare_mode_reward, target_point_reward
 from flowsearch.samplers import (
     SAMPLERS,
@@ -148,6 +149,23 @@ def test_golden_results():
         res = SAMPLERS[name](make_plan(process, 5), GMM, RARE, budget(100), seed=0)
         got[name, process] = (repr(res.best_reward), res.nfe_used)
     assert got == GOLDEN
+
+
+# The diversity protocol's exact results at steps=5, seed 0 (by repr): the
+# per-branch noise, its memo and the converted kernel, bit for bit.
+DIVERSITY_GOLDEN = {
+    "linear-ode": "0.0",
+    "linear-sde": "6.31037683676875",
+    "linear-sde-adaptive-time": "5.96955044715003",
+    "linear-sde-scaled-diffusion": "6.159525965932668",
+    "vp-sde": "6.645310446961466",
+}
+
+
+def test_golden_diversity():
+    got = {p: repr(diversity_mpd(branched_proposals(make_plan(p, 5), GMM, 0)))
+           for p in DIVERSITY_GOLDEN}
+    assert got == DIVERSITY_GOLDEN
 
 
 @pytest.mark.parametrize("name", ["bon", "sop", "smc", "code", "svdd", "rbf"])
