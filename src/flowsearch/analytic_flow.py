@@ -63,8 +63,8 @@ class GaussianMixtureModel:
             object.__setattr__(self, name, arr)
         if self.weights.ndim != 1 or self.weights.size < 1:
             raise DomainError("weights must be a non-empty 1-D sequence")
-        if self.means.ndim != 2 or self.means.shape[0] != self.weights.size:
-            raise DomainError("means must have shape (n_components, dim)")
+        if self.means.ndim != 2 or self.means.shape[0] != self.weights.size or not self.dim:
+            raise DomainError("means must have shape (n_components, dim), dim >= 1")
         if self.variances.shape != self.means.shape:
             raise DomainError("variances must match the shape of means")
         if np.any(self.weights <= 0.0):

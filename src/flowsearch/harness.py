@@ -193,7 +193,7 @@ def _reward_from_dict(doc: dict, gmm: GaussianMixtureModel) -> RewardSpec:
 
 
 def load_config(doc: dict | str | Path) -> ExperimentConfig:
-    """Build an ExperimentConfig from a dict, a JSON string, or a file path."""
+    """Build an ExperimentConfig from a dict or a JSON file's path (str or Path)."""
     if isinstance(doc, (str, Path)):
         path = Path(doc)
         try:
@@ -371,10 +371,10 @@ def sweep(
     budgets=DEFAULT_SWEEP_BUDGETS,
     jobs: int = 1,
 ) -> list[RunRecord]:
-    """One record per (budget, seed); budgets must be sorted ascending."""
+    """One record per (budget, seed); budgets must be non-empty and ascending."""
     budgets = [_integer("budget", b) for b in budgets]
-    if budgets != sorted(budgets):
-        raise ConfigError("budgets must be sorted ascending")
+    if not budgets or budgets != sorted(budgets):
+        raise ConfigError(f"budgets must be non-empty and sorted ascending, got {budgets}")
     for b in budgets:
         _check_nfe(b)
     return _records(config, [config.process], budgets, jobs)

@@ -16,6 +16,13 @@ charging them.  ``SearchBudget`` holds only ``total_nfe``: the plan owns
 the step count, and ``_Runner`` refuses a total below ``plan.steps``.
 ``nfe_used`` never exceeds ``total_nfe``.
 
+Per-step quotas follow one rule, ``_uniform_split``: a share split evenly
+over the steps, remainder to the earliest.  svdd is code at interval 1.
+code runs ``max(1, total // (steps * k))`` batches of share ``total //
+batches``; a window of ``span`` intervals draws ``min(k, sum(quotas[i0:i0 +
+span]) // span)`` chains per batch, k whenever two or more batches run.
+rbf splits each batch's share, less its initial charge, the same way.
+
 The ledger charges proposals, not oracle rows.  Each selection point makes
 one velocity call and one value call: svdd and code advance all batches
 together, and their proposals that share a parent share that parent's
@@ -158,18 +165,6 @@ class _Runner:
         if not self.plan.g[i]:
             return None
         return streams.normals(self.seed, (streams.PROPOSAL, i, batch), (count, self.gmm.dim))
-
-    def batch_noise(self, i: int, batches: int, count: int) -> np.ndarray | None:
-        """Noise of batches 0..batches-1 on interval i as ``(batches, count, d)``."""
-        if not self.plan.g[i]:
-            return None
-        return np.stack([self.noise(i, b, count) for b in range(batches)])
-
-    def batches(self, k: int) -> int:
-        """svdd's and code's batch count, the paper's N: total // (steps * k),
-        at least 1.  Two or more batches each get a share of at least steps * k,
-        so every batch draws k per step alike; one batch is the plain loop."""
-        return max(1, self.budget.total_nfe // (self.plan.steps * k))
 
     def charge(self, i: int, n: int) -> None:
         """Spend n NFE on grid interval i: charge the budget, book the step."""
@@ -352,24 +347,9 @@ def run_svdd(
     k: int = 25,
 ) -> SearchResult:
     """At every step draw ``k`` proposals from the current latent and keep the
-    argmax-value one (the beta -> 0 limit of the soft policy).
-
-    The budget is split into ``total // (steps * k)`` independent batches
-    (the paper's N); the best final sample across batches is returned.  All
-    batches advance together: one velocity call and one value call per step.
-    """
-    r = _Runner(plan, gmm, reward, budget, seed)
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    steps = plan.steps
-    batches = r.batches(k)
-    quotas = _uniform_split(budget.total_nfe // batches, steps)
-    x = r.initials(batches)
-    for i in range(steps):
-        draws = min(k, quotas[i])
-        r.charge(i, batches * draws)
-        x = r.select(r.step_batch(x[:, None], i, r.batch_noise(i, batches, draws)), i + 1)
-    return r.result(x)
+    argmax-value one (the beta -> 0 limit of the soft policy): code with a
+    selection every interval."""
+    return run_code(plan, gmm, reward, budget, seed, interval=1, k=k)
 
 
 def run_code(
@@ -383,24 +363,23 @@ def run_code(
 ) -> SearchResult:
     """Interleaved selection: every ``interval`` denoising steps, branch ``k``
     stochastic chains per survivor and keep the argmax-value endpoint.
-    Batches are split as in svdd and advance together."""
+    Batches and window draws follow the module's quota rule; all batches
+    advance together, and the best final sample across them is returned."""
     r = _Runner(plan, gmm, reward, budget, seed)
     if interval < 1 or k < 1:
         raise DomainError("interval and k must be >= 1")
     steps = plan.steps
-    batches = r.batches(k)
-    share = budget.total_nfe // batches
-    spent = 0
+    batches = max(1, budget.total_nfe // (steps * k))
+    quotas = _uniform_split(budget.total_nfe // batches, steps)
     x = r.initials(batches)
     for i0 in range(0, steps, interval):
         span = min(interval, steps - i0)
-        avail = share - spent - (steps - i0 - span)  # reserve 1-chain finish
-        k_eff = max(1, min(k, avail // span))
-        chains = x[:, None]  # the k_eff chains share x until noise parts them
+        draws = min(k, sum(quotas[i0:i0 + span]) // span)
+        chains = x[:, None]  # the draws share x until noise parts them
         for i in range(i0, i0 + span):
-            r.charge(i, batches * k_eff)
-            chains = r.step_batch(chains, i, r.batch_noise(i, batches, k_eff))
-        spent += span * k_eff
+            r.charge(i, batches * draws)
+            z = np.stack([r.noise(i, b, draws) for b in range(batches)]) if plan.g[i] else None
+            chains = r.step_batch(chains, i, z)
         x = r.select(chains, i0 + span)
     return r.result(x)
 

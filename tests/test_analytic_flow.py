@@ -59,6 +59,8 @@ def test_gmm_validation():
         GaussianMixtureModel([1.0], [[0.0]], [[0.0]])  # zero variance
     with pytest.raises(DomainError):
         GaussianMixtureModel([1.0], [[0.0, 0.0]], [[1.0]])  # shape mismatch
+    with pytest.raises(DomainError, match="dim >= 1"):
+        GaussianMixtureModel([1.0], [[]], [[]])  # zero-dimensional
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -353,6 +353,10 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         ("run", {"gmm": {**TWO_MODES, "dim": "2"}}, []),
         *[("run", {"sampler": "smc", "sampler_opts": {"ess_threshold_frac": frac}}, [])
           for frac in (-1, float("nan"), 7.5, float("inf"))],
+        ("run", {"gmm": {"weights": [1.0], "means": [[]], "variances": [[]]},
+                 "nfe": 20, "steps": 2}, []),
+        ("sweep", {}, ["--budgets", ""]),
+        ("sweep", {}, ["--budgets", ","]),
         *[("run", overrides, []) for overrides, _ in NON_NUMBER_FLOATS],
     ],
     ids=[
@@ -367,7 +371,8 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         "smc-with-trace", "rbf-with-trace", "variance-infinite", "component-float",
         "component-bool", "component-string", "dim-float", "dim-string",
         "smc-threshold-negative", "smc-threshold-nan", "smc-threshold-above-one",
-        "smc-threshold-infinite", *NON_NUMBER_FLOAT_IDS,
+        "smc-threshold-infinite", "gmm-zero-dim", "sweep-budgets-empty",
+        "sweep-budgets-comma", *NON_NUMBER_FLOAT_IDS,
     ],
 )
 def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):

@@ -126,7 +126,7 @@ GOLDEN = {
     ("sop", "vp-sde"): ("-2.1482885646678787", 80),
     ("smc", "linear-sde"): ("-1.838604602980739", 100),
     ("smc", "vp-sde"): ("-2.0933995803075067", 100),
-    ("code", "linear-sde"): ("-6.96441487755787", 100),
+    ("code", "linear-sde"): ("-12.091446034053712", 100),  # uniform quotas
     ("code", "vp-sde"): ("-3.067246133817746", 100),
     ("svdd", "linear-sde"): ("-1.8452443857908327", 100),
     ("svdd", "vp-sde"): ("-2.214257733213942", 100),
@@ -149,6 +149,28 @@ def test_golden_results():
         res = SAMPLERS[name](make_plan(process, 5), GMM, RARE, budget(100), seed=0)
         got[name, process] = (repr(res.best_reward), res.nfe_used)
     assert got == GOLDEN
+
+
+# Exact results at steps=10, seed 0, in the regime the benchmark runs: nfe
+# 1000 is four batches and nfe 300 one, each drawing k=25 per interval.
+BENCH_GOLDEN = {
+    ("code", "linear-sde", 300): ("-1.838102977308319", 250),
+    ("code", "linear-sde", 1000): ("-1.8378794058800194", 1000),
+    ("code", "vp-sde", 300): ("-1.8994900965114385", 250),
+    ("code", "vp-sde", 1000): ("-1.8994900965114385", 1000),
+    ("svdd", "linear-sde", 300): ("-1.8379166027051446", 250),
+    ("svdd", "linear-sde", 1000): ("-1.837893882819711", 1000),
+    ("svdd", "vp-sde", 300): ("-2.9113405016848324", 250),
+    ("svdd", "vp-sde", 1000): ("-2.2157503212713663", 1000),
+}
+
+
+def test_golden_results_at_benchmark_budgets():
+    got = {}
+    for name, process, nfe in BENCH_GOLDEN:
+        res = SAMPLERS[name](make_plan(process, 10), GMM, RARE, budget(nfe), seed=0)
+        got[name, process, nfe] = (repr(res.best_reward), res.nfe_used)
+    assert got == BENCH_GOLDEN
 
 
 # The diversity protocol's exact results at steps=5, seed 0 (by repr): the
@@ -339,6 +361,25 @@ def test_code_single_terminal_selection_when_interval_exceeds_steps():
     plan = make_plan("linear-sde", 5)
     res = run_code(plan, GMM, RARE, budget(50), seed=7, interval=9, k=10)
     assert res.nfe_used <= 50
+
+
+def test_code_starved_schedule_is_uniform():
+    # one batch below steps * k: quotas (11, 10, ..., 10), and each window
+    # of three intervals draws its mean quota, 31 // 3 or 30 // 3
+    plan = make_plan("linear-sde", 10)
+    res = run_code(plan, GMM, RARE, budget(101), seed=0, interval=3)
+    assert res.per_step_consumption == [10] * 10
+    assert res.nfe_used == 100
+
+
+@pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
+def test_svdd_is_code_at_interval_one(process):
+    # one starved batch (30, 100), one exact batch (250), four batches (1003)
+    plan = make_plan(process, 10)
+    for total in (30, 100, 250, 1003):
+        for seed in range(3):
+            _same(run_svdd(plan, GMM, RARE, budget(total), seed),
+                  run_code(plan, GMM, RARE, budget(total), seed, interval=1))
 
 
 def test_svdd_consumes_quota():
@@ -619,7 +660,8 @@ def _per_batch_svdd(plan, gmm, reward, budget, seed, k=25):
 
 
 def _per_batch_code(plan, gmm, reward, budget, seed, interval=2, k=25):
-    """code one batch at a time, each with its own share and chain count."""
+    """code one batch at a time, each with its own share and quotas; a window
+    draws its mean quota, at most k."""
     from flowsearch.samplers import _Runner
 
     r = _Runner(plan, gmm, reward, budget, seed)
@@ -628,16 +670,15 @@ def _per_batch_code(plan, gmm, reward, budget, seed, interval=2, k=25):
     starts = r.initials(batches)
     finals = []
     for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
-        spent, x, i0 = 0, starts[b], 0
+        quotas = _uniform_split(share, steps)
+        x, i0 = starts[b], 0
         while i0 < steps:
             span = min(interval, steps - i0)
-            avail = share - spent - (steps - i0 - span)  # reserve 1-chain finish
-            k_eff = max(1, min(k, avail // span))
+            draws = min(k, sum(quotas[i0:i0 + span]) // span)
             chains = x[None, :]
             for i in range(i0, i0 + span):
-                r.charge(i, k_eff)
-                spent += k_eff
-                chains = r.step_batch(chains, i, r.noise(i, b, k_eff))
+                r.charge(i, draws)
+                chains = r.step_batch(chains, i, r.noise(i, b, draws))
             x = _best_row(r, chains, i0 + span)
             i0 += span
         finals.append(x)
