@@ -1,5 +1,10 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsearch import rng as streams
 
@@ -24,6 +29,12 @@ DRAWS = [
     ((streams.FORWARD, 2), (10, 3)),
     ((streams.DIVERSITY, 0), (2,)),
 ]
+# The protocol's per-branch layouts: (interval key, branches, dim).
+BRANCHES = [
+    ((streams.DIVERSITY, 1), 50, 2),
+    ((streams.DIVERSITY, 9), 50, 2),
+    ((streams.DIVERSITY, 3), 7, 4),
+]
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**31 - 2, 2**40 + 7])
@@ -35,11 +46,11 @@ def test_memo_draws_equal_fresh_streams_bitwise(memo, seed):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
     # The protocol's per-branch draws: row j is branch j's own stream.
-    for i, branches, dim in ((1, 50, 2), (9, 50, 2), (3, 7, 4)):
-        want = np.array([streams.stream(seed, streams.DIVERSITY, i, j).standard_normal(dim)
+    for key, branches, dim in BRANCHES:
+        want = np.array([streams.stream(seed, *key, j).standard_normal(dim)
                          for j in range(branches)])
         for _ in range(2):
-            got = memo.branch_normals(seed, (streams.DIVERSITY, i), branches, dim)
+            got = memo.branch_normals(seed, key, branches, dim)
             assert got.shape == want.shape and np.array_equal(got, want)
     # Under one key and shape, neither draw stands in for the other.
     key = (streams.DIVERSITY, 3)
@@ -61,8 +72,9 @@ def test_memo_blocks_are_read_only(memo):
 
 def test_repeated_draw_is_a_memo_hit(memo, monkeypatch):
     calls = []
-    fresh = memo.stream
-    monkeypatch.setattr(memo, "stream", lambda *key: calls.append(key) or fresh(*key))
+    fresh = memo._fresh_stream
+    monkeypatch.setattr(memo, "_fresh_stream",
+                        lambda seed, key: calls.append(key) or fresh(seed, key))
     first = memo.normals(3, (streams.PROPOSAL, 1, 0), (5, 2))
     assert memo.normals(3, (streams.PROPOSAL, 1, 0), (5, 2)) is first
     assert len(calls) == 1
@@ -108,3 +120,65 @@ def test_memo_stays_within_its_budget(memo):
     assert memo.normals(1, (streams.PROPOSAL, 0, 0), (100, 2)) is first
     assert memo.normals(1, (streams.PROPOSAL, 0, 1), (100, 2)) is not second
     assert memo._MEMO_BYTES - _footprint(memo) < 1600 + memo._ENTRY_BYTES
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**130 - 1),
+       key=st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=5).map(tuple))
+def test_philox_key_is_seed_sequences(seed, key):
+    want = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
+    assert streams._philox_key(seed, key) == tuple(int(w) for w in want)
+
+
+def test_philox_key_without_a_key_is_seed_sequences():
+    for seed in (0, 1, 2**32, 2**127 + 5, 2**200 + 3):
+        want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        assert streams._philox_key(seed, ()) == tuple(int(w) for w in want)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, if the block runs past ``seconds``: a word
+    loop that shifts a negative int right never reaches 0."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seed, key", [(-1, (1,)), (0, (-1,)), (3, (2, -5)), (-2**70, (1, 2)),
+                                       (7, (2**40, 1, -1))])
+def test_negative_seed_or_key_raises(memo, seed, key):
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(seed, spawn_key=key)
+    with _deadline(1):
+        with pytest.raises(ValueError):
+            streams._philox_key(seed, key)
+        with pytest.raises(ValueError):
+            memo.normals(seed, key, (2, 2))
+        with pytest.raises(ValueError):
+            memo.branch_normals(seed, key, 3, 2)
+    assert len(memo._memo) == 0
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**40 + 7])
+def test_interleaved_draws_equal_fresh_streams(seed):
+    """Every block resets the one shared generator, so it depends neither on
+    the draws before it, nor on whether its key prefix was cached, nor on a
+    generator left partly drawn (a buffered word and a spare uint32)."""
+    draws = DRAWS + [((*key, j), (dim,)) for key, branches, dim in BRANCHES
+                     for j in range(branches)]
+    want = [streams.stream(seed, *key).standard_normal(shape) for key, shape in draws]
+    streams._pool.cache_clear()
+    for order in (range(len(draws)), reversed(range(len(draws)))):  # cold, then cached
+        for i in order:
+            partly = streams._fresh_stream(seed, (streams.PROCESS, i))
+            partly.random(3)
+            partly.integers(2**20, size=3, dtype=np.uint32)
+            key, shape = draws[i]
+            assert np.array_equal(streams._fresh_stream(seed, key).standard_normal(shape), want[i])

@@ -1,11 +1,14 @@
-"""Print one sha256 per (sampler, steps, budget) over the harness's records.
+"""Print sha256 digests of the harness's records and of run_process endpoints.
 
-Each digest covers the five processes and seeds 0, 1, 2 and 12345 of the
+One line per (sampler, steps, budget) covers the five processes and seeds 0, 1, 2 and 12345 of the
 default config (benchmark mixture, rare-mode reward), hashing every record's
 ``(seed, method, process, repr(best_reward), repr(diversity_mpd), nfe_used)``.
-Two source trees give the same line exactly when their records agree bit
-for bit, so a diff of two outputs names the (sampler, steps, budget) cells
-a change moved:
+A last line per process hashes ``engine.run_process`` endpoints, which no
+record reaches: 10^3 rows of the benchmark mixture at 10 steps for seeds
+0-3, from ``stream(seed, INIT, i)`` through ``stream(seed, PROCESS, i)``
+for the process's index i, as the benchmark's marginal-transport workload
+draws them.  Two source trees give the same line exactly when their results
+agree bit for bit, so a diff of two outputs names the cells a change moved:
 
     python tools/record_digest.py --src /path/to/parent/src > parent.txt
     python tools/record_digest.py > change.txt
@@ -26,6 +29,7 @@ PROCESSES = ("linear-ode", "linear-sde", "linear-sde-adaptive-time",
 SEEDS = (0, 1, 2, 12345)
 BUDGETS = (100, 300, 1000)
 STEPS = (5, 10)
+ENDPOINT_ROWS, ENDPOINT_STEPS, ENDPOINT_SEEDS = 1000, 10, (0, 1, 2, 3)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,6 +39,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import flowsearch
+    from flowsearch import rng as streams
+    from flowsearch.analytic_flow import default_benchmark_gmm, velocity_at
+    from flowsearch.engine import PROCESS_NAMES, make_plan, run_process
     from flowsearch.harness import load_config, run_experiment
     from flowsearch.samplers import SAMPLER_NAMES
 
@@ -55,6 +62,18 @@ def main(argv: list[str] | None = None) -> int:
                                repr(rec.diversity_mpd), rec.nfe_used)
                         digest.update(repr(row).encode())
                 print(f"{sampler} steps={steps} nfe={budget} {digest.hexdigest()}")
+
+    gmm = default_benchmark_gmm()
+    for i, process in enumerate(PROCESS_NAMES):
+        plan = make_plan(process, ENDPOINT_STEPS)
+        digest = hashlib.sha256()
+        for seed in ENDPOINT_SEEDS:
+            x1 = streams.stream(seed, streams.INIT, i).standard_normal((ENDPOINT_ROWS, gmm.dim))
+            x0, _ = run_process(plan, x1, streams.stream(seed, streams.PROCESS, i),
+                                lambda x, t: velocity_at(gmm, plan.src_schedule, t, x))
+            digest.update(x0.tobytes())
+        print(f"run_process {process} steps={ENDPOINT_STEPS} rows={ENDPOINT_ROWS} "
+              f"{digest.hexdigest()}")
     return 0
 
 
