@@ -39,13 +39,14 @@ smc and rbf always return their small trace dicts in ``SearchResult.trace``.
 Determinism
 -----------
 All randomness is drawn from counter-based streams, one per
-``(seed, domain, step_index, batch_index)``, each drawn as a ``(count, d)``
-block whose row j belongs to particle j.  A block's first j rows equal a
-j-row draw, so no result depends on how many rows were drawn.  The run's
-initial latents are one INIT block: bon, sop and smc take its first rows,
-and svdd, code and rbf start batch b from row b.  Results are identical
-across runs and across any degree of harness parallelism, and every argmax
-breaks ties toward the lowest index.
+``(seed, domain, step_index, batch_index)``, a Philox key that hashes
+``(seed, domain)`` and a counter that holds the step and batch.  Each is
+drawn as a ``(count, d)`` block whose row j belongs to particle j.  A
+block's first j rows equal a j-row draw, so no result depends on how many
+rows were drawn.  The run's initial latents are one INIT block: bon, sop
+and smc take its first rows, and svdd, code and rbf start batch b from row
+b.  Results are identical across runs and across any degree of harness
+parallelism, and every argmax breaks ties toward the lowest index.
 """
 
 from __future__ import annotations

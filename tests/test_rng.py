@@ -1,6 +1,3 @@
-import signal
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,59 +119,81 @@ def test_memo_stays_within_its_budget(memo):
     assert memo._MEMO_BYTES - _footprint(memo) < 1600 + memo._ENTRY_BYTES
 
 
+def _reference(seed, domain, *indices):
+    """The stream ``(seed, domain, *indices)`` from numpy's own constructors:
+    the SeedSequence key of ``(seed, domain)`` at counter ``(0, n,
+    *indices)``, unused words 0."""
+    key = np.random.SeedSequence(seed, spawn_key=(domain,)).generate_state(2, np.uint64)
+    counter = np.array([0, len(indices), *indices, 0, 0][:4], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**40 + 7, 2**70 + 3])
+def test_streams_equal_numpys_own_constructors(memo, seed):
+    for key, shape in DRAWS + [((streams.PROPOSAL, 2**63 + 5, 2**64 - 1), (3, 2))]:
+        want = _reference(seed, *key).standard_normal(shape)
+        assert np.array_equal(streams.stream(seed, *key).standard_normal(shape), want)
+        assert np.array_equal(memo.normals(seed, key, shape), want)
+    for key, branches, dim in BRANCHES:
+        want = [_reference(seed, *key, j).standard_normal(dim) for j in range(branches)]
+        assert np.array_equal(memo.branch_normals(seed, key, branches, dim), want)
+
+
+DOMAINS = [streams.INIT, streams.PROPOSAL, streams.RESAMPLE, streams.FORWARD,
+           streams.DIVERSITY, streams.PROCESS]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 7, 2**130 + 1])
+def test_unindexed_streams_are_seed_sequence_seeded(memo, seed):
+    for domain in DOMAINS:
+        seeded = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(domain,)))
+        want = np.random.Generator(seeded).standard_normal((50, 3))
+        assert np.array_equal(streams.stream(seed, domain).standard_normal((50, 3)), want)
+        assert np.array_equal(memo.normals(seed, (domain,), (50, 3)), want)
+
+
+_keys = st.tuples(st.integers(0, 2**70), st.sampled_from(DOMAINS),
+                  st.lists(st.integers(0, 2**64 - 1), max_size=2).map(tuple))
+
+
 @settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**130 - 1),
-       key=st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=5).map(tuple))
-def test_philox_key_is_seed_sequences(seed, key):
-    want = np.random.SeedSequence(seed, spawn_key=key).generate_state(2, np.uint64)
-    assert streams._philox_key(seed, key) == tuple(int(w) for w in want)
+@given(a=_keys, b=_keys)
+def test_distinct_keys_have_distinct_states(a, b):
+    state = lambda seed, domain, indices: streams._state(seed, (domain, *indices))
+    assert (state(*a) == state(*b)) == (a == b)
 
 
-def test_philox_key_without_a_key_is_seed_sequences():
-    for seed in (0, 1, 2**32, 2**127 + 5, 2**200 + 3):
-        want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-        assert streams._philox_key(seed, ()) == tuple(int(w) for w in want)
-
-
-@contextmanager
-def _deadline(seconds):
-    """Fail, rather than hang, if the block runs past ``seconds``: a word
-    loop that shifts a negative int right never reaches 0."""
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def _assert_invalid(memo, seed, key):
+    with pytest.raises(ValueError):
+        streams.stream(seed, *key)
+    with pytest.raises(ValueError):
+        memo.normals(seed, key, (2, 2))
+    with pytest.raises(ValueError):
+        memo.branch_normals(seed, key, 3, 2)
+    assert len(memo._memo) == 0
 
 
 @pytest.mark.parametrize("seed, key", [(-1, (1,)), (0, (-1,)), (3, (2, -5)), (-2**70, (1, 2)),
                                        (7, (2**40, 1, -1))])
 def test_negative_seed_or_key_raises(memo, seed, key):
-    with pytest.raises(ValueError):
-        np.random.SeedSequence(seed, spawn_key=key)
-    with _deadline(1):
-        with pytest.raises(ValueError):
-            streams._philox_key(seed, key)
-        with pytest.raises(ValueError):
-            memo.normals(seed, key, (2, 2))
-        with pytest.raises(ValueError):
-            memo.branch_normals(seed, key, 3, 2)
-    assert len(memo._memo) == 0
+    _assert_invalid(memo, seed, key)
+
+
+@pytest.mark.parametrize("key", [(2, 2**64), (5, 2**64 + 3, 1), (2, 0, 0, 0), (5, 1, 2, 3, 4)])
+def test_index_past_64_bits_or_three_indices_raises(memo, key):
+    _assert_invalid(memo, 0, key)
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**40 + 7])
 def test_interleaved_draws_equal_fresh_streams(seed):
     """Every block resets the one shared generator, so it depends neither on
-    the draws before it, nor on whether its key prefix was cached, nor on a
-    generator left partly drawn (a buffered word and a spare uint32)."""
+    the draws before it, nor on whether its (seed, domain) key was cached,
+    nor on a generator left partly drawn (a buffered word and a spare
+    uint32)."""
     draws = DRAWS + [((*key, j), (dim,)) for key, branches, dim in BRANCHES
                      for j in range(branches)]
     want = [streams.stream(seed, *key).standard_normal(shape) for key, shape in draws]
-    streams._pool.cache_clear()
+    streams._philox_key.cache_clear()
     for order in (range(len(draws)), reversed(range(len(draws)))):  # cold, then cached
         for i in order:
             partly = streams._fresh_stream(seed, (streams.PROCESS, i))

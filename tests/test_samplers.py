@@ -122,24 +122,24 @@ def test_best_of_n_is_argmax_over_trajectory_endpoints():
 # updates the pin and says so in CHANGES.md.
 GOLDEN = {
     ("bon", "linear-ode"): ("-2.7275778790421823", 100),
-    ("sop", "linear-sde"): ("-1.846741678668817", 80),
-    ("sop", "vp-sde"): ("-2.1482885646678787", 80),
-    ("smc", "linear-sde"): ("-1.838604602980739", 100),
-    ("smc", "vp-sde"): ("-2.0933995803075067", 100),
-    ("code", "linear-sde"): ("-12.091446034053712", 100),  # uniform quotas
-    ("code", "vp-sde"): ("-3.067246133817746", 100),
-    ("svdd", "linear-sde"): ("-1.8452443857908327", 100),
-    ("svdd", "vp-sde"): ("-2.214257733213942", 100),
-    ("rbf", "linear-sde"): ("-1.8380277102715397", 100),
-    ("rbf", "vp-sde"): ("-3.843094466519739", 56),
-    ("smc", "linear-sde-adaptive-time"): ("-1.8768460856107672", 100),
-    ("code", "linear-sde-adaptive-time"): ("-2.147557474525754", 100),
-    ("svdd", "linear-sde-adaptive-time"): ("-1.9240179672109021", 100),
-    ("rbf", "linear-sde-adaptive-time"): ("-3.7174990434979867", 100),
-    ("smc", "linear-sde-scaled-diffusion"): ("-1.8384487053390188", 100),
-    ("code", "linear-sde-scaled-diffusion"): ("-4.225232083689216", 100),
-    ("svdd", "linear-sde-scaled-diffusion"): ("-1.8510737780266684", 100),
-    ("rbf", "linear-sde-scaled-diffusion"): ("-2.0357961948415717", 100),
+    ("sop", "linear-sde"): ("-14.031786370029689", 80),
+    ("sop", "vp-sde"): ("-9.31557631178985", 80),
+    ("smc", "linear-sde"): ("-1.8600254807929397", 100),
+    ("smc", "vp-sde"): ("-2.0688973203035923", 100),
+    ("code", "linear-sde"): ("-1.8454209922661522", 100),  # uniform quotas
+    ("code", "vp-sde"): ("-2.3851237739274285", 100),
+    ("svdd", "linear-sde"): ("-1.851169298307521", 100),
+    ("svdd", "vp-sde"): ("-2.1069952101992406", 100),
+    ("rbf", "linear-sde"): ("-1.8777567371562798", 100),
+    ("rbf", "vp-sde"): ("-2.15274186841233", 100),
+    ("smc", "linear-sde-adaptive-time"): ("-1.9056964820218296", 100),
+    ("code", "linear-sde-adaptive-time"): ("-1.894311696399193", 100),
+    ("svdd", "linear-sde-adaptive-time"): ("-1.9241805493352988", 100),
+    ("rbf", "linear-sde-adaptive-time"): ("-1.9274334853543102", 100),
+    ("smc", "linear-sde-scaled-diffusion"): ("-1.837902729711606", 100),
+    ("code", "linear-sde-scaled-diffusion"): ("-1.8510606101531668", 100),
+    ("svdd", "linear-sde-scaled-diffusion"): ("-1.8388474092564473", 100),
+    ("rbf", "linear-sde-scaled-diffusion"): ("-1.8510606101531668", 100),
 }
 
 
@@ -154,14 +154,14 @@ def test_golden_results():
 # Exact results at steps=10, seed 0, in the regime the benchmark runs: nfe
 # 1000 is four batches and nfe 300 one, each drawing k=25 per interval.
 BENCH_GOLDEN = {
-    ("code", "linear-sde", 300): ("-1.838102977308319", 250),
-    ("code", "linear-sde", 1000): ("-1.8378794058800194", 1000),
-    ("code", "vp-sde", 300): ("-1.8994900965114385", 250),
-    ("code", "vp-sde", 1000): ("-1.8994900965114385", 1000),
-    ("svdd", "linear-sde", 300): ("-1.8379166027051446", 250),
-    ("svdd", "linear-sde", 1000): ("-1.837893882819711", 1000),
-    ("svdd", "vp-sde", 300): ("-2.9113405016848324", 250),
-    ("svdd", "vp-sde", 1000): ("-2.2157503212713663", 1000),
+    ("code", "linear-sde", 300): ("-1.8379768802992396", 250),
+    ("code", "linear-sde", 1000): ("-1.8378826705227755", 1000),
+    ("code", "vp-sde", 300): ("-2.0029361833330706", 250),
+    ("code", "vp-sde", 1000): ("-1.9154332667148215", 1000),
+    ("svdd", "linear-sde", 300): ("-1.8378872797771977", 250),
+    ("svdd", "linear-sde", 1000): ("-1.8378872797771977", 1000),
+    ("svdd", "vp-sde", 300): ("-2.1629432044588244", 250),
+    ("svdd", "vp-sde", 1000): ("-2.1629432044588244", 1000),
 }
 
 
@@ -177,10 +177,10 @@ def test_golden_results_at_benchmark_budgets():
 # per-branch noise, its memo and the converted kernel, bit for bit.
 DIVERSITY_GOLDEN = {
     "linear-ode": "0.0",
-    "linear-sde": "6.31037683676875",
-    "linear-sde-adaptive-time": "5.96955044715003",
-    "linear-sde-scaled-diffusion": "6.159525965932668",
-    "vp-sde": "6.645310446961466",
+    "linear-sde": "6.911347504185696",
+    "linear-sde-adaptive-time": "6.075962159842063",
+    "linear-sde-scaled-diffusion": "6.419521248622461",
+    "vp-sde": "7.00861553072319",
 }
 
 

@@ -7,8 +7,11 @@ A last line per process hashes ``engine.run_process`` endpoints, which no
 record reaches: 10^3 rows of the benchmark mixture at 10 steps for seeds
 0-3, from ``stream(seed, INIT, i)`` through ``stream(seed, PROCESS, i)``
 for the process's index i, as the benchmark's marginal-transport workload
-draws them.  Two source trees give the same line exactly when their results
-agree bit for bit, so a diff of two outputs names the cells a change moved:
+draws them.  A line per stream domain hashes ``stream(seed, domain)
+.standard_normal((1000, 2))`` for seeds 0-3: a stream without indices is
+the SeedSequence-seeded Philox of ``(seed, domain)``.  Two source trees
+give the same line exactly when their results agree bit for bit, so a diff
+of two outputs names the cells a change moved:
 
     python tools/record_digest.py --src /path/to/parent/src > parent.txt
     python tools/record_digest.py > change.txt
@@ -74,6 +77,13 @@ def main(argv: list[str] | None = None) -> int:
             digest.update(x0.tobytes())
         print(f"run_process {process} steps={ENDPOINT_STEPS} rows={ENDPOINT_ROWS} "
               f"{digest.hexdigest()}")
+
+    for name in ("INIT", "PROPOSAL", "RESAMPLE", "FORWARD", "DIVERSITY", "PROCESS"):
+        digest = hashlib.sha256()
+        for seed in ENDPOINT_SEEDS:
+            digest.update(streams.stream(seed, getattr(streams, name))
+                          .standard_normal((ENDPOINT_ROWS, 2)).tobytes())
+        print(f"stream {name} rows={ENDPOINT_ROWS} {digest.hexdigest()}")
     return 0
 
 
