@@ -392,12 +392,12 @@ def diversity_record(config: ExperimentConfig, seed: int) -> RunRecord:
 
     It runs ``branched_proposals`` itself, past ``_protocol_diversity``'s
     cache, because its ``wall_ms`` is the protocol's own time.  That time
-    leaves out drawing the noise when the ``rng`` memo still holds the
-    seed's blocks: the protocol's keys name no process, so in seed-major
-    in-process use every process after the first finds them there.  The
-    CLI's tables run process-major, so a seed comes back only after every
-    other seed, and only a table of about 20 seeds or fewer still finds its
-    blocks."""
+    leaves out drawing the noise when ``rng``'s cache of 128 blocks still
+    holds the seed's blocks: the protocol's keys name no process, so in
+    seed-major in-process use every process after the first finds them
+    there.  The CLI's tables run process-major, so a seed comes back only
+    after every other seed: at 10 steps a seed draws 10 blocks, so only a
+    table of 12 seeds or fewer still finds them."""
     plan = make_plan(config.process, config.steps)
     start = time.perf_counter()
     endpoints = branched_proposals(plan, config.gmm, seed)

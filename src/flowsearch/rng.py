@@ -24,27 +24,27 @@ keys are statistically independent.
 Keys name neither the process nor the sampler, so every run of one seed
 draws the same blocks (common random numbers): a table that runs a sampler
 on two processes would draw each of its blocks twice.  So the normal draws
-go through a memo of recent blocks, bounded by bytes (``_MEMO_BYTES``,
-each entry counted as its array's bytes plus ``_ENTRY_BYTES``); a block
-over the budget is returned but not kept.  The memo's blocks are shared,
-so they are read-only: a consumer that wants to write copies first.
-``normals(seed, key, shape)`` is ``stream(seed, *key).standard_normal(shape)``
-through the memo, for INIT, PROPOSAL, FORWARD and the protocol's initial
-DIVERSITY latent.  ``branch_normals`` stacks the protocol's per-branch
-DIVERSITY draws of one interval into one entry.  Consumers that need the
-generator itself call ``stream``, which builds one of their own: RESAMPLE
-(smc's ``choice``) and PROCESS (``engine.run_process``).
+go through a ``functools.lru_cache`` of the 128 most recent blocks of at
+most 2 KB each (256 KB in all); a larger block is drawn and returned but
+not kept.  The cached blocks are shared, so every block is read-only: a
+consumer that wants to write copies first.  ``normals(seed, key, shape)``
+is ``stream(seed, *key).standard_normal(shape)`` through the cache, for
+INIT, PROPOSAL, FORWARD and the protocol's initial DIVERSITY latent.
+``branch_normals`` stacks the protocol's per-branch DIVERSITY draws of one
+interval into one block.  Consumers that need the generator itself call
+``stream``, which builds one of their own: RESAMPLE (smc's ``choice``) and
+PROCESS (``engine.run_process``).
 
-A memo miss builds no stream: the module's one generator is reset to the
+A cache miss builds no stream: the module's one generator is reset to the
 stream's key and counter, ~4 us a block before its draw against ~13 us for
-``stream`` (2-core Xeon, CPython 3.11, numpy 2.4).  The memo and the shared
-generator belong to the process and take no lock, so one thread draws at a
-time (the harness runs in parallel with processes, not threads).
+``stream`` (2-core Xeon, CPython 3.11, numpy 2.4).  The shared generator
+belongs to the process and takes no lock, so one thread draws at a time
+(the harness runs in parallel with processes, not threads).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from functools import cache, lru_cache
 
 import numpy as np
@@ -59,41 +59,11 @@ FORWARD = 4     # SoP forward-noising kernel, one block per round
 DIVERSITY = 5   # branched-proposal diversity protocol, one stream per branch
 PROCESS = 6     # generic run_process callers
 
-# The memo's budget, and what an entry costs beyond its array's data: the
-# key's tuples and ints, the array object and the dict's slot (390-450
-# bytes under tracemalloc on CPython 3.11 with numpy 2.4).  A seed-major
-# table reuses a block one sampler run (or one protocol run) after drawing
-# it, about 30 KB of entries at nfe 1000 and 10 steps; the budget holds
-# eight times that.
-_MEMO_BYTES = 256 * 1024
-_ENTRY_BYTES = 448
-
-
-class _Memo(OrderedDict):
-    """Read-only blocks by key, least recently used first, and their
-    footprint in bytes.  The module binds one for good and only mutates it."""
-
-    nbytes = 0
-
-    def draw(self, key: tuple, make) -> np.ndarray:
-        """The block kept under ``key``, else ``make()`` made read-only and
-        kept while it fits, evicting the least recently used blocks."""
-        block = self.get(key)
-        if block is not None:
-            self.move_to_end(key)
-            return block
-        block = make()
-        block.flags.writeable = False
-        cost = block.nbytes + _ENTRY_BYTES
-        if cost <= _MEMO_BYTES:
-            self[key] = block
-            self.nbytes += cost
-            while self.nbytes > _MEMO_BYTES:
-                self.nbytes -= self.popitem(last=False)[1].nbytes + _ENTRY_BYTES
-        return block
-
-
-_memo = _Memo()
+# The largest block the cache keeps, so its 128 blocks hold at most 256 KB.
+# A seed-major table reuses a block one sampler run (or one protocol run)
+# after drawing it.  At nfe 1000 and 10 steps the larger blocks are rbf's,
+# and a 10-seed loop still gets 1,484 of a 256 KB byte budget's 1,508 hits.
+_KEPT_BYTES = 2 * 1024
 
 
 @lru_cache(maxsize=128)
@@ -123,7 +93,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 
 @cache
 def _shared_generator() -> np.random.Generator:
-    """The one generator every memo miss draws from, built at the first miss:
+    """The one generator every cache miss draws from, built at the first miss:
     numpy imports ``numpy.random`` lazily, and importing flowsearch should
     not pay for it (~20 ms and ~6 MB)."""
     return np.random.Generator(np.random.Philox(0))
@@ -141,25 +111,39 @@ def _fresh_stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     return generator
 
 
-# Memo keys: keys that compare equal draw equal blocks, since ``_state``
+# Cache keys: keys that compare equal draw equal blocks, since ``_state``
 # reads the seed and key through int().  Sizes are typed, so a size numpy or
 # range() would refuse, 2.0 or True, never hits the block of the size it
-# equals.  The two functions' keys differ in length, so they never meet.
+# equals.  A ``normals`` key has branches None, so the two never meet.
+@lru_cache(maxsize=128)
+def _block(seed: int, key: tuple[int, ...], shape: tuple, branches: int | None,
+           types: tuple[type, ...]) -> np.ndarray:
+    """``stream(seed, *key).standard_normal(shape)``, or with ``branches``
+    one such draw per branch ``(*key, j)`` stacked, as a read-only array."""
+    if branches is None:
+        block = _fresh_stream(seed, key).standard_normal(shape)
+    else:
+        block = np.stack([_fresh_stream(seed, (*key, j)).standard_normal(shape)
+                          for j in range(branches)])
+    block.flags.writeable = False
+    return block
+
+
+def _draw(seed: int, key: tuple[int, ...], shape: tuple, branches: int | None) -> np.ndarray:
+    """The cached block, or past ``_KEPT_BYTES`` a block drawn and not kept."""
+    kept = 8 * math.prod(shape) * (branches or 1) <= _KEPT_BYTES
+    draw = _block if kept else _block.__wrapped__
+    return draw(seed, key, shape, branches, tuple(map(type, (*shape, branches))))
 
 
 def normals(seed: int, key: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
     """``stream(seed, *key).standard_normal(shape)`` as a read-only array,
-    from the memo while it holds it."""
-    return _memo.draw((seed, key, shape, tuple(map(type, shape))),
-                      lambda: _fresh_stream(seed, key).standard_normal(shape))
+    from the cache while it holds it."""
+    return _draw(seed, key, shape, None)
 
 
 def branch_normals(seed: int, key: tuple[int, ...], branches: int, dim: int) -> np.ndarray:
     """One stream per branch: row j is ``stream(seed, *key, j)
     .standard_normal(dim)``, as one read-only ``(branches, dim)`` block,
-    from the memo while it holds it."""
-    return _memo.draw(
-        (seed, key, branches, dim, type(branches), type(dim)),
-        lambda: np.stack([_fresh_stream(seed, (*key, j)).standard_normal(dim)
-                          for j in range(branches)]),
-    )
+    from the cache while it holds it."""
+    return _draw(seed, key, (dim,), branches)

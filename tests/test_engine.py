@@ -198,6 +198,23 @@ def test_transform_velocity_identity():
     np.testing.assert_array_equal(out, x - velocity_at(GMM, LINEAR, 0.6, x) * width(plan, 4))
 
 
+def test_identity_map_conversion_steps_bitwise():
+    # criterion 4's plan applies no map at all; given the exact identity
+    # map on every interval, the conversion's arithmetic must still leave
+    # each interval's latent bit for bit where the unmapped plan puts it
+    plain = StepPlan("vp-sde", 10, LINEAR)
+    mapped = StepPlan("vp-sde", 10, LINEAR)
+    mapped.maps = tuple(scale_time_transform(LINEAR, max(s, T_MIN)) for s in mapped.grid[:-1])
+    xa = xb = streams.stream(0, streams.INIT).standard_normal((1000, 2))
+    noise = streams.stream(0, streams.PROCESS)
+    for i in range(plain.steps):
+        z = noise.standard_normal(xa.shape) if plain.g[i] else None
+        xa = denoise_interval(plain, xa, i, z, oracle(GMM))
+        xb = denoise_interval(mapped, xb, i, z, oracle(GMM))
+        assert plain.maps[i] is None and mapped.maps[i].c_s == 1.0
+        assert xa.tobytes() == xb.tobytes()
+
+
 def test_transform_velocity_vp_closed_form():
     # for an N(0, I) prior the converted velocity equals the vp closed form
     # at every plan time: a probability-flow step over interval i is

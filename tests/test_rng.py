@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowsearch import rng as streams
+from flowsearch.harness import _protocol_diversity, load_config, run_experiment
 
 
 @pytest.fixture
-def memo(monkeypatch):
-    """An empty memo for one test; the module's own is restored after it."""
-    monkeypatch.setattr(streams, "_memo", streams._Memo())
-    return streams
+def memo():
+    """An empty block cache for one test, emptied again after it."""
+    streams._block.cache_clear()
+    yield streams
+    streams._block.cache_clear()
 
 
-def _footprint(memo):
-    return sum(block.nbytes + memo._ENTRY_BYTES for block in memo._memo.values())
+def _kept(memo):
+    return memo._block.cache_info().currsize
 
 
 # Every key layout and shape the samplers and the diversity protocol draw:
@@ -38,7 +40,7 @@ BRANCHES = [
 def test_memo_draws_equal_fresh_streams_bitwise(memo, seed):
     for key, shape in DRAWS:
         want = streams.stream(seed, *key).standard_normal(shape)
-        for _ in range(2):  # cold, then from the memo
+        for _ in range(2):  # cold, then from the cache
             got = memo.normals(seed, key, shape)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
@@ -99,24 +101,49 @@ def test_memo_keys_are_typed(memo):
 
 
 def test_memo_stays_within_its_budget(memo):
-    # A block over the budget is returned but not kept, and evicts nothing.
+    # A block over the cap comes back read-only, equal to a fresh stream,
+    # and is not kept.
     small = memo.normals(1, (streams.INIT,), (3, 2))
-    big = (memo._MEMO_BYTES // 8 + 1,)
-    block = memo.normals(1, (streams.INIT,), big)
-    assert np.array_equal(block, streams.stream(1, streams.INIT).standard_normal(big))
-    assert not block.flags.writeable
-    assert [b is small for b in memo._memo.values()] == [True]
-    assert memo._memo.nbytes == small.nbytes + memo._ENTRY_BYTES
-    # Filling past the budget evicts the least recently used blocks first.
+    big = memo.normals(1, (streams.INIT,), (129, 2))
+    assert np.array_equal(big, streams.stream(1, streams.INIT).standard_normal((129, 2)))
+    branches = memo.branch_normals(1, (streams.DIVERSITY, 1), 129, 2)
+    assert np.array_equal(branches, [streams.stream(1, streams.DIVERSITY, 1, j).standard_normal(2)
+                                     for j in range(129)])
+    for block in (big, branches):
+        assert block.nbytes > memo._KEPT_BYTES and not block.flags.writeable
+    assert _kept(memo) == 1 and memo.normals(1, (streams.INIT,), (3, 2)) is small
+    assert memo.normals(1, (streams.INIT,), (129, 2)) is not big
+    # A block of exactly the cap is kept.
+    assert memo.normals(1, (streams.INIT,), (128, 2)).nbytes == memo._KEPT_BYTES
+    assert _kept(memo) == 2
+    # Filling past 128 blocks evicts the least recently used blocks first.
     first = memo.normals(1, (streams.PROPOSAL, 0, 0), (100, 2))
     second = memo.normals(1, (streams.PROPOSAL, 0, 1), (100, 2))
     for b in range(2, 2_000):
         memo.normals(1, (streams.PROPOSAL, 0, b), (100, 2))
         memo.normals(1, (streams.PROPOSAL, 0, 0), (100, 2))  # keeps block 0 recent
-        assert memo._memo.nbytes == _footprint(memo) <= memo._MEMO_BYTES
+        assert _kept(memo) <= 128
+    assert _kept(memo) == 128
     assert memo.normals(1, (streams.PROPOSAL, 0, 0), (100, 2)) is first
     assert memo.normals(1, (streams.PROPOSAL, 0, 1), (100, 2)) is not second
-    assert memo._MEMO_BYTES - _footprint(memo) < 1600 + memo._ENTRY_BYTES
+
+
+def test_memo_serves_a_seeds_runs_on_every_process(memo, monkeypatch):
+    """Keys name no process, so once a seed's svdd run and diversity
+    protocol have run on one process, the same run on another process finds
+    every block in the cache: it fails if the cache is too small or a key
+    names the process."""
+    calls = []
+    fresh = memo._fresh_stream
+    monkeypatch.setattr(memo, "_fresh_stream",
+                        lambda seed, key: calls.append(key) or fresh(seed, key))
+    _protocol_diversity.cache_clear()
+    for process in ("linear-sde", "vp-sde"):
+        calls.clear()
+        run_experiment(load_config({"sampler": "svdd", "process": process,
+                                    "steps": 10, "nfe": 1000}), 7)
+    assert calls == []
+    assert 0 < _kept(memo) <= 128
 
 
 def _reference(seed, domain, *indices):
@@ -170,7 +197,7 @@ def _assert_invalid(memo, seed, key):
         memo.normals(seed, key, (2, 2))
     with pytest.raises(ValueError):
         memo.branch_normals(seed, key, 3, 2)
-    assert len(memo._memo) == 0
+    assert _kept(memo) == 0
 
 
 @pytest.mark.parametrize("seed, key", [(-1, (1,)), (0, (-1,)), (3, (2, -5)), (-2**70, (1, 2)),

@@ -174,7 +174,7 @@ def test_golden_results_at_benchmark_budgets():
 
 
 # The diversity protocol's exact results at steps=5, seed 0 (by repr): the
-# per-branch noise, its memo and the converted kernel, bit for bit.
+# per-branch noise, its cache and the converted kernel, bit for bit.
 DIVERSITY_GOLDEN = {
     "linear-ode": "0.0",
     "linear-sde": "6.911347504185696",

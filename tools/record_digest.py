@@ -27,8 +27,6 @@ import hashlib
 import sys
 from pathlib import Path
 
-PROCESSES = ("linear-ode", "linear-sde", "linear-sde-adaptive-time",
-             "linear-sde-scaled-diffusion", "vp-sde")
 SEEDS = (0, 1, 2, 12345)
 BUDGETS = (100, 300, 1000)
 STEPS = (5, 10)
@@ -56,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         for steps in STEPS:
             for budget in BUDGETS:
                 digest = hashlib.sha256()
-                for process in PROCESSES:
+                for process in PROCESS_NAMES:
                     config = load_config({"sampler": sampler, "process": process,
                                           "steps": steps, "nfe": budget})
                     for seed in SEEDS:
