@@ -12,9 +12,11 @@ produced latent comes bundled with that step, since the same velocity
 evaluation yields both the proposal and the Tweedie posterior mean.
 Valuing a latent nobody stepped to is not uniform: rbf charges 1 NFE per
 batch for its initial noise, while smc values its initial latents without
-charging them.  ``SearchBudget`` holds only ``total_nfe``: the plan owns
+charging them.  ``SearchBudget`` holds only ``total_nfe`` and may be
+reused: the run keeps the ledger.  ``_Runner.charge`` is the only place that
+spends NFE (rbf's initial valuing is booked on no interval), the plan owns
 the step count, and ``_Runner`` refuses a total below ``plan.steps``.
-``nfe_used`` never exceeds ``total_nfe``.
+``nfe_used`` is the run's own count and never exceeds ``total_nfe``.
 
 Per-step quotas follow one rule, ``_uniform_split``: a share split evenly
 over the steps, remainder to the earliest.  svdd is code at interval 1.
@@ -30,8 +32,8 @@ velocity row while each is charged 1 NFE.  rbf values a step's whole
 proposal block at once, charging up to the accepted index; the rows past
 it are uncharged, speculative oracle work.
 
-Every sampler is built on ``_Runner``, which owns the per-step ledger
-(charge the budget and book the step together), the per-step proposal
+Every sampler is built on ``_Runner``, which owns the run's NFE ledger
+(the count spent and its per-step booking), the per-step proposal
 noise, stepping through ``engine.denoise_interval`` (the one stepping
 kernel), valuing, per-batch selection and the final highest-reward pick.
 smc and rbf always return their small trace dicts in ``SearchResult.trace``.
@@ -51,7 +53,7 @@ parallelism, and every argmax breaks ties toward the lowest index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,32 +70,17 @@ def _uniform_split(total: int, parts: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
-    """Total NFE and the consumed-NFE ledger.
-
-    The plan owns the step count; each sampler splits the total into
-    per-step quotas itself."""
+    """A run's total NFE.  The run keeps the ledger, so one budget serves any
+    number of runs; the plan owns the step count, and each sampler splits
+    the total into per-step quotas itself."""
 
     total_nfe: int
-    consumed: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.total_nfe < 1:
             raise BudgetError("total_nfe must be positive")
-
-    @property
-    def remaining(self) -> int:
-        return self.total_nfe - self.consumed
-
-    def charge(self, n: int) -> None:
-        if n < 0:
-            raise BudgetError("cannot charge a negative NFE count")
-        if self.consumed + n > self.total_nfe:
-            raise BudgetError(
-                f"charge of {n} exceeds budget ({self.consumed}/{self.total_nfe} used)"
-            )
-        self.consumed += n
 
 
 @dataclass(frozen=True)
@@ -134,7 +121,9 @@ def _top_k_first(values: np.ndarray, k: int) -> np.ndarray:
 
 class _Runner:
     """The sampler skeleton: the velocity oracle, initial latents, per-step
-    noise, stepping, valuing, the per-step NFE ledger and the final pick."""
+    noise, stepping, valuing, the final pick and the run's own NFE ledger:
+    ``used`` of ``total``, booked per interval in ``per_step``, spent only
+    through ``charge``."""
 
     def __init__(
         self,
@@ -149,8 +138,9 @@ class _Runner:
         self.plan = plan
         self.gmm = gmm
         self.reward = reward
-        self.budget = budget
         self.seed = seed
+        self.total = budget.total_nfe
+        self.used = 0
         self.per_step = [0] * plan.steps
         src = plan.src_schedule
         self.velocity = lambda x, t: velocity_at(gmm, src, t, x)
@@ -167,10 +157,16 @@ class _Runner:
             return None
         return streams.normals(self.seed, (streams.PROPOSAL, i, batch), (count, self.gmm.dim))
 
-    def charge(self, i: int, n: int) -> None:
-        """Spend n NFE on grid interval i: charge the budget, book the step."""
-        self.budget.charge(n)
-        self.per_step[i] += n
+    def charge(self, i: int | None, n: int) -> None:
+        """Spend n NFE and book them on grid interval i (None: on none); a
+        negative charge or one past the total raises and books nothing."""
+        if n < 0:
+            raise BudgetError("cannot charge a negative NFE count")
+        if self.used + n > self.total:
+            raise BudgetError(f"charge of {n} exceeds budget ({self.used}/{self.total} used)")
+        self.used += n
+        if i is not None:
+            self.per_step[i] += n
 
     def value(self, x: np.ndarray, k: int):
         """Value of latents at grid point k (bundled with their step's NFE)."""
@@ -186,7 +182,7 @@ class _Runner:
         return x[np.arange(x.shape[0]), self.value(x, k).argmax(axis=1)]
 
     def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None) -> np.ndarray:
-        """Advance a batch over grid interval i; caller charges the budget.
+        """Advance a batch over grid interval i; the caller charges it.
         ``z`` None takes the probability-flow step.
 
         Proposals that share a parent are one call on ``x[None, :]`` with
@@ -205,7 +201,7 @@ class _Runner:
         return SearchResult(
             best_x=x[best],
             best_reward=float(values[best]),
-            nfe_used=self.budget.consumed,
+            nfe_used=self.used,
             per_step_consumption=self.per_step,
             trace=trace,
         )
@@ -273,7 +269,7 @@ def search_over_paths(
         db = min(2, steps - fwd_idx)
         cost = n_keep * k_branch * db
         finish_after = n_keep * (steps - (fwd_idx + db))
-        if budget.remaining < cost + finish_after:
+        if r.total - r.used < cost + finish_after:
             break
         zeta = streams.normals(seed, (streams.FORWARD, round_no), (n_keep * k_branch, gmm.dim))
         branched = zeta  # at the noise end the branches are fresh latents
@@ -419,7 +415,7 @@ def run_rbf(
         entry, accepted = [], []
         traces.append({"quotas_at_entry": entry, "accepted_at": accepted})
         x = starts[b]
-        budget.charge(1)  # valuing the fresh initial latent costs one call
+        r.charge(None, 1)  # valuing the fresh initial latent costs one call
         r_star = float(r.value(x, 0))
         for i in range(steps):
             q = quotas[i]

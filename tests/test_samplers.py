@@ -47,10 +47,43 @@ def test_budget_below_plan_steps_is_refused(name):
 
 
 def test_budget_charge_guard():
-    b = budget(20)
-    b.charge(20)
+    # the run owns the ledger: a negative charge, or one past the total,
+    # raises and books nothing; the budget holds only its total
+    from flowsearch.samplers import _Runner
+
+    r = _Runner(make_plan("linear-sde", 4), GMM, RARE, budget(20), seed=0)
+    r.charge(1, 12)
+    r.charge(None, 2)
+    for n in (-1, 7):
+        with pytest.raises(BudgetError):
+            r.charge(2, n)
+        assert (r.used, r.per_step) == (14, [0, 12, 0, 0])
+    r.charge(3, 6)
+    assert (r.used, r.per_step) == (20, [0, 12, 0, 6])
     with pytest.raises(BudgetError):
-        b.charge(1)
+        r.charge(None, 1)
+    assert (r.used, r.per_step) == (20, [0, 12, 0, 6])
+    b = budget(20)
+    with pytest.raises(AttributeError):
+        b.total_nfe = 30
+    assert vars(b) == {"total_nfe": 20}
+
+
+@pytest.mark.parametrize("name", ["bon", "sop", "smc", "code", "svdd", "rbf"])
+@pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
+def test_one_budget_serves_any_number_of_runs(name, process):
+    # a budget holds only its total: two runs sharing one return what a
+    # fresh budget gives, ledger and trace included
+    plan = make_plan(process, 10)
+    fresh = SAMPLERS[name](plan, GMM, RARE, budget(), seed=3)
+    shared = budget()
+    for _ in range(2):
+        res = SAMPLERS[name](plan, GMM, RARE, shared, seed=3)
+        np.testing.assert_array_equal(res.best_x, fresh.best_x)
+        assert repr(res.best_reward) == repr(fresh.best_reward)
+        assert res.nfe_used == fresh.nfe_used
+        assert res.per_step_consumption == fresh.per_step_consumption
+        np.testing.assert_equal(res.trace, fresh.trace)
 
 
 def test_ess_examples():
@@ -408,8 +441,8 @@ def test_rbf_hand_traced_rollover():
 
 
 def test_rbf_accounting_and_conservation_fuzz():
-    # consumed never exceeds the budget; consumed + remaining quotas is
-    # conserved at every step entry
+    # the NFE spent never exceeds the budget; spent + the quotas still to
+    # come is conserved at every step entry
     rng = np.random.default_rng(10)
     for trial in range(60):
         steps = int(rng.integers(2, 7))
@@ -418,12 +451,11 @@ def test_rbf_accounting_and_conservation_fuzz():
         res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed=trial, batches=1)
         assert res.nfe_used <= total
         batch = res.trace["batches"][0]
-        consumed = 1  # init charge
+        spent = 1  # init charge
         for i in range(steps):
-            remaining = sum(batch["quotas_at_entry"][i])
-            assert consumed + remaining == total
-            consumed += batch["accepted_at"][i]
-        assert res.nfe_used == consumed
+            assert spent + sum(batch["quotas_at_entry"][i]) == total
+            spent += batch["accepted_at"][i]
+        assert res.nfe_used == spent
 
 
 def test_rbf_worst_case_consumes_everything():
@@ -569,7 +601,7 @@ def _sequential_rbf(plan, gmm, reward, budget, seed, batches=2):
     for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         quotas = _uniform_split(share - 1, plan.steps)
         x = starts[b]
-        budget.charge(1)
+        r.charge(None, 1)
         r_star = float(r.value(x, 0))
         for i in range(plan.steps):
             q = quotas[i]

@@ -1,8 +1,13 @@
-"""Print sha256 digests of the harness's records and of run_process endpoints.
+"""Print sha256 digests of the harness's records, of the samplers' own
+results and of run_process endpoints.
 
 One line per (sampler, steps, budget) covers the five processes and seeds 0, 1, 2 and 12345 of the
 default config (benchmark mixture, rare-mode reward), hashing every record's
 ``(seed, method, process, repr(best_reward), repr(diversity_mpd), nfe_used)``.
+A ``result`` line per (sampler, steps, budget) covers the same runs through
+the sampler itself, hashing each ``SearchResult``'s ``best_x`` bytes and
+``(repr(best_reward), nfe_used, per_step_consumption, repr(trace))``, so it
+also moves with the ledger's per-step booking and the samplers' traces.
 A last line per process hashes ``engine.run_process`` endpoints, which no
 record reaches: 10^3 rows of the benchmark mixture at 10 steps for seeds
 0-3, from ``stream(seed, INIT, i)`` through ``stream(seed, PROCESS, i)``
@@ -44,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     from flowsearch.analytic_flow import default_benchmark_gmm, velocity_at
     from flowsearch.engine import PROCESS_NAMES, make_plan, run_process
     from flowsearch.harness import load_config, run_experiment
-    from flowsearch.samplers import SAMPLER_NAMES
+    from flowsearch.samplers import SAMPLER_NAMES, SAMPLERS, SearchBudget
 
     if Path(flowsearch.__file__).resolve().parent != (Path(args.src) / "flowsearch").resolve():
         print(f"imported flowsearch from {flowsearch.__file__}, not {args.src}", file=sys.stderr)
@@ -53,16 +58,23 @@ def main(argv: list[str] | None = None) -> int:
     for sampler in SAMPLER_NAMES:
         for steps in STEPS:
             for budget in BUDGETS:
-                digest = hashlib.sha256()
+                digest, results = hashlib.sha256(), hashlib.sha256()
                 for process in PROCESS_NAMES:
                     config = load_config({"sampler": sampler, "process": process,
                                           "steps": steps, "nfe": budget})
+                    plan = make_plan(process, steps)
                     for seed in SEEDS:
                         rec = run_experiment(config, seed)
                         row = (rec.seed, rec.method, rec.process, repr(rec.best_reward),
                                repr(rec.diversity_mpd), rec.nfe_used)
                         digest.update(repr(row).encode())
+                        res = SAMPLERS[sampler](plan, config.gmm, config.reward,
+                                                SearchBudget(budget), seed, **config.sampler_opts)
+                        results.update(res.best_x.tobytes())
+                        results.update(repr((repr(res.best_reward), res.nfe_used,
+                                             res.per_step_consumption, repr(res.trace))).encode())
                 print(f"{sampler} steps={steps} nfe={budget} {digest.hexdigest()}")
+                print(f"result {sampler} steps={steps} nfe={budget} {results.hexdigest()}")
 
     gmm = default_benchmark_gmm()
     for i, process in enumerate(PROCESS_NAMES):
