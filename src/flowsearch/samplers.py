@@ -25,12 +25,13 @@ batches``; a window of ``span`` intervals draws ``min(k, sum(quotas[i0:i0 +
 span]) // span)`` chains per batch, k whenever two or more batches run.
 rbf splits each batch's share, less its initial charge, the same way.
 
-The ledger charges proposals, not oracle rows.  Each selection point makes
-one velocity call and one value call: svdd and code advance all batches
-together, and their proposals that share a parent share that parent's
-velocity row while each is charged 1 NFE.  rbf values a step's whole
-proposal block at once, charging up to the accepted index; the rows past
-it are uncharged, speculative oracle work.
+The ledger charges proposals, not oracle rows.  Every selecting sampler
+(svdd, code, rbf) advances all its batches together, with one velocity
+call per interval and one value call per selection point; proposals that
+share a parent share that parent's velocity row while each is charged 1
+NFE.  rbf pads a step's proposal blocks to its largest batch quota and
+charges each batch up to its accepted index; the rows past it, padding
+included, are uncharged, speculative oracle work.
 
 Every sampler is built on ``_Runner``, which owns the run's NFE ledger
 (the count spent and its per-step booking), the per-step proposal
@@ -275,15 +276,11 @@ def search_over_paths(
         branched = zeta  # at the noise end the branches are fresh latents
         if idx:
             branched = _forward_noise(plan, np.repeat(x, k_branch, axis=0), idx, zeta)
-        pos = fwd_idx
-        for _ in range(db):
+        idx = fwd_idx + db
+        for pos in range(fwd_idx, idx):
             r.charge(pos, branched.shape[0])
             branched = r.step_batch(branched, pos, None)
-            pos += 1
-        values = r.value(branched, pos)
-        keep = _top_k_first(values, n_keep)
-        x = branched[keep]
-        idx = pos
+        x = branched[_top_k_first(r.value(branched, idx), n_keep)]
         round_no += 1
     while idx < steps:  # deterministic finish after truncation
         r.charge(idx, x.shape[0])
@@ -398,9 +395,11 @@ def run_rbf(
     step.  If the quota is exhausted the argmax-value proposal is taken
     (without updating r*).
 
-    A step builds and values its ``(q, d)`` proposal block (``(1, d)`` when
-    noiseless) in one velocity and one value call and charges up to the
-    accepted proposal: the rows after it are uncharged, speculative work.
+    All batches advance together, as in svdd and code: a step pads every
+    batch's proposal block to the largest quota, steps and values it in one
+    velocity and one value call, and charges each batch up to its accepted
+    proposal.  The rows past it, padding included, are uncharged,
+    speculative work; a miss accepts the last index, so nothing rolls over.
     """
     r = _Runner(plan, gmm, reward, budget, seed)
     if batches < 1:
@@ -408,34 +407,33 @@ def run_rbf(
     steps = plan.steps
     if budget.total_nfe < batches * (steps + 1):
         raise BudgetError("each rbf batch needs at least steps + 1 NFEs")
-    starts = r.initials(batches)
-    finals, traces = [], []
-    for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
-        quotas = _uniform_split(share - 1, steps)
-        entry, accepted = [], []
-        traces.append({"quotas_at_entry": entry, "accepted_at": accepted})
-        x = starts[b]
-        r.charge(None, 1)  # valuing the fresh initial latent costs one call
-        r_star = float(r.value(x, 0))
-        for i in range(steps):
-            q = quotas[i]
-            entry.append(list(quotas[i:]))
-            proposals = r.step_batch(x[None, :], i, r.noise(i, b, q))
-            values = r.value(proposals, i + 1)
-            beats = np.flatnonzero(values > r_star)
-            if beats.size:
-                j = int(beats[0])
-                if i + 1 < steps:
-                    quotas[i + 1] += q - 1 - j
-                r_star = float(values[j])
-                x = proposals[j]
-            else:
-                j = q - 1
-                x = proposals[np.argmax(values)]
-            r.charge(i, j + 1)
-            accepted.append(j + 1)
-        finals.append(x)
-    return r.result(finals, trace={"batches": traces, "init_charges": batches})
+    quotas = np.array([_uniform_split(share - 1, steps)
+                       for share in _uniform_split(budget.total_nfe, batches)])
+    accepted, entry, rows = np.zeros_like(quotas), [], np.arange(batches)
+    x = r.initials(batches)
+    r.charge(None, batches)  # valuing each fresh initial latent costs one call
+    r_star = r.value(x, 0)
+    for i in range(steps):
+        q = quotas[:, i]
+        entry.append(quotas[:, i:].tolist())
+        z = np.stack([r.noise(i, b, int(q.max())) for b in range(batches)]) if plan.g[i] else None
+        proposals = r.step_batch(x[:, None], i, z)
+        width = proposals.shape[1]
+        values = r.value(proposals.reshape(batches * width, -1), i + 1).reshape(batches, width)
+        values = np.where(np.arange(width) < q[:, None], values, -np.inf)  # padding never wins
+        beats = values > r_star[:, None]
+        hit = beats.any(axis=1)
+        j = np.where(hit, beats.argmax(axis=1), q - 1)
+        pick = np.where(hit, j, values.argmax(axis=1))
+        x = proposals[rows, pick]
+        r_star = np.where(hit, values[rows, pick], r_star)
+        if i + 1 < steps:
+            quotas[:, i + 1] += q - 1 - j
+        accepted[:, i] = j + 1
+        r.charge(i, int(accepted[:, i].sum()))
+    traces = [{"quotas_at_entry": [left[b] for left in entry], "accepted_at": acc}
+              for b, acc in enumerate(accepted.tolist())]
+    return r.result(x, trace={"batches": traces, "init_charges": batches})
 
 
 SAMPLERS = {

@@ -653,7 +653,7 @@ def test_rbf_matches_the_sequential_loop(process):
     # same acceptance index, rollover, charges and winner as stepping and
     # valuing one proposal at a time
     for seed in range(6):
-        for total, steps, batches in ((100, 5, 2), (61, 4, 1)):
+        for total, steps, batches in ((100, 5, 2), (61, 4, 1), (157, 6, 3), (90, 4, 4)):
             plan = make_plan(process, steps)
             res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed, batches=batches)
             ref, accepted_at = _sequential_rbf(plan, GMM, RARE, SearchBudget(total),
@@ -766,6 +766,11 @@ def _spy_oracle(monkeypatch):
     return log
 
 
+# rbf's (total NFE, steps, batches); 157 and 90 split into uneven shares, so
+# the batches' quotas are ragged from the first step
+RBF_CASES = [(1000, 10, 1), (1000, 10, 2), (157, 6, 3), (90, 4, 4)]
+
+
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
 def test_svdd_and_code_make_one_oracle_call_per_interval(monkeypatch, process):
     # every batch's proposals share one velocity call per interval and one
@@ -785,26 +790,26 @@ def test_svdd_and_code_make_one_oracle_call_per_interval(monkeypatch, process):
 
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
 def test_rbf_values_each_step_in_one_call(monkeypatch, process):
-    # per batch: one value call for the initial latent and one per step.  A
-    # step values all q_i proposals of a noisy interval (one row on the
-    # noiseless one) but charges only up to the accepted index, so the rows
-    # past it are declared speculative oracle work.
-    steps = 10
-    plan = make_plan(process, steps)
+    # every batch together: one value call for the initial latents and one
+    # per step, one velocity call per step.  A step values each batch's block
+    # padded to the largest quota (one row on the noiseless interval) but
+    # charges only up to the accepted index, so the rows past it are
+    # declared speculative oracle work.
     for seed in range(3):
-        ref, _ = _sequential_rbf(plan, GMM, RARE, SearchBudget(1000), seed)
-        with monkeypatch.context() as m:
-            log = _spy_oracle(m)
-            res = run_rbf(plan, GMM, RARE, SearchBudget(1000), seed)
-        traces = res.trace["batches"]
-        batches = len(traces)
-        assert len(log["value"]) == batches * (steps + 1)
-        rows = batches + sum(
-            bt["quotas_at_entry"][i][0] if plan.g[i] else 1
-            for bt in traces for i in range(steps)
-        )
-        assert sum(n for _, n in log["value"]) == rows
-        assert sorted(log["velocity"]) == sorted(list(range(steps)) * batches)
-        assert (res.nfe_used, res.per_step_consumption) == (
-            ref.nfe_used, ref.per_step_consumption)
-        assert res.best_reward == ref.best_reward
+        for total, steps, batches in RBF_CASES:
+            plan = make_plan(process, steps)
+            ref, _ = _sequential_rbf(plan, GMM, RARE, SearchBudget(total), seed,
+                                     batches=batches)
+            with monkeypatch.context() as m:
+                log = _spy_oracle(m)
+                res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed, batches=batches)
+            traces = res.trace["batches"]
+            assert len(traces) == batches
+            assert [k for k, _ in log["value"]] == list(range(steps + 1))
+            widths = [max(bt["quotas_at_entry"][i][0] for bt in traces) if plan.g[i] else 1
+                      for i in range(steps)]
+            assert sum(n for _, n in log["value"]) == batches + batches * sum(widths)
+            assert sorted(log["velocity"]) == list(range(steps))
+            assert (res.nfe_used, res.per_step_consumption) == (
+                ref.nfe_used, ref.per_step_consumption)
+            assert res.best_reward == ref.best_reward

@@ -8,6 +8,8 @@ A ``result`` line per (sampler, steps, budget) covers the same runs through
 the sampler itself, hashing each ``SearchResult``'s ``best_x`` bytes and
 ``(repr(best_reward), nfe_used, per_step_consumption, repr(trace))``, so it
 also moves with the ledger's per-step booking and the samplers' traces.
+A ``result rbf batches=3`` line per (steps, budget) hashes the same runs of
+rbf with three batches, whose uneven shares give ragged per-step quotas.
 A last line per process hashes ``engine.run_process`` endpoints, which no
 record reaches: 10^3 rows of the benchmark mixture at 10 steps for seeds
 0-3, from ``stream(seed, INIT, i)`` through ``stream(seed, PROCESS, i)``
@@ -36,6 +38,7 @@ SEEDS = (0, 1, 2, 12345)
 BUDGETS = (100, 300, 1000)
 STEPS = (5, 10)
 ENDPOINT_ROWS, ENDPOINT_STEPS, ENDPOINT_SEEDS = 1000, 10, (0, 1, 2, 3)
+RBF_BATCHES = 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,6 +58,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"imported flowsearch from {flowsearch.__file__}, not {args.src}", file=sys.stderr)
         return 2
 
+    def hash_result(results, res):
+        results.update(res.best_x.tobytes())
+        results.update(repr((repr(res.best_reward), res.nfe_used,
+                             res.per_step_consumption, repr(res.trace))).encode())
+
     for sampler in SAMPLER_NAMES:
         for steps in STEPS:
             for budget in BUDGETS:
@@ -68,13 +76,24 @@ def main(argv: list[str] | None = None) -> int:
                         row = (rec.seed, rec.method, rec.process, repr(rec.best_reward),
                                repr(rec.diversity_mpd), rec.nfe_used)
                         digest.update(repr(row).encode())
-                        res = SAMPLERS[sampler](plan, config.gmm, config.reward,
-                                                SearchBudget(budget), seed, **config.sampler_opts)
-                        results.update(res.best_x.tobytes())
-                        results.update(repr((repr(res.best_reward), res.nfe_used,
-                                             res.per_step_consumption, repr(res.trace))).encode())
+                        hash_result(results, SAMPLERS[sampler](
+                            plan, config.gmm, config.reward, SearchBudget(budget), seed,
+                            **config.sampler_opts))
                 print(f"{sampler} steps={steps} nfe={budget} {digest.hexdigest()}")
                 print(f"result {sampler} steps={steps} nfe={budget} {results.hexdigest()}")
+
+    config = load_config({"sampler": "rbf"})
+    for steps in STEPS:
+        for budget in BUDGETS:
+            results = hashlib.sha256()
+            for process in PROCESS_NAMES:
+                plan = make_plan(process, steps)
+                for seed in SEEDS:
+                    hash_result(results, SAMPLERS["rbf"](plan, config.gmm, config.reward,
+                                                         SearchBudget(budget), seed,
+                                                         batches=RBF_BATCHES))
+            print(f"result rbf batches={RBF_BATCHES} steps={steps} nfe={budget} "
+                  f"{results.hexdigest()}")
 
     gmm = default_benchmark_gmm()
     for i, process in enumerate(PROCESS_NAMES):
