@@ -122,12 +122,14 @@ class _AtTime(NamedTuple):
 
     The per-component constants are laid out (d, K, 1), coordinate first, so
     they broadcast against x read as (d, 1, N) columns.  The variances are
-    kept as reciprocals, so a query multiplies where it would divide."""
+    kept as reciprocals, so a query multiplies where it would divide, and
+    halved for the log joint's quadratic form."""
 
     coeffs: tuple[float, float, float, float]  # eval_schedule(sched, t)
     log_const: np.ndarray    # (K, 1): log w_k minus the log normaliser of component k
     means_t: np.ndarray      # (d, K, 1): alpha mu_k
     inv_var: np.ndarray      # (d, K, 1): 1 / (alpha^2 v_k + sigma^2)
+    half_inv_var: np.ndarray  # (d, K, 1): 0.5 * inv_var
     gain: np.ndarray         # (d, K, 1): alpha v_k / (alpha^2 v_k + sigma^2)
     means: np.ndarray        # (d, K, 1): mu_k
 
@@ -142,10 +144,11 @@ def _at_time(gmm: GaussianMixtureModel, sched: InterpolantSchedule, t: float) ->
     var = marginal.variances
     log_norm = 0.5 * np.add.reduce(np.log(var), axis=-1) + 0.5 * var.shape[-1] * _LOG_2PI
     gain = coeffs[0] * gmm.variances / var
+    inv_var = 1.0 / var
     return _AtTime(
         coeffs,
         (np.log(gmm.weights) - log_norm)[:, None],
-        *(a.T[:, :, None] for a in (marginal.means, 1.0 / var, gain, gmm.means)),
+        *(a.T[:, :, None] for a in (marginal.means, inv_var, 0.5 * inv_var, gain, gmm.means)),
     )
 
 
@@ -167,11 +170,10 @@ def _component_log_joint(at: _AtTime, cols: np.ndarray) -> np.ndarray:
     """log(w_k) + log N(x; m_k, V_k) for each component, shape (K, N)."""
     sq = cols - at.means_t                # (d, K, N)
     sq *= sq
-    sq *= at.inv_var
+    sq *= at.half_inv_var                 # halving first: the same bits, short of subnormals
     # Summed over d left to right by plain adds, which beat np.add.reduce
     # over the short leading axis at 10^4 rows and cost no more at one.
     quad = sum(sq[1:], sq[0])             # (K, N)
-    quad *= 0.5
     return np.subtract(at.log_const, quad, out=quad)
 
 
@@ -184,8 +186,8 @@ def _responsibilities(at: _AtTime, cols: np.ndarray) -> np.ndarray:
     e = _component_log_joint(at, cols)
     e -= np.maximum.reduce(e, axis=0)
     np.exp(e, out=e)
-    inv = e[0].copy()
-    for term in e[1:]:
+    inv = e[0] + e[1] if len(e) > 1 else e[0].copy()
+    for term in e[2:]:
         inv += term
     np.reciprocal(inv, out=inv)
     e *= inv
@@ -275,14 +277,21 @@ def velocity_at(
     if not T_MIN <= t <= 1.0:
         raise DomainError(f"velocity needs t in [{T_MIN}, 1], got {t}")
     at = _at_time(gmm, sched, float(t))
-    alpha, sigma, alpha_dot, sigma_dot = at.coeffs
-    x0_hat = _posterior_mean_unchecked(gmm, at, x)
+    return velocity_from_posterior_mean(at.coeffs, x, _posterior_mean_unchecked(gmm, at, x))
+
+
+def velocity_from_posterior_mean(coeffs, x: np.ndarray, x0_hat: np.ndarray) -> np.ndarray:
+    """The velocity at ``x`` from its posterior mean, written into ``x0_hat``:
+    u = alpha_dot * x0_hat + sigma_dot * E[x1|x], with E[x1|x] = (x - alpha
+    * x0_hat) / sigma and ``coeffs = eval_schedule(sched, t)``.  This is
+    ``velocity_at``'s own arithmetic, so the same x0_hat gives its bits."""
+    alpha, sigma, alpha_dot, sigma_dot = coeffs
     x1_hat = alpha * x0_hat
     np.subtract(x, x1_hat, out=x1_hat)
     x1_hat /= sigma
     x1_hat *= sigma_dot
     x0_hat *= alpha_dot
-    x0_hat += x1_hat  # u = alpha_dot * x0_hat + sigma_dot * x1_hat
+    x0_hat += x1_hat
     return x0_hat
 
 

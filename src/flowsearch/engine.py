@@ -24,10 +24,11 @@ process name.  Its arrays are read-only, and ``make_plan`` hands out one
 shared plan per ``(process, steps)``.
 ``denoise_interval(plan, x, i, z, velocity)`` is the single stepping
 kernel: ``run_process``, the samplers and the diversity protocol all
-advance latents through it by interval index.  It makes one velocity-oracle
-call per step, and ``run_process`` returns that call count.  A sampler's
-``nfe_used`` is its budget ledger instead, which charges proposals, not
-oracle calls (see ``samplers``).
+advance latents through it by interval index.  It makes one velocity call
+per step, and ``run_process`` returns that call count; a sampler answers
+the call from the x̂0 it valued the latents with where it holds one.  A
+sampler's ``nfe_used`` is its budget ledger instead, which charges
+proposals, not oracle calls (see ``samplers``).
 """
 
 from __future__ import annotations

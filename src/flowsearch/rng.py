@@ -31,9 +31,10 @@ consumer that wants to write copies first.  ``normals(seed, key, shape)``
 is ``stream(seed, *key).standard_normal(shape)`` through the cache, for
 INIT, PROPOSAL, FORWARD and the protocol's initial DIVERSITY latent.
 ``branch_normals`` stacks the protocol's per-branch DIVERSITY draws of one
-interval into one block.  Consumers that need the generator itself call
-``stream``, which builds one of their own: RESAMPLE (smc's ``choice``) and
-PROCESS (``engine.run_process``).
+interval into one block.  smc's RESAMPLE ``choice`` draws from the shared
+generator below, reset by ``_fresh_stream`` right before the draw.  Only
+PROCESS's consumers, the callers of ``engine.run_process``, which takes a
+generator and keeps it, call ``stream``, which builds one of their own.
 
 A cache miss builds no stream: the module's one generator is reset to the
 stream's key and counter, ~4 us a block before its draw against ~13 us for
@@ -77,9 +78,9 @@ def _philox_key(seed: int, domain: int) -> tuple[int, int]:
 def _state(seed: int, key: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, ...]]:
     """The Philox key and counter of the stream ``(seed, *key)``: the one
     definition of a stream.  ``key`` is a domain and at most two indices."""
-    if not 1 <= len(key) <= 3 or not all(0 <= int(i) < 2**64 for i in key[1:]):
-        raise ValueError(f"expected a domain and at most two indices in [0, 2**64), got {key}")
     indices = [int(i) for i in key[1:]]
+    if not 1 <= len(key) <= 3 or min(indices, default=0) < 0 or max(indices, default=0) >= 2**64:
+        raise ValueError(f"expected a domain and at most two indices in [0, 2**64), got {key}")
     return _philox_key(int(seed), int(key[0])), (0, len(indices), *indices, 0, 0)[:4]
 
 

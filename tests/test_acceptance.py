@@ -23,8 +23,6 @@ the implementation):
 import csv
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -66,6 +64,8 @@ from flowsearch.samplers import (
     run_rbf,
     run_smc,
 )
+
+from child import python
 
 LINEAR = InterpolantSchedule("linear")
 VP = vp_schedule()
@@ -469,11 +469,8 @@ def test_criterion_13_run_determinism(tmp_path):
     wall_col = list(CSV_COLUMNS).index("wall_ms")
 
     def rows(out, jobs):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowsearch.cli", "run", str(cfg),
-             "--out", str(out), "--jobs", str(jobs)],
-            capture_output=True, text=True,
-        )
+        proc = python("-m", "flowsearch.cli", "run", str(cfg), "--out", str(out),
+                      "--jobs", str(jobs))
         assert proc.returncode == 0, proc.stderr
         with open(out) as fh:
             parsed = list(csv.reader(fh))

@@ -1,7 +1,5 @@
 import itertools
 import pickle
-import subprocess
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +22,8 @@ from flowsearch.analytic_flow import (
 )
 from flowsearch.errors import DomainError
 from flowsearch.interpolants import T_MIN, InterpolantSchedule, eval_schedule, vp_schedule
+
+from child import python
 
 LINEAR = InterpolantSchedule("linear")
 VP = vp_schedule()
@@ -308,7 +308,7 @@ def test_oracle_cache_hits_equal_cold_calls():
 
 def test_import_leaves_scipy_unloaded():
     code = "import sys, flowsearch, flowsearch.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

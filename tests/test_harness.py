@@ -1,8 +1,5 @@
 import csv
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +28,8 @@ from flowsearch.harness import (
 )
 from flowsearch.engine import make_plan
 from flowsearch.analytic_flow import _at_time, default_benchmark_gmm
+
+from child import python
 
 
 def small_config(**overrides):
@@ -278,17 +277,6 @@ def _write_config(tmp_path, **overrides):
     return path
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _python(*args):
-    """``python *args`` with this checkout's ``src`` first on the child's
-    path, as pytest's ``pythonpath`` puts it first on the test process's."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-
-
 def _read_rows_without_wall(path):
     with open(path) as fh:
         rows = list(csv.reader(fh))
@@ -310,8 +298,8 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
     outs = []
     for i, jobs in enumerate((1, 1, 8)):
         out = tmp_path / f"out{i}.csv"
-        proc = _python("-m", "flowsearch.cli", command, str(cfg_path),
-                       "--out", str(out), "--jobs", str(jobs), *extra)
+        proc = python("-m", "flowsearch.cli", command, str(cfg_path),
+                      "--out", str(out), "--jobs", str(jobs), *extra)
         assert proc.returncode == 0, proc.stderr
         outs.append(_read_rows_without_wall(out))
     assert outs[0] == outs[1] == outs[2]
@@ -390,7 +378,7 @@ def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
     cfg_path = _write_config(tmp_path, **overrides)
     out_args = [] if extra_args is None else ["--out", str(tmp_path / "x.csv"), *extra_args]
     out_args = [a.format(tmp=tmp_path, cfg=cfg_path) for a in out_args]
-    proc = _python("-m", "flowsearch.cli", command, str(cfg_path), *out_args)
+    proc = python("-m", "flowsearch.cli", command, str(cfg_path), *out_args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ")
     assert "Traceback" not in proc.stderr
@@ -448,7 +436,7 @@ def test_pool_is_sized_by_tasks_and_cores(monkeypatch):
 def test_cli_import_leaves_multiprocessing_unloaded():
     # the process pool is imported only by a run that starts one
     code = "import sys, flowsearch.cli; print('multiprocessing' in sys.modules)"
-    proc = _python("-c", code)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -457,7 +445,7 @@ def test_cli_import_leaves_numpy_random_unloaded():
     # numpy imports numpy.random lazily (~20 ms and ~6 MB); the shared noise
     # generator is built at the first draw, not at import
     code = "import sys, flowsearch.cli; print('numpy.random' in sys.modules)"
-    proc = _python("-c", code)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -467,8 +455,8 @@ def test_cli_seed_offset(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     for out, offset in ((out_a, "0"), (out_b, "5")):
-        proc = _python("-m", "flowsearch.cli", "run", str(cfg_path),
-                       "--out", str(out), "--seed-offset", offset)
+        proc = python("-m", "flowsearch.cli", "run", str(cfg_path),
+                      "--out", str(out), "--seed-offset", offset)
         assert proc.returncode == 0, proc.stderr
     assert _read_rows_without_wall(out_a)[1][0] == "0"
     assert _read_rows_without_wall(out_b)[1][0] == "5"
@@ -477,12 +465,12 @@ def test_cli_seed_offset(tmp_path):
 def test_cli_sweep_and_ablate(tmp_path):
     cfg_path = _write_config(tmp_path, seeds=[0])
     out = tmp_path / "sweep.csv"
-    proc = _python("-m", "flowsearch.cli", "sweep", str(cfg_path),
-                   "--budgets", "12,40", "--out", str(out))
+    proc = python("-m", "flowsearch.cli", "sweep", str(cfg_path),
+                  "--budgets", "12,40", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert len(_read_rows_without_wall(out)) == 3  # header + 2 budgets
     out2 = tmp_path / "ablate.csv"
-    proc = _python("-m", "flowsearch.cli", "ablate", str(cfg_path), "--out", str(out2))
+    proc = python("-m", "flowsearch.cli", "ablate", str(cfg_path), "--out", str(out2))
     assert proc.returncode == 0, proc.stderr
     rows = _read_rows_without_wall(out2)
     assert len(rows) == 6  # header + five processes

@@ -813,3 +813,106 @@ def test_rbf_values_each_step_in_one_call(monkeypatch, process):
             assert (res.nfe_used, res.per_step_consumption) == (
                 ref.nfe_used, ref.per_step_consumption)
             assert res.best_reward == ref.best_reward
+
+
+# --- one oracle query per latent and grid point: valuing and stepping share x̂0
+
+# Posterior evaluations (``analytic_flow._posterior_mean_unchecked``, which
+# every velocity and value query makes) per run at nfe 1000 and 10 steps, in
+# PROCESS_NAMES order.  A selected latent is valued and stepped from one
+# query; the first step queries afresh, except where the initial value's
+# query is that step's (smc and rbf on the matched-grid modes, whose first
+# time is below 1 - T_MIN).  code on linear-ode selects nothing: its
+# noiseless chains stay one row each.
+ORACLE_CALLS = {
+    "bon": (10, 10, 10, 10, 10),
+    "sop": (27, 27, 27, 27, 27),
+    "smc": (12, 12, 11, 11, 12),
+    "code": (10, 11, 11, 11, 11),
+    "svdd": (10, 10, 10, 10, 10),
+    "rbf": (12, 12, 11, 11, 12),
+}
+
+
+def _count_posterior(monkeypatch):
+    """Count the oracle's posterior evaluations."""
+    from flowsearch import analytic_flow
+
+    calls = [0]
+    orig = analytic_flow._posterior_mean_unchecked
+
+    def counted(*args):
+        calls[0] += 1
+        return orig(*args)
+
+    monkeypatch.setattr(analytic_flow, "_posterior_mean_unchecked", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CALLS))
+def test_oracle_calls_per_run(monkeypatch, name):
+    from flowsearch.engine import PROCESS_NAMES
+
+    calls = _count_posterior(monkeypatch)
+    got = []
+    for process in PROCESS_NAMES:
+        counts = set()
+        for seed in range(3):
+            calls[0] = 0
+            SAMPLERS[name](make_plan(process, 10), GMM, RARE, budget(1000), seed)
+            counts.add(calls[0])
+        got.append(counts.pop() if len(counts) == 1 else counts)
+    assert tuple(got) == ORACLE_CALLS[name]
+
+
+@pytest.mark.parametrize("process", ["linear-ode", "linear-sde", "linear-sde-adaptive-time",
+                                     "linear-sde-scaled-diffusion", "vp-sde"])
+def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, process):
+    # rows kept by select step from the x̂0 their value computed, bitwise the
+    # oracle's step, with no oracle call wherever the value queried the
+    # step's own point
+    from flowsearch.engine import denoise_interval
+    from flowsearch.interpolants import T_MIN
+    from flowsearch.samplers import _Runner
+
+    plan = make_plan(process, 6)
+    r = _Runner(plan, GMM, RARE, budget(), seed=0)
+    gen = np.random.default_rng(1)
+    calls = _count_posterior(monkeypatch)
+    for k in range(plan.steps):
+        chains = 3.0 * gen.standard_normal((4, 5, GMM.dim))
+        z = gen.standard_normal((4, 3, GMM.dim)) if plan.g[k] else None
+        x = r.select(chains, k)
+        want = denoise_interval(plan, x[:, None], k, z, r.velocity)
+        calls[0] = 0
+        got = r.step_batch(x[:, None], k, z)
+        np.testing.assert_array_equal(got, want)
+        assert calls[0] == (0 if T_MIN <= plan.times[k] <= 1.0 - T_MIN else 1)
+        # the held x̂0 serves one step of its own rows: a second step, or a
+        # step of the kept rows in another order, asks the oracle
+        np.testing.assert_array_equal(r.step_batch(x[:, None], k, z), want)
+        other = r.select(chains, k)[::-1, None]
+        want = denoise_interval(plan, other, k, z, r.velocity)
+        calls[0] = 0
+        np.testing.assert_array_equal(r.step_batch(other, k, z), want)
+        assert calls[0] == 1
+
+
+def test_vp_sde_values_through_the_source_query(monkeypatch):
+    # vp-sde values an interior latent through the kernel's source query
+    # (x / c_s at t_s), which agrees with the VP-coordinate posterior mean
+    # to 1e-13
+    from flowsearch.analytic_flow import posterior_mean
+    from flowsearch.interpolants import SOURCE
+    from flowsearch.rewards import evaluate_reward
+    from flowsearch.samplers import _Runner
+
+    plan = make_plan("vp-sde", 10)
+    r = _Runner(plan, GMM, RARE, budget(), seed=0)
+    x = 3.0 * np.random.default_rng(2).standard_normal((200, GMM.dim))
+    for k in range(1, plan.steps):
+        m = plan.maps[k]
+        source = posterior_mean(GMM, SOURCE, m.t_s, x / m.c_s)
+        vp = posterior_mean(GMM, plan.schedule, plan.grid[k], x)
+        assert np.max(np.abs(source - vp)) <= 1e-13 * max(1.0, np.max(np.abs(vp)))
+        np.testing.assert_array_equal(r.value(x, k), evaluate_reward(RARE, source))
