@@ -277,22 +277,15 @@ def velocity_at(
     if not T_MIN <= t <= 1.0:
         raise DomainError(f"velocity needs t in [{T_MIN}, 1], got {t}")
     at = _at_time(gmm, sched, float(t))
-    return velocity_from_posterior_mean(at.coeffs, x, _posterior_mean_unchecked(gmm, at, x))
-
-
-def velocity_from_posterior_mean(coeffs, x: np.ndarray, x0_hat: np.ndarray) -> np.ndarray:
-    """The velocity at ``x`` from its posterior mean, written into ``x0_hat``:
-    u = alpha_dot * x0_hat + sigma_dot * E[x1|x], with E[x1|x] = (x - alpha
-    * x0_hat) / sigma and ``coeffs = eval_schedule(sched, t)``.  This is
-    ``velocity_at``'s own arithmetic, so the same x0_hat gives its bits."""
-    alpha, sigma, alpha_dot, sigma_dot = coeffs
-    x1_hat = alpha * x0_hat
+    alpha, sigma, alpha_dot, sigma_dot = at.coeffs
+    u = _posterior_mean_unchecked(gmm, at, x)  # x0_hat, made into u in place
+    x1_hat = alpha * u
     np.subtract(x, x1_hat, out=x1_hat)
     x1_hat /= sigma
     x1_hat *= sigma_dot
-    x0_hat *= alpha_dot
-    x0_hat += x1_hat
-    return x0_hat
+    u *= alpha_dot
+    u += x1_hat
+    return u
 
 
 def mode_assignments(gmm: GaussianMixtureModel, x: np.ndarray) -> np.ndarray:

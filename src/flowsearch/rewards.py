@@ -37,6 +37,8 @@ class RewardSpec:
             raise DomainError(
                 f"kl_temperature must be finite and positive, got {self.kl_temperature}"
             )
+        if self.kind == "rare-mode":  # the log-density's normaliser, once per spec
+            object.__setattr__(self, "_log_norm", np.log(2.0 * np.pi * self.params["variance"]))
 
 
 def target_point_reward(target, kl_temperature: float = 0.1) -> RewardSpec:
@@ -84,10 +86,8 @@ def evaluate_reward(spec: RewardSpec, x) -> np.ndarray | float:
         # the same bits alone as in a batch: no BLAS dot (norm) or libm pow (**)
         out = -np.square(np.sqrt((x * x).sum(axis=-1)) - spec.params["radius"])
     else:  # rare-mode: diagonal Gaussian log-density
-        mean = spec.params["mean"]
-        var = spec.params["variance"]
-        diff = x - mean
-        out = -0.5 * (diff * diff / var + np.log(2.0 * np.pi * var)).sum(axis=-1)
+        diff = x - spec.params["mean"]
+        out = -0.5 * (diff * diff / spec.params["variance"] + spec._log_norm).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

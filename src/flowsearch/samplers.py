@@ -26,26 +26,22 @@ span]) // span)`` chains per batch, k whenever two or more batches run.
 rbf splits each batch's share, less its initial charge, the same way.
 
 The ledger charges proposals, not oracle rows.  Every selecting sampler
-(svdd, code, rbf) advances all its batches together, with one velocity
-step per interval and one value call per selection point; proposals that
-share a parent share that parent's velocity row while each is charged 1
-NFE.  rbf pads a step's proposal blocks to its largest batch quota and
-charges each batch up to its accepted index; the rows past it, padding
-included, are uncharged, speculative oracle work.
+(svdd, code, rbf) advances all its batches together, with one step per
+interval and one value call per selection point; proposals that share a
+parent share that parent's oracle row while each is charged 1 NFE.  rbf
+pads a step's proposal blocks to its largest batch quota and charges each
+batch up to its accepted index; the rows past it, padding included, are
+uncharged, speculative oracle work.
 
-One oracle query yields x̂0 = E[x0 | x_t], and the velocity follows from
-it, so a latent that is valued and then stepped is queried once: its value
-is taken where the step queries (``_Runner.value``) and the step reuses
-that x̂0.  smc, code, svdd and rbf step every latent they valued this
-way, except at grid point 0 on the plan-grid modes: their first step
-queries t = 1, and a value queries no later than 1 - T_MIN.  At nfe 1000
-and 10 steps each of the four makes 10 to 12 posterior evaluations a run
-(bon 10, sop 27).
+A latent is stepped from its posterior mean x̂0 = E[x0 | x_t], the
+oracle's one output, at the interval's query point (``engine.step_from_x0``):
+the x̂0 its value took there (``_Runner.value``), else one fresh query.  At
+nfe 1000 and 10 steps smc, code, svdd and rbf make 10 to 12 posterior
+evaluations a run (bon 10, sop 27).
 
 Every sampler is built on ``_Runner``, which owns the run's NFE ledger
-(the count spent and its per-step booking), the per-step proposal
-noise, stepping through ``engine.denoise_interval`` (the one stepping
-kernel), valuing, per-batch selection and the final highest-reward pick.
+(the count spent and its per-step booking), the per-step proposal noise,
+stepping, valuing, per-batch selection and the final highest-reward pick.
 smc and rbf always return their small trace dicts in ``SearchResult.trace``.
 
 Determinism
@@ -68,13 +64,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as streams
-from .analytic_flow import (
-    GaussianMixtureModel,
-    posterior_mean,
-    velocity_at,
-    velocity_from_posterior_mean,
-)
-from .engine import StepPlan, denoise_interval
+from . import analytic_flow
+# Unused here, velocity_at and denoise_interval stay bound for bench/'s span wrappers.
+from .analytic_flow import GaussianMixtureModel, posterior_mean, velocity_at  # noqa: F401
+from .engine import StepPlan, denoise_interval, step_from_x0  # noqa: F401
 from .errors import BudgetError, DomainError
 from .interpolants import T_MIN, eval_schedule
 from .rewards import RewardSpec, estimate_value, evaluate_reward
@@ -135,13 +128,13 @@ def _top_k_first(values: np.ndarray, k: int) -> np.ndarray:
 
 
 class _Runner:
-    """The sampler skeleton: the velocity oracle, initial latents, per-step
-    noise, stepping, valuing, the final pick and the run's own NFE ledger:
-    ``used`` of ``total``, booked per interval in ``per_step``, spent only
-    through ``charge``.
+    """The sampler skeleton: initial latents, per-step noise, stepping,
+    valuing, the final pick and the run's own NFE ledger: ``used`` of
+    ``total``, booked per interval in ``per_step``, spent only through
+    ``charge``.
 
     One oracle query serves a latent's value and its next step: ``value``
-    holds the x̂0 it computed where the step will query, ``take`` carries it
+    holds the x̂0 it computed at the step's query point, ``take`` carries it
     to the rows a sampler keeps, and ``step_batch`` steps those rows from it
     (``_held``: grid point, latents, x̂0).  No latent is written in place,
     so rows bitwise equal to the held ones have the held x̂0."""
@@ -163,8 +156,6 @@ class _Runner:
         self.total = budget.total_nfe
         self.used = 0
         self.per_step = [0] * plan.steps
-        src = plan.src_schedule
-        self.velocity = lambda x, t: velocity_at(gmm, src, t, x)
         self._held = None
 
     def initials(self, count: int) -> np.ndarray:
@@ -192,26 +183,27 @@ class _Runner:
 
     def value(self, x: np.ndarray, k: int):
         """Value of latents at grid point k, r(x̂0) with x̂0 = E[x0 | x_t]
-        (bundled with their step's NFE).
-
-        Where the step from k queries the oracle at the latent's own time t
-        (T_MIN <= t <= 1 - T_MIN), x̂0 is queried at that same point, in
-        source coordinates through ``plan.maps[k]``, and held for the step.
-        Elsewhere (grid point 0 on the plan-grid modes, whose step queries
-        t = 1, and the final point) x̂0 is taken in the latent's own
-        coordinates at min(t, 1 - T_MIN), and nothing is held."""
+        (bundled with their step's NFE): for T_MIN <= t <= 1 - T_MIN the next
+        step's ``query``, held for it, else (t = 1, the final point) taken in
+        the latent's own coordinates at min(t, 1 - T_MIN), and not held."""
         plan = self.plan
         t = plan.times[k]
         if not T_MIN <= t <= 1.0 - T_MIN:
             return np.asarray(estimate_value(self.reward, self.gmm, plan.schedule,
                                              min(t, 1.0 - T_MIN), x))
-        m = plan.maps[k]
-        if m is None:
-            x0 = posterior_mean(self.gmm, plan.src_schedule, t, x)
-        else:
-            x0 = posterior_mean(self.gmm, plan.src_schedule, m.t_s, x / m.c_s)
+        x0 = self.query(x, k)
         self._held = (k, x, x0)
         return np.asarray(evaluate_reward(self.reward, x0))
+
+    def query(self, x: np.ndarray, i: int) -> np.ndarray:
+        """x̂0 = E[x0 | x / c, t] at interval i's query point (one evaluation);
+        at t = 1, which ``posterior_mean`` refuses, by ``velocity_at``'s call."""
+        (c, t, *_), _ = self.plan.intervals[i]
+        y, src = x if c is None else x / c, self.plan.src_schedule
+        if t <= 1.0 - T_MIN:
+            return posterior_mean(self.gmm, src, t, y)
+        return analytic_flow._posterior_mean_unchecked(
+            self.gmm, analytic_flow._at_time(self.gmm, src, t), y)
 
     def take(self, x: np.ndarray, index) -> np.ndarray:
         """``x[index]``, carrying the x̂0 held for ``x`` to the rows taken."""
@@ -230,27 +222,15 @@ class _Runner:
         return self.take(x, (np.arange(x.shape[0]), self.value(x, k).argmax(axis=1)))
 
     def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None) -> np.ndarray:
-        """Advance a batch over grid interval i; the caller charges it.
-        ``z`` None takes the probability-flow step.
-
-        Proposals that share a parent are one call on ``x[None, :]`` with
-        their ``(q, d)`` noise block (or ``(B, 1, d)`` with ``(B, q, d)``):
-        each parent's velocity is evaluated once, and without noise the
-        result keeps its single proposal row.  Rows bitwise equal to those
-        ``value`` held x̂0 for at grid point i take the velocity from it, by
-        ``velocity_at``'s arithmetic, and make no oracle call; a velocity
-        query on other rows goes to the oracle."""
+        """Advance a batch over grid interval i (``z`` None: the flow step);
+        the caller charges it.  Proposals sharing a parent are one call on
+        ``x[None, :]`` with their ``(q, d)`` noise block (or ``(B, 1, d)``
+        with ``(B, q, d)``), so each parent is queried once: from the x̂0
+        ``value`` held for rows bitwise equal to these, else by ``query``."""
         held, self._held = self._held, None
-        velocity = self.velocity
         if held is not None and held[0] == i and held[1].tobytes() == x.tobytes():
-            pending = [held[2]]
-
-            def velocity(y, t):
-                if pending and pending[0].size == y.size:
-                    coeffs = eval_schedule(self.plan.src_schedule, float(t))
-                    return velocity_from_posterior_mean(coeffs, y, pending.pop().reshape(y.shape))
-                return self.velocity(y, t)
-        return denoise_interval(self.plan, x, i, z, velocity)
+            return step_from_x0(self.plan, x, i, z, held[2].reshape(x.shape))
+        return step_from_x0(self.plan, x, i, z, self.query(x, i))
 
     def result(self, finals, values=None, trace: dict | None = None) -> SearchResult:
         """The highest-reward final latent, lowest index on ties; ``values``
@@ -458,7 +438,7 @@ def run_rbf(
 
     All batches advance together, as in svdd and code: a step pads every
     batch's proposal block to the largest quota, steps and values it in one
-    velocity and one value call, and charges each batch up to its accepted
+    step and one value call, and charges each batch up to its accepted
     proposal.  The rows past it, padding included, are uncharged,
     speculative work; a miss accepts the last index, so nothing rolls over.
     """

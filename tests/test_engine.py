@@ -6,6 +6,8 @@ import pytest
 from flowsearch import engine
 from flowsearch import rng as streams
 from flowsearch.analytic_flow import (
+    _at_time,
+    _posterior_mean_unchecked,
     GaussianMixtureModel,
     default_benchmark_gmm,
     mode_assignments,
@@ -20,6 +22,7 @@ from flowsearch.engine import (
     make_plan,
     run_process,
     score_from_velocity,
+    step_from_x0,
 )
 from flowsearch.errors import DomainError
 from flowsearch.interpolants import (
@@ -200,19 +203,21 @@ def test_transform_velocity_identity():
 
 def test_identity_map_conversion_steps_bitwise():
     # criterion 4's plan applies no map at all; given the exact identity
-    # map on every interval, the conversion's arithmetic must still leave
-    # each interval's latent bit for bit where the unmapped plan puts it
+    # map on every interval, the conversion's arithmetic must still step
+    # each interval's latent bit for bit where the unmapped plan puts it:
+    # the same query time and step coefficients, and x / c_s is x
     plain = StepPlan("vp-sde", 10, LINEAR)
-    mapped = StepPlan("vp-sde", 10, LINEAR)
-    mapped.maps = tuple(scale_time_transform(LINEAR, max(s, T_MIN)) for s in mapped.grid[:-1])
-    xa = xb = streams.stream(0, streams.INIT).standard_normal((1000, 2))
+    t = plain.times.tolist()
+    x = streams.stream(0, streams.INIT).standard_normal((1000, 2))
     noise = streams.stream(0, streams.PROCESS)
-    for i in range(plain.steps):
-        z = noise.standard_normal(xa.shape) if plain.g[i] else None
-        xa = denoise_interval(plain, xa, i, z, oracle(GMM))
-        xb = denoise_interval(mapped, xb, i, z, oracle(GMM))
-        assert plain.maps[i] is None and mapped.maps[i].c_s == 1.0
-        assert xa.tobytes() == xb.tobytes()
+    for i, g in enumerate(plain.g.tolist()):
+        identity = scale_time_transform(LINEAR, max(t[i], T_MIN))
+        mapped = engine._interval_steps(LINEAR, t[i], t[i] - t[i + 1], g, identity)
+        assert plain.maps[i] is None and identity.c_s == 1.0
+        for unmapped, step in zip(plain.intervals[i], mapped):
+            assert step.c == 1.0 and step[1:] == unmapped[1:]
+        assert (x / identity.c_s).tobytes() == x.tobytes()
+        x = denoise_interval(plain, x, i, noise.standard_normal(x.shape) if g else None, oracle(GMM))
 
 
 def test_transform_velocity_vp_closed_form():
@@ -447,29 +452,34 @@ def reference_interval(plan, x, s_left, s_right, z, velocity, g_norm):
         t_left = _ref_latent_time(plan, s_left)
         dt = t_left - _ref_latent_time(plan, s_right)
         t_eval = max(t_left, T_MIN)
+        m = None
         u = velocity(x, t_eval)
         sched = plan.src_schedule
     else:
+        t_left = s_left
         dt = s_left - s_right
         t_eval = max(s_left, T_MIN)
         m = _ref_scale_map(plan, s_left)
         if plan.src_schedule == plan.dst_schedule:
+            m = None
             u = velocity(x, t_eval)
         else:
-            u = (m.c_dot / m.c_s) * x + (m.c_s * m.t_dot) * velocity(x / m.c_s, m.t_s)
+            u = velocity(x / m.c_s, m.t_s)
         sched = plan.dst_schedule
-    if not _ref_noisy(plan, s_right, g_norm):
-        return x - u * dt
-    if plan.process == "linear-sde-adaptive-time":
-        g = g_norm * t_left**2.0
-    elif plan.process == "linear-sde-scaled-diffusion":
-        g = g_norm * s_left**2.0 / _ref_scale_map(plan, s_left).c_s * math.sqrt(
-            (s_left - s_right) / dt
-        )
-    else:
-        g = g_norm * s_left**2.0
-    f = u - 0.5 * g * g * score_from_velocity(sched, t_eval, x, u)
-    return x - f * dt + g * math.sqrt(dt) * z
+    g = 0.0
+    if _ref_noisy(plan, s_right, g_norm):
+        if plan.process == "linear-sde-adaptive-time":
+            g = g_norm * t_left**2.0
+        elif plan.process == "linear-sde-scaled-diffusion":
+            g = g_norm * s_left**2.0 / _ref_scale_map(plan, s_left).c_s * math.sqrt(
+                (s_left - s_right) / dt
+            )
+        else:
+            g = g_norm * s_left**2.0
+    # the step's velocity-basis coefficients, derived here from float times
+    step = engine._interval_steps(sched, t_left, dt, g, m)[1]
+    out = step.a * x + step.b * u
+    return out + step.s * z if g else out
 
 
 def reference_run(plan, x1, rng, velocity, g_norm=G_NORM):
@@ -635,3 +645,58 @@ def test_index_kernel_matches_float_time_reference_bitwise(process, steps):
         return reference_run(plan, x1, rng, velocity, g_norm=0.0)
 
     _trajectories_equal(_queried_run(flow, plan), _queried_run(zero_g, plan))
+
+
+# --- the step is affine: both bases against the drift form they replaced
+
+
+def drift_form_step(plan, x, i, z, u):
+    """Interval i's step as the reverse-SDE drift, from the source velocity
+    u at the interval's query point: ``x - f dt + g sqrt(dt) z`` with ``f =
+    v - (g^2/2) score``, v the latent's velocity through the scale-time map
+    and the score recovered from v by ``score_from_velocity``."""
+    t = plan.times[i]
+    dt = t - plan.times[i + 1]
+    m = plan.maps[i]
+    v = u if m is None else (m.c_s * m.t_dot) * u + (m.c_dot / m.c_s) * x
+    g = plan.g[i]
+    if z is None or g == 0.0:
+        return x - v * dt
+    f = v - 0.5 * g * g * score_from_velocity(plan.schedule, max(t, T_MIN), x, v)
+    return x - f * dt + g * math.sqrt(dt) * z
+
+
+@pytest.mark.parametrize("steps", [5, 10, 100])
+@pytest.mark.parametrize("process", PROCESS_NAMES)
+def test_both_bases_match_the_drift_form_step(process, steps):
+    # every interval, with and without noise: the velocity basis from the
+    # same u, and the x̂0 basis from the posterior mean at the same point (at
+    # t = 1, which posterior_mean refuses, the one velocity_at computes),
+    # within 2e-15 of the result's largest entry
+    plan = make_plan(process, steps)
+    gen = np.random.default_rng(steps)
+    for i, (step, _) in enumerate(plan.intervals):
+        x = 3.0 * gen.standard_normal((1000, 2))
+        query = x if step.c is None else x / step.c
+        u = velocity_at(GMM, LINEAR, step.t, query)
+        x0 = _posterior_mean_unchecked(GMM, _at_time(GMM, LINEAR, step.t), query)
+        for z in (None, gen.standard_normal(x.shape)):
+            want = drift_form_step(plan, x, i, z, u)
+            tol = 2e-15 * np.max(np.abs(want))
+            assert np.max(np.abs(denoise_interval(plan, x, i, z, constant(u)) - want)) <= tol
+            assert np.max(np.abs(step_from_x0(plan, x, i, z, x0) - want)) <= tol
+
+
+@pytest.mark.parametrize("process", [p for p in PROCESS_NAMES if p != "vp-sde"])
+def test_source_final_interval_lands_on_x0_exactly(process):
+    # in source coordinates the final, noiseless interval ends at t = 0,
+    # where the posterior mean is the latent: its x̂0 coefficients are
+    # exactly (0, 1) at every step count
+    gen = np.random.default_rng(7)
+    for steps in range(1, 201):
+        plan = StepPlan(process, steps)
+        quiet, noisy = plan.intervals[-1]
+        assert (quiet.p, quiet.q) == (0.0, 1.0)
+        assert noisy == quiet and quiet.s == 0.0
+        x, x0 = gen.standard_normal((2, 50, 2))
+        assert step_from_x0(plan, x, steps - 1, None, x0).tobytes() == x0.tobytes()

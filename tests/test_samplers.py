@@ -154,25 +154,25 @@ def test_best_of_n_is_argmax_over_trajectory_endpoints():
 # so bit for bit) and nfe_used.  A change that moves a result on purpose
 # updates the pin and says so in CHANGES.md.
 GOLDEN = {
-    ("bon", "linear-ode"): ("-2.7275778790421823", 100),
+    ("bon", "linear-ode"): ("-2.727577879042184", 100),
     ("sop", "linear-sde"): ("-14.031786370029689", 80),
-    ("sop", "vp-sde"): ("-9.31557631178985", 80),
+    ("sop", "vp-sde"): ("-9.315576311789801", 80),
     ("smc", "linear-sde"): ("-1.8600254807929397", 100),
-    ("smc", "vp-sde"): ("-2.0688973203035923", 100),
+    ("smc", "vp-sde"): ("-2.068897320303593", 100),
     ("code", "linear-sde"): ("-1.8454209922661522", 100),  # uniform quotas
-    ("code", "vp-sde"): ("-2.3851237739274285", 100),
+    ("code", "vp-sde"): ("-2.38512377392743", 100),
     ("svdd", "linear-sde"): ("-1.851169298307521", 100),
     ("svdd", "vp-sde"): ("-2.1069952101992406", 100),
     ("rbf", "linear-sde"): ("-1.8777567371562798", 100),
-    ("rbf", "vp-sde"): ("-2.15274186841233", 100),
-    ("smc", "linear-sde-adaptive-time"): ("-1.9056964820218296", 100),
+    ("rbf", "vp-sde"): ("-2.1527418684123307", 100),
+    ("smc", "linear-sde-adaptive-time"): ("-1.9056964820218298", 100),
     ("code", "linear-sde-adaptive-time"): ("-1.894311696399193", 100),
-    ("svdd", "linear-sde-adaptive-time"): ("-1.9241805493352988", 100),
-    ("rbf", "linear-sde-adaptive-time"): ("-1.9274334853543102", 100),
+    ("svdd", "linear-sde-adaptive-time"): ("-1.924180549335299", 100),
+    ("rbf", "linear-sde-adaptive-time"): ("-1.9274334853543098", 100),
     ("smc", "linear-sde-scaled-diffusion"): ("-1.837902729711606", 100),
-    ("code", "linear-sde-scaled-diffusion"): ("-1.8510606101531668", 100),
+    ("code", "linear-sde-scaled-diffusion"): ("-1.8510606101531666", 100),
     ("svdd", "linear-sde-scaled-diffusion"): ("-1.8388474092564473", 100),
-    ("rbf", "linear-sde-scaled-diffusion"): ("-1.8510606101531668", 100),
+    ("rbf", "linear-sde-scaled-diffusion"): ("-1.8510606101531666", 100),
 }
 
 
@@ -189,12 +189,12 @@ def test_golden_results():
 BENCH_GOLDEN = {
     ("code", "linear-sde", 300): ("-1.8379768802992396", 250),
     ("code", "linear-sde", 1000): ("-1.8378826705227755", 1000),
-    ("code", "vp-sde", 300): ("-2.0029361833330706", 250),
+    ("code", "vp-sde", 300): ("-2.002936183333071", 250),
     ("code", "vp-sde", 1000): ("-1.9154332667148215", 1000),
     ("svdd", "linear-sde", 300): ("-1.8378872797771977", 250),
     ("svdd", "linear-sde", 1000): ("-1.8378872797771977", 1000),
-    ("svdd", "vp-sde", 300): ("-2.1629432044588244", 250),
-    ("svdd", "vp-sde", 1000): ("-2.1629432044588244", 1000),
+    ("svdd", "vp-sde", 300): ("-2.1629432044588226", 250),
+    ("svdd", "vp-sde", 1000): ("-2.1629432044588226", 1000),
 }
 
 
@@ -335,14 +335,14 @@ def test_sop_never_steps_identical_proposals(monkeypatch, process):
     # every round, the noise end included, branches into distinct latents
     import flowsearch.samplers as S
 
-    orig = S.denoise_interval
+    orig = S._Runner.step_batch
     batches = []
 
-    def spy(plan, x, i, z, velocity):
+    def spy(self, x, i, z):
         batches.append(np.array(x))
-        return orig(plan, x, i, z, velocity)
+        return orig(self, x, i, z)
 
-    monkeypatch.setattr(S, "denoise_interval", spy)
+    monkeypatch.setattr(S._Runner, "step_batch", spy)
     search_over_paths(make_plan(process, 5), GMM, RARE, budget(100), seed=0)
     assert batches
     for x in batches:
@@ -548,14 +548,14 @@ def _record_noise(monkeypatch):
     import flowsearch.samplers as S
 
     seen = {}
-    orig = S.denoise_interval
+    orig = S._Runner.step_batch
 
-    def spy(plan, x, i, z, velocity):
+    def spy(self, x, i, z):
         if z is not None:
             seen.setdefault(i, []).append(np.array(z))
-        return orig(plan, x, i, z, velocity)
+        return orig(self, x, i, z)
 
-    monkeypatch.setattr(S, "denoise_interval", spy)
+    monkeypatch.setattr(S._Runner, "step_batch", spy)
     return seen
 
 
@@ -572,27 +572,25 @@ def test_no_two_proposals_share_a_noise_row(monkeypatch, name, process):
 
 def _step_each_row(monkeypatch):
     """Reference stepping: a proposal block from one parent is stepped one
-    row at a time, each with its own ``denoise_interval(x[None], z[j])``;
+    row at a time, each with its own ``step_batch(x[None], i, z[j])``;
     B parents ``(B, 1, d)`` are stepped one parent at a time."""
     import flowsearch.samplers as S
 
-    orig = S.denoise_interval
+    orig = S._Runner.step_batch
 
-    def per_row(plan, x, i, z, velocity):
+    def per_row(self, x, i, z):
         if z is None or x.shape[-2] != 1:
-            return orig(plan, x, i, z, velocity)
+            return orig(self, x, i, z)
         if x.ndim == 3:
-            return np.stack([per_row(plan, xb, i, zb, velocity) for xb, zb in zip(x, z)])
-        return np.concatenate(
-            [orig(plan, x, i, z[j : j + 1], velocity) for j in range(z.shape[0])]
-        )
+            return np.stack([per_row(self, xb, i, zb) for xb, zb in zip(x, z)])
+        return np.concatenate([orig(self, x, i, z[j : j + 1]) for j in range(z.shape[0])])
 
-    monkeypatch.setattr(S, "denoise_interval", per_row)
+    monkeypatch.setattr(S._Runner, "step_batch", per_row)
 
 
 def _sequential_rbf(plan, gmm, reward, budget, seed, batches=2):
     """rbf as a plain sequential loop: proposal j is stepped (its own
-    velocity call, row j of the block) only once j-1 proposals failed."""
+    oracle query, row j of the block) only once j-1 proposals failed."""
     from flowsearch.samplers import _Runner
 
     r = _Runner(plan, gmm, reward, budget, seed)
@@ -635,7 +633,7 @@ def _same(a, b):
 
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
 def test_shared_parent_stepping_matches_per_row_reference(monkeypatch, process):
-    # one velocity call per shared parent, broadcast over the noise block,
+    # one oracle query per shared parent, broadcast over the noise block,
     # is bitwise the per-proposal loop
     cases = [(run_svdd, {"k": 7}), (run_code, {"k": 7}), (run_code, {"k": 4, "interval": 3})]
     for seed in range(4):
@@ -743,25 +741,23 @@ def test_batched_svdd_and_code_match_the_per_batch_loops(process):
 
 
 def _spy_oracle(monkeypatch):
-    """Log the samplers' oracle work: the interval of every velocity call,
-    and the grid point and row count of every value call."""
+    """Log the samplers' oracle work: the interval of every step (each makes
+    at most one oracle query), and the grid point and row count of every
+    value call."""
     import flowsearch.samplers as S
 
-    log = {"velocity": [], "value": []}
-    orig_step, orig_value = S.denoise_interval, S._Runner.value
+    log = {"step": [], "value": []}
+    orig_step, orig_value = S._Runner.step_batch, S._Runner.value
 
-    def step(plan, x, i, z, velocity):
-        def counted(y, t):
-            log["velocity"].append(i)
-            return velocity(y, t)
-
-        return orig_step(plan, x, i, z, counted)
+    def step(self, x, i, z):
+        log["step"].append(i)
+        return orig_step(self, x, i, z)
 
     def value(self, x, k):
         log["value"].append((k, int(np.prod(np.shape(x)[:-1]))))
         return orig_value(self, x, k)
 
-    monkeypatch.setattr(S, "denoise_interval", step)
+    monkeypatch.setattr(S._Runner, "step_batch", step)
     monkeypatch.setattr(S._Runner, "value", value)
     return log
 
@@ -773,7 +769,7 @@ RBF_CASES = [(1000, 10, 1), (1000, 10, 2), (157, 6, 3), (90, 4, 4)]
 
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
 def test_svdd_and_code_make_one_oracle_call_per_interval(monkeypatch, process):
-    # every batch's proposals share one velocity call per interval and one
+    # every batch's proposals share one step per interval and one
     # value call per selection, at the per-batch loop's charges
     for name, total, steps, opts in BATCH_CASES:
         plan = make_plan(process, steps)
@@ -781,7 +777,7 @@ def test_svdd_and_code_make_one_oracle_call_per_interval(monkeypatch, process):
         with monkeypatch.context() as m:
             log = _spy_oracle(m)
             res = SAMPLERS[name](plan, GMM, RARE, SearchBudget(total), 5, **opts)
-        assert sorted(log["velocity"]) == list(range(steps))
+        assert sorted(log["step"]) == list(range(steps))
         points = [k for k, _ in log["value"]]
         assert len(points) == len(set(points)) and set(points) <= set(range(1, steps + 1))
         assert (res.nfe_used, res.per_step_consumption) == (
@@ -791,7 +787,7 @@ def test_svdd_and_code_make_one_oracle_call_per_interval(monkeypatch, process):
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
 def test_rbf_values_each_step_in_one_call(monkeypatch, process):
     # every batch together: one value call for the initial latents and one
-    # per step, one velocity call per step.  A step values each batch's block
+    # per step, one step per interval.  A step values each batch's block
     # padded to the largest quota (one row on the noiseless interval) but
     # charges only up to the accepted index, so the rows past it are
     # declared speculative oracle work.
@@ -809,7 +805,7 @@ def test_rbf_values_each_step_in_one_call(monkeypatch, process):
             widths = [max(bt["quotas_at_entry"][i][0] for bt in traces) if plan.g[i] else 1
                       for i in range(steps)]
             assert sum(n for _, n in log["value"]) == batches + batches * sum(widths)
-            assert sorted(log["velocity"]) == list(range(steps))
+            assert sorted(log["step"]) == list(range(steps))
             assert (res.nfe_used, res.per_step_consumption) == (
                 ref.nfe_used, ref.per_step_consumption)
             assert res.best_reward == ref.best_reward
@@ -869,21 +865,32 @@ def test_oracle_calls_per_run(monkeypatch, name):
                                      "linear-sde-scaled-diffusion", "vp-sde"])
 def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, process):
     # rows kept by select step from the x̂0 their value computed, bitwise the
-    # oracle's step, with no oracle call wherever the value queried the
-    # step's own point
-    from flowsearch.engine import denoise_interval
-    from flowsearch.interpolants import T_MIN
+    # x̂0-basis step from a fresh posterior query, with no oracle call
+    # wherever the value queried the step's own point
+    from flowsearch.analytic_flow import _at_time, _posterior_mean_unchecked, posterior_mean
+    from flowsearch.engine import step_from_x0
+    from flowsearch.interpolants import SOURCE, T_MIN
     from flowsearch.samplers import _Runner
 
     plan = make_plan(process, 6)
     r = _Runner(plan, GMM, RARE, budget(), seed=0)
+
+    def oracle_step(x, k, z):
+        c, t = plan.intervals[k][0][:2]
+        y = x if c is None else x / c
+        if t <= 1.0 - T_MIN:
+            x0 = posterior_mean(GMM, SOURCE, t, y)
+        else:  # t = 1, which posterior_mean refuses: velocity_at's own query
+            x0 = _posterior_mean_unchecked(GMM, _at_time(GMM, SOURCE, t), y)
+        return step_from_x0(plan, x, k, z, x0)
+
     gen = np.random.default_rng(1)
     calls = _count_posterior(monkeypatch)
     for k in range(plan.steps):
         chains = 3.0 * gen.standard_normal((4, 5, GMM.dim))
         z = gen.standard_normal((4, 3, GMM.dim)) if plan.g[k] else None
         x = r.select(chains, k)
-        want = denoise_interval(plan, x[:, None], k, z, r.velocity)
+        want = oracle_step(x[:, None], k, z)
         calls[0] = 0
         got = r.step_batch(x[:, None], k, z)
         np.testing.assert_array_equal(got, want)
@@ -892,7 +899,7 @@ def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, proce
         # step of the kept rows in another order, asks the oracle
         np.testing.assert_array_equal(r.step_batch(x[:, None], k, z), want)
         other = r.select(chains, k)[::-1, None]
-        want = denoise_interval(plan, other, k, z, r.velocity)
+        want = oracle_step(other, k, z)
         calls[0] = 0
         np.testing.assert_array_equal(r.step_batch(other, k, z), want)
         assert calls[0] == 1
@@ -916,3 +923,40 @@ def test_vp_sde_values_through_the_source_query(monkeypatch):
         vp = posterior_mean(GMM, plan.schedule, plan.grid[k], x)
         assert np.max(np.abs(source - vp)) <= 1e-13 * max(1.0, np.max(np.abs(vp)))
         np.testing.assert_array_equal(r.value(x, k), evaluate_reward(RARE, source))
+
+
+@pytest.mark.parametrize("process", ["linear-ode", "linear-sde", "linear-sde-adaptive-time",
+                                     "linear-sde-scaled-diffusion"])
+def test_final_step_returns_the_posterior_mean_bitwise(process):
+    # in source coordinates the last interval lands on x̂0 exactly, whether
+    # it steps from a fresh query or from the x̂0 a value held
+    from flowsearch.analytic_flow import posterior_mean
+    from flowsearch.engine import StepPlan
+    from flowsearch.interpolants import SOURCE
+    from flowsearch.samplers import _Runner
+
+    gen = np.random.default_rng(3)
+    for steps in (2, 5, 10, 200):
+        plan = StepPlan(process, steps)
+        r = _Runner(plan, GMM, RARE, SearchBudget(1000), seed=0)
+        k = steps - 1
+        x = 3.0 * gen.standard_normal((20, GMM.dim))
+        x0 = posterior_mean(GMM, SOURCE, plan.intervals[k][0].t, x)
+        assert r.step_batch(x, k, None).tobytes() == x0.tobytes()
+        r.value(x, k)
+        assert r.step_batch(x[:, None], k, None).tobytes() == x0.tobytes()
+
+
+@pytest.mark.parametrize("process, seed", [("linear-sde-adaptive-time", 16),
+                                           ("linear-sde-scaled-diffusion", 15)])
+def test_rbf_exact_final_tie_spends_the_budget(process, seed):
+    # the exact final jump makes rbf's last proposal its parent's x̂0, so its
+    # value ties r* and never beats it: every batch misses and spends its
+    # whole last quota.  A jump that landed within rounding of x̂0 could win
+    # the tie and stop early (46 and 85 NFE on these cells); this pins where
+    # the budget's handling of such ties starts from.
+    from flowsearch.harness import load_config, run_experiment
+
+    config = load_config({"sampler": "rbf", "process": process, "nfe": 100, "steps": 10,
+                          "seeds": [seed]})
+    assert run_experiment(config, seed, 100).nfe_used == 100
