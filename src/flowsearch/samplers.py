@@ -34,10 +34,12 @@ batch up to its accepted index; the rows past it, padding included, are
 uncharged, speculative oracle work.
 
 A latent is stepped from its posterior mean x̂0 = E[x0 | x_t], the
-oracle's one output, at the interval's query point (``engine.step_from_x0``):
-the x̂0 its value took there (``_Runner.value``), else one fresh query.  At
-nfe 1000 and 10 steps smc, code, svdd and rbf make 10 to 12 posterior
-evaluations a run (bon 10, sop 27).
+oracle's one output, at the interval's query point (``engine.step_from_x0``).
+``_Runner.value`` returns the x̂0 it valued at that point with the values,
+a sampler indexes it with the rows it keeps, and ``_Runner.step_batch``
+steps from the x̂0 it is passed, else from one fresh query.  At nfe 1000
+and 10 steps smc, code, svdd and rbf make 10 to 12 posterior evaluations a
+run (bon 10, sop 27).
 
 Every sampler is built on ``_Runner``, which owns the run's NFE ledger
 (the count spent and its per-step booking), the per-step proposal noise,
@@ -131,13 +133,7 @@ class _Runner:
     """The sampler skeleton: initial latents, per-step noise, stepping,
     valuing, the final pick and the run's own NFE ledger: ``used`` of
     ``total``, booked per interval in ``per_step``, spent only through
-    ``charge``.
-
-    One oracle query serves a latent's value and its next step: ``value``
-    holds the x̂0 it computed at the step's query point, ``take`` carries it
-    to the rows a sampler keeps, and ``step_batch`` steps those rows from it
-    (``_held``: grid point, latents, x̂0).  No latent is written in place,
-    so rows bitwise equal to the held ones have the held x̂0."""
+    ``charge``."""
 
     def __init__(
         self,
@@ -156,7 +152,6 @@ class _Runner:
         self.total = budget.total_nfe
         self.used = 0
         self.per_step = [0] * plan.steps
-        self._held = None
 
     def initials(self, count: int) -> np.ndarray:
         """Initial latents: the first ``count`` rows of the run's INIT block."""
@@ -182,18 +177,18 @@ class _Runner:
             self.per_step[i] += n
 
     def value(self, x: np.ndarray, k: int):
-        """Value of latents at grid point k, r(x̂0) with x̂0 = E[x0 | x_t]
-        (bundled with their step's NFE): for T_MIN <= t <= 1 - T_MIN the next
-        step's ``query``, held for it, else (t = 1, the final point) taken in
-        the latent's own coordinates at min(t, 1 - T_MIN), and not held."""
+        """``(values, x0)`` of latents at grid point k: r(x̂0) with x̂0 =
+        E[x0 | x_t] (bundled with their step's NFE), and x̂0 itself.  For
+        T_MIN <= t <= 1 - T_MIN x̂0 is the next step's ``query``; else (t = 1,
+        the final point, or within T_MIN of either) it is taken in the
+        latent's own coordinates at min(t, 1 - T_MIN), and ``x0`` is None."""
         plan = self.plan
         t = plan.times[k]
         if not T_MIN <= t <= 1.0 - T_MIN:
             return np.asarray(estimate_value(self.reward, self.gmm, plan.schedule,
-                                             min(t, 1.0 - T_MIN), x))
+                                             min(t, 1.0 - T_MIN), x)), None
         x0 = self.query(x, k)
-        self._held = (k, x, x0)
-        return np.asarray(evaluate_reward(self.reward, x0))
+        return np.asarray(evaluate_reward(self.reward, x0)), x0
 
     def query(self, x: np.ndarray, i: int) -> np.ndarray:
         """x̂0 = E[x0 | x / c, t] at interval i's query point (one evaluation);
@@ -205,32 +200,28 @@ class _Runner:
         return analytic_flow._posterior_mean_unchecked(
             self.gmm, analytic_flow._at_time(self.gmm, src, t), y)
 
-    def take(self, x: np.ndarray, index) -> np.ndarray:
-        """``x[index]``, carrying the x̂0 held for ``x`` to the rows taken."""
-        out = x[index]
-        held = self._held
-        if held is not None and held[1] is x:
-            self._held = (held[0], out, held[2][index])
-        return out
-
-    def select(self, x: np.ndarray, k: int) -> np.ndarray:
-        """Per batch, the highest-value latent at grid point k, lowest index
-        on ties: ``(B, n, d)`` to ``(B, d)`` in one value call.  n == 1 (one
-        draw, or copies a noiseless step left as one) needs no valuing."""
+    def select(self, x: np.ndarray, k: int):
+        """``(rows, x0)``: per batch, the highest-value latent at grid point
+        k, lowest index on ties, ``(B, n, d)`` to ``(B, d)`` in one value
+        call, and the x̂0 of the rows kept.  n == 1 (one draw, or copies a
+        noiseless step left as one) needs no valuing, and ``x0`` is None."""
         if x.shape[1] == 1:
-            return x[:, 0]
-        return self.take(x, (np.arange(x.shape[0]), self.value(x, k).argmax(axis=1)))
+            return x[:, 0], None
+        values, x0 = self.value(x, k)
+        best = np.arange(x.shape[0]), values.argmax(axis=1)
+        return x[best], x0 if x0 is None else x0[best]
 
-    def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None) -> np.ndarray:
-        """Advance a batch over grid interval i (``z`` None: the flow step);
-        the caller charges it.  Proposals sharing a parent are one call on
-        ``x[None, :]`` with their ``(q, d)`` noise block (or ``(B, 1, d)``
-        with ``(B, q, d)``), so each parent is queried once: from the x̂0
-        ``value`` held for rows bitwise equal to these, else by ``query``."""
-        held, self._held = self._held, None
-        if held is not None and held[0] == i and held[1].tobytes() == x.tobytes():
-            return step_from_x0(self.plan, x, i, z, held[2].reshape(x.shape))
-        return step_from_x0(self.plan, x, i, z, self.query(x, i))
+    def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None,
+                   x0: np.ndarray | None = None) -> np.ndarray:
+        """Advance a batch over grid interval i (``z`` None: the flow step)
+        from ``x0``, the x̂0 of these rows at the interval's query point that
+        ``value`` returned, else from one ``query``; the caller charges it.
+        Proposals sharing a parent are one call on ``x[None, :]`` with their
+        ``(q, d)`` noise block (or ``(B, 1, d)`` with ``(B, q, d)``), so each
+        parent is queried once."""
+        if x0 is None:
+            x0 = self.query(x, i)
+        return step_from_x0(self.plan, x, i, z, x0.reshape(x.shape))
 
     def result(self, finals, values=None, trace: dict | None = None) -> SearchResult:
         """The highest-reward final latent, lowest index on ties; ``values``
@@ -302,7 +293,7 @@ def search_over_paths(
     steps = plan.steps
     if budget.total_nfe < n_keep * steps:
         raise BudgetError("budget cannot finish the survivors deterministically")
-    x = r.initials(n_keep)
+    x, x0 = r.initials(n_keep), None
     idx = 0
     round_no = 0
     while idx < steps:
@@ -320,11 +311,13 @@ def search_over_paths(
         for pos in range(fwd_idx, idx):
             r.charge(pos, branched.shape[0])
             branched = r.step_batch(branched, pos, None)
-        x = branched[_top_k_first(r.value(branched, idx), n_keep)]
+        values, x0 = r.value(branched, idx)
+        keep = _top_k_first(values, n_keep)
+        x, x0 = branched[keep], x0 if x0 is None else x0[keep]
         round_no += 1
     while idx < steps:  # deterministic finish after truncation
         r.charge(idx, x.shape[0])
-        x = r.step_batch(x, idx, None)
+        x, x0 = r.step_batch(x, idx, None, x0), None
         idx += 1
     return r.result(x)
 
@@ -349,7 +342,7 @@ def run_smc(
     n = budget.total_nfe // plan.steps
     beta = reward.kl_temperature
     x = r.initials(n)
-    values = r.value(x, 0)  # initial noises: uncharged by convention
+    values, x0 = r.value(x, 0)  # initial noises: uncharged by convention
     log_w = np.zeros(n)
     trace = {"resampled": [], "weights_after_resample": []}
     for i in range(plan.steps):
@@ -358,7 +351,7 @@ def run_smc(
         if resampled:
             gen = streams._fresh_stream(seed, (streams.RESAMPLE, i))  # stream(seed, RESAMPLE, i)
             ancestors = resample_multinomial(w, n, gen)
-            x = r.take(x, ancestors)
+            x, x0 = x[ancestors], x0 if x0 is None else x0[ancestors]
             values = values[ancestors]
             log_w = np.zeros(n)
         trace["resampled"].append(resampled)
@@ -366,8 +359,8 @@ def run_smc(
             trace["weights_after_resample"].append(np.exp(log_w))
         z = r.noise(i, 0, n)
         r.charge(i, n)
-        x = r.step_batch(x, i, z)
-        new_values = r.value(x, i + 1)
+        x = r.step_batch(x, i, z, x0)
+        new_values, x0 = r.value(x, i + 1)
         log_w = log_w + (new_values - values) / beta
         values = new_values
     return r.result(x, values, trace)  # at t=0 the value is the reward itself
@@ -406,7 +399,7 @@ def run_code(
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
     quotas = _uniform_split(budget.total_nfe // batches, steps)
-    x = r.initials(batches)
+    x, x0 = r.initials(batches), None
     for i0 in range(0, steps, interval):
         span = min(interval, steps - i0)
         draws = min(k, sum(quotas[i0:i0 + span]) // span)
@@ -414,8 +407,8 @@ def run_code(
         for i in range(i0, i0 + span):
             r.charge(i, batches * draws)
             z = np.stack([r.noise(i, b, draws) for b in range(batches)]) if plan.g[i] else None
-            chains = r.step_batch(chains, i, z)
-        x = r.select(chains, i0 + span)
+            chains = r.step_batch(chains, i, z, x0 if i == i0 else None)
+        x, x0 = r.select(chains, i0 + span)
     return r.result(x)
 
 
@@ -453,21 +446,20 @@ def run_rbf(
     accepted, entry, rows = np.zeros_like(quotas), [], np.arange(batches)
     x = r.initials(batches)
     r.charge(None, batches)  # valuing each fresh initial latent costs one call
-    r_star = r.value(x, 0)
+    r_star, x0 = r.value(x, 0)
     for i in range(steps):
         q = quotas[:, i]
         entry.append(quotas[:, i:].tolist())
         z = np.stack([r.noise(i, b, int(q.max())) for b in range(batches)]) if plan.g[i] else None
-        proposals = r.step_batch(x[:, None], i, z)
-        width = proposals.shape[1]
-        flat = proposals.reshape(batches * width, -1)
-        values = r.value(flat, i + 1).reshape(batches, width)
-        values = np.where(np.arange(width) < q[:, None], values, -np.inf)  # padding never wins
+        proposals = r.step_batch(x[:, None], i, z, x0)
+        values, x0 = r.value(proposals, i + 1)
+        padding = np.arange(values.shape[1]) >= q[:, None]
+        values = np.where(padding, -np.inf, values)  # padding never wins
         beats = values > r_star[:, None]
         hit = beats.any(axis=1)
         j = np.where(hit, beats.argmax(axis=1), q - 1)
         pick = np.where(hit, j, values.argmax(axis=1))
-        x = r.take(flat, rows * width + pick)
+        x, x0 = proposals[rows, pick], x0 if x0 is None else x0[rows, pick]
         r_star = np.where(hit, values[rows, pick], r_star)
         if i + 1 < steps:
             quotas[:, i + 1] += q - 1 - j

@@ -351,11 +351,12 @@ def test_criterion_10_rbf_accounting():
     script = iter([0.0, -1.0, 1.0])  # init, j=1 (no), j=2 (improves)
 
     def scripted(self, x, s):
-        # one scripted value per valued row, in proposal order, and a scalar
-        # for a (d,) latent; past the script (step 2) nothing improves
-        x = np.asarray(x)
-        values = [next(script, -10.0) for _ in range(x.shape[0] if x.ndim > 1 else 1)]
-        return np.array(values) if x.ndim > 1 else values[0]
+        # one scripted value per valued latent, in proposal order, shaped
+        # like the latents' batch, and no x̂0; past the script (step 2)
+        # nothing improves
+        shape = np.shape(x)[:-1]
+        values = [next(script, -10.0) for _ in range(int(np.prod(shape)))]
+        return np.reshape(values, shape), None
 
     orig_value = samplers_mod._Runner.value
     samplers_mod._Runner.value = scripted

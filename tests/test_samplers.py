@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import chi2
 
 from flowsearch.analytic_flow import default_benchmark_gmm
-from flowsearch.engine import make_plan
+from flowsearch.engine import PROCESS_NAMES, make_plan
 from flowsearch.errors import BudgetError, DomainError
 from flowsearch.harness import branched_proposals, diversity_mpd
 from flowsearch.rewards import rare_mode_reward, target_point_reward
@@ -255,12 +255,14 @@ def test_selection_correctness_svdd(monkeypatch):
     valued, kept = [], []
 
     def value_spy(self, x, k):
-        valued.append(value(self, x, k))
-        return valued[-1]
+        out = value(self, x, k)
+        valued.append(out[0])
+        return out
 
     def select_spy(self, x, k):
-        kept.append((x, select(self, x, k)))
-        return kept[-1][1]
+        out = select(self, x, k)
+        kept.append((x, out[0]))
+        return out
 
     monkeypatch.setattr(_Runner, "value", value_spy)
     monkeypatch.setattr(_Runner, "select", select_spy)
@@ -278,11 +280,11 @@ def test_tie_break_lowest_index(monkeypatch):
     from flowsearch.samplers import _Runner
 
     scripted = np.array([[0.1, 0.9, 0.9, 0.2], [0.5, 0.5, 0.5, 0.5], [-1.0, 0.3, -2.0, 0.3]])
-    monkeypatch.setattr(_Runner, "value", lambda self, x, k: scripted)
+    monkeypatch.setattr(_Runner, "value", lambda self, x, k: (scripted, None))
     r = _Runner(make_plan("linear-sde", 4), GMM, RARE, budget(), seed=0)
     x = np.random.default_rng(0).standard_normal((3, 4, 2))
     assert _first_max(scripted) == [1, 0, 1]
-    np.testing.assert_array_equal(r.select(x, 1), x[[0, 1, 2], [1, 0, 1]])
+    np.testing.assert_array_equal(r.select(x, 1)[0], x[[0, 1, 2], [1, 0, 1]])
     res = r.result(x[0], values=np.array([1.0, 3.0, 3.0, 2.0]))
     np.testing.assert_array_equal(res.best_x, x[0, 1])
 
@@ -338,9 +340,9 @@ def test_sop_never_steps_identical_proposals(monkeypatch, process):
     orig = S._Runner.step_batch
     batches = []
 
-    def spy(self, x, i, z):
+    def spy(self, x, i, z, x0=None):
         batches.append(np.array(x))
-        return orig(self, x, i, z)
+        return orig(self, x, i, z, x0)
 
     monkeypatch.setattr(S._Runner, "step_batch", spy)
     search_over_paths(make_plan(process, 5), GMM, RARE, budget(100), seed=0)
@@ -364,7 +366,7 @@ def test_smc_uniform_values_never_resample():
 
     def flat_value(self, x, k):
         x = np.asarray(x)
-        return np.zeros(x.shape[0]) if x.ndim > 1 else 0.0
+        return (np.zeros(x.shape[0]) if x.ndim > 1 else 0.0), None
 
     S.resample_multinomial = spy
     S._Runner.value = flat_value
@@ -374,6 +376,19 @@ def test_smc_uniform_values_never_resample():
         S.resample_multinomial = orig_resample
         S._Runner.value = orig_value
     assert calls == []
+
+
+@pytest.mark.parametrize("process, steps", [(p, 10) for p in PROCESS_NAMES]
+                         + [("linear-sde", 1001)])
+def test_smc_resampling_on_uneven_weights_runs_on_every_process(process, steps):
+    # ess_threshold_frac=1.0 resamples whenever the weights are uneven: never
+    # at the first step (uniform weights: ESS = N), where the initial values
+    # carry no x̂0 on the plan-grid modes, and at the second.  At 1001 steps
+    # grid point 1 lies above 1 - T_MIN, so its values carry no x̂0 either.
+    res = run_smc(make_plan(process, steps), GMM, RARE, budget(2 * steps), seed=0,
+                  ess_threshold_frac=1.0)
+    assert res.trace["resampled"][:2] == [False, True]
+    assert res.nfe_used == 2 * steps
 
 
 def test_smc_budget_is_n_per_step():
@@ -473,8 +488,8 @@ def test_rbf_worst_case_consumes_everything():
         # strictly declining values: the initial estimate is never beaten
         base = -100.0 * k
         if np.asarray(x).ndim > 1:
-            return np.full(np.asarray(x).shape[0], base)
-        return base
+            return np.full(np.shape(x)[:-1], base), None
+        return base, None
 
     samplers_mod._Runner.value = declining
     try:
@@ -495,8 +510,8 @@ def test_rbf_immediate_improvement_spends_minimum():
     def rising(self, x, k):
         counter["v"] += 1.0
         if np.asarray(x).ndim > 1:
-            return np.full(np.asarray(x).shape[0], counter["v"])
-        return counter["v"]
+            return np.full(np.shape(x)[:-1], counter["v"]), None
+        return counter["v"], None
 
     samplers_mod._Runner.value = rising
     try:
@@ -550,10 +565,10 @@ def _record_noise(monkeypatch):
     seen = {}
     orig = S._Runner.step_batch
 
-    def spy(self, x, i, z):
+    def spy(self, x, i, z, x0=None):
         if z is not None:
             seen.setdefault(i, []).append(np.array(z))
-        return orig(self, x, i, z)
+        return orig(self, x, i, z, x0)
 
     monkeypatch.setattr(S._Runner, "step_batch", spy)
     return seen
@@ -572,15 +587,16 @@ def test_no_two_proposals_share_a_noise_row(monkeypatch, name, process):
 
 def _step_each_row(monkeypatch):
     """Reference stepping: a proposal block from one parent is stepped one
-    row at a time, each with its own ``step_batch(x[None], i, z[j])``;
-    B parents ``(B, 1, d)`` are stepped one parent at a time."""
+    row at a time, each with its own ``step_batch(x[None], i, z[j])`` and
+    its own oracle query; B parents ``(B, 1, d)`` are stepped one parent at
+    a time."""
     import flowsearch.samplers as S
 
     orig = S._Runner.step_batch
 
-    def per_row(self, x, i, z):
+    def per_row(self, x, i, z, x0=None):
         if z is None or x.shape[-2] != 1:
-            return orig(self, x, i, z)
+            return orig(self, x, i, z, x0)
         if x.ndim == 3:
             return np.stack([per_row(self, xb, i, zb) for xb, zb in zip(x, z)])
         return np.concatenate([orig(self, x, i, z[j : j + 1]) for j in range(z.shape[0])])
@@ -600,7 +616,7 @@ def _sequential_rbf(plan, gmm, reward, budget, seed, batches=2):
         quotas = _uniform_split(share - 1, plan.steps)
         x = starts[b]
         r.charge(None, 1)
-        r_star = float(r.value(x, 0))
+        r_star = float(r.value(x, 0)[0])
         for i in range(plan.steps):
             q = quotas[i]
             z = r.noise(i, b, q)
@@ -609,7 +625,7 @@ def _sequential_rbf(plan, gmm, reward, budget, seed, batches=2):
                 r.charge(i, 1)
                 xj = r.step_batch(x[None, :], i, None if z is None else z[j : j + 1])[0]
                 proposals.append(xj)
-                values.append(float(r.value(xj, i + 1)))
+                values.append(float(r.value(xj, i + 1)[0]))
                 if values[-1] > r_star:
                     break
             if values[-1] > r_star:
@@ -666,7 +682,7 @@ def test_rbf_matches_the_sequential_loop(process):
 def _best_row(r, x, k):
     """One batch's selection: the argmax-value row of x, lowest index on
     ties; a single row is taken without valuing."""
-    return x[0] if x.shape[0] == 1 else x[int(np.argmax(r.value(x, k)))]
+    return x[0] if x.shape[0] == 1 else x[int(np.argmax(r.value(x, k)[0]))]
 
 
 def _per_batch_svdd(plan, gmm, reward, budget, seed, k=25):
@@ -749,9 +765,9 @@ def _spy_oracle(monkeypatch):
     log = {"step": [], "value": []}
     orig_step, orig_value = S._Runner.step_batch, S._Runner.value
 
-    def step(self, x, i, z):
+    def step(self, x, i, z, x0=None):
         log["step"].append(i)
-        return orig_step(self, x, i, z)
+        return orig_step(self, x, i, z, x0)
 
     def value(self, x, k):
         log["value"].append((k, int(np.prod(np.shape(x)[:-1]))))
@@ -828,18 +844,29 @@ ORACLE_CALLS = {
     "svdd": (10, 10, 10, 10, 10),
     "rbf": (12, 12, 11, 11, 12),
 }
+# The rows those evaluations take, in the same runs.  On linear-ode a
+# noiseless step leaves code's and svdd's draws as copies of one parent,
+# so they query one row per batch.  rbf's rows depend on the seed.
+ORACLE_ROWS = {
+    "bon": (1000,) * 5,
+    "sop": (270,) * 5,
+    "smc": (1200, 1200, 1100, 1100, 1200),
+    "code": (40, 1004, 1004, 1004, 1004),
+    "svdd": (40, 904, 904, 904, 904),
+}
 
 
 def _count_posterior(monkeypatch):
-    """Count the oracle's posterior evaluations."""
+    """Count the oracle's posterior evaluations and the rows they take."""
     from flowsearch import analytic_flow
 
-    calls = [0]
+    calls = [0, 0]
     orig = analytic_flow._posterior_mean_unchecked
 
-    def counted(*args):
+    def counted(gmm, at, x):
         calls[0] += 1
-        return orig(*args)
+        calls[1] += x.size // gmm.dim
+        return orig(gmm, at, x)
 
     monkeypatch.setattr(analytic_flow, "_posterior_mean_unchecked", counted)
     return calls
@@ -847,26 +874,49 @@ def _count_posterior(monkeypatch):
 
 @pytest.mark.parametrize("name", list(ORACLE_CALLS))
 def test_oracle_calls_per_run(monkeypatch, name):
-    from flowsearch.engine import PROCESS_NAMES
-
     calls = _count_posterior(monkeypatch)
-    got = []
+    got, rows = [], []
     for process in PROCESS_NAMES:
-        counts = set()
+        counts, row_counts = set(), set()
         for seed in range(3):
-            calls[0] = 0
+            calls[:] = [0, 0]
             SAMPLERS[name](make_plan(process, 10), GMM, RARE, budget(1000), seed)
             counts.add(calls[0])
+            row_counts.add(calls[1])
         got.append(counts.pop() if len(counts) == 1 else counts)
+        rows.append(row_counts.pop() if len(row_counts) == 1 else row_counts)
     assert tuple(got) == ORACLE_CALLS[name]
+    if name in ORACLE_ROWS:
+        assert tuple(rows) == ORACLE_ROWS[name]
+
+
+@pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
+def test_sop_truncated_finish_steps_from_the_selected_x0(monkeypatch, process):
+    # a truncated sop finishes its survivors from the x̂0 its last selection
+    # valued: bitwise the finish from a fresh query, with one oracle call fewer
+    import flowsearch.samplers as S
+
+    plan = make_plan(process, 10)
+    calls = _count_posterior(monkeypatch)
+    res = search_over_paths(plan, GMM, RARE, budget(100), seed=0)
+    reused = calls[0]
+    orig = S._Runner.step_batch
+    monkeypatch.setattr(S._Runner, "step_batch",
+                        lambda self, x, i, z, x0=None: orig(self, x, i, z))
+    calls[0] = 0
+    fresh = search_over_paths(plan, GMM, RARE, budget(100), seed=0)
+    _same(res, fresh)
+    assert res.nfe_used < 180  # a full run spends 180
+    assert calls[0] == reused + 1
 
 
 @pytest.mark.parametrize("process", ["linear-ode", "linear-sde", "linear-sde-adaptive-time",
                                      "linear-sde-scaled-diffusion", "vp-sde"])
 def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, process):
-    # rows kept by select step from the x̂0 their value computed, bitwise the
-    # x̂0-basis step from a fresh posterior query, with no oracle call
-    # wherever the value queried the step's own point
+    # rows kept by select step from the x̂0 select returned with them, bitwise
+    # the x̂0-basis step from a fresh posterior query, with no oracle call
+    # wherever the value queried the step's own point; without it the step
+    # queries the oracle once
     from flowsearch.analytic_flow import _at_time, _posterior_mean_unchecked, posterior_mean
     from flowsearch.engine import step_from_x0
     from flowsearch.interpolants import SOURCE, T_MIN
@@ -889,19 +939,15 @@ def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, proce
     for k in range(plan.steps):
         chains = 3.0 * gen.standard_normal((4, 5, GMM.dim))
         z = gen.standard_normal((4, 3, GMM.dim)) if plan.g[k] else None
-        x = r.select(chains, k)
+        x, x0 = r.select(chains, k)
+        interior = T_MIN <= plan.times[k] <= 1.0 - T_MIN
+        assert (x0 is not None) == interior
         want = oracle_step(x[:, None], k, z)
         calls[0] = 0
-        got = r.step_batch(x[:, None], k, z)
-        np.testing.assert_array_equal(got, want)
-        assert calls[0] == (0 if T_MIN <= plan.times[k] <= 1.0 - T_MIN else 1)
-        # the held x̂0 serves one step of its own rows: a second step, or a
-        # step of the kept rows in another order, asks the oracle
-        np.testing.assert_array_equal(r.step_batch(x[:, None], k, z), want)
-        other = r.select(chains, k)[::-1, None]
-        want = oracle_step(other, k, z)
+        np.testing.assert_array_equal(r.step_batch(x[:, None], k, z, x0), want)
+        assert calls[0] == (0 if interior else 1)
         calls[0] = 0
-        np.testing.assert_array_equal(r.step_batch(other, k, z), want)
+        np.testing.assert_array_equal(r.step_batch(x[:, None], k, z), want)
         assert calls[0] == 1
 
 
@@ -922,14 +968,16 @@ def test_vp_sde_values_through_the_source_query(monkeypatch):
         source = posterior_mean(GMM, SOURCE, m.t_s, x / m.c_s)
         vp = posterior_mean(GMM, plan.schedule, plan.grid[k], x)
         assert np.max(np.abs(source - vp)) <= 1e-13 * max(1.0, np.max(np.abs(vp)))
-        np.testing.assert_array_equal(r.value(x, k), evaluate_reward(RARE, source))
+        values, x0 = r.value(x, k)
+        np.testing.assert_array_equal(values, evaluate_reward(RARE, source))
+        np.testing.assert_array_equal(x0, source)
 
 
 @pytest.mark.parametrize("process", ["linear-ode", "linear-sde", "linear-sde-adaptive-time",
                                      "linear-sde-scaled-diffusion"])
 def test_final_step_returns_the_posterior_mean_bitwise(process):
     # in source coordinates the last interval lands on x̂0 exactly, whether
-    # it steps from a fresh query or from the x̂0 a value held
+    # it steps from a fresh query or from the x̂0 a value returned
     from flowsearch.analytic_flow import posterior_mean
     from flowsearch.engine import StepPlan
     from flowsearch.interpolants import SOURCE
@@ -943,8 +991,27 @@ def test_final_step_returns_the_posterior_mean_bitwise(process):
         x = 3.0 * gen.standard_normal((20, GMM.dim))
         x0 = posterior_mean(GMM, SOURCE, plan.intervals[k][0].t, x)
         assert r.step_batch(x, k, None).tobytes() == x0.tobytes()
-        r.value(x, k)
-        assert r.step_batch(x[:, None], k, None).tobytes() == x0.tobytes()
+        valued = r.value(x, k)[1]
+        assert r.step_batch(x[:, None], k, None, valued).tobytes() == x0.tobytes()
+
+
+def test_runner_keeps_only_its_inputs_and_ledger(monkeypatch):
+    # x̂0 travels with the rows a sampler keeps: after a run the runner
+    # holds its inputs and its NFE ledger, and no cache of latents
+    from flowsearch.samplers import _Runner
+
+    runners, result = [], _Runner.result
+
+    def spy(self, *args, **kwargs):
+        runners.append(self)
+        return result(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Runner, "result", spy)
+    for name in SAMPLERS:
+        SAMPLERS[name](make_plan("vp-sde", 5), GMM, RARE, budget(100), seed=0)
+    assert len(runners) == len(SAMPLERS)
+    for r in runners:
+        assert set(vars(r)) == {"plan", "gmm", "reward", "seed", "total", "used", "per_step"}
 
 
 @pytest.mark.parametrize("process, seed", [("linear-sde-adaptive-time", 16),
