@@ -26,6 +26,13 @@ interval's query point, with coefficients worked out once per interval:
 ``x' = p x + q x̂0 + s z`` in the posterior mean (``step_from_x0``, the x0
 parameterisation of DDIM and DPM-Solver++, which the samplers use).  In
 source coordinates the final step lands on x̂0 bit for bit.
+
+``run_process`` draws the noise one interval ahead on one worker thread, in
+the serial order, so the draw overlaps the oracle call and every endpoint
+is bitwise a serial loop's.  Its ``velocity`` callback must not draw from
+its generator; after an exception the generator is exactly one block
+further on than a serial loop would leave it whenever a later interval is
+noisy.
 """
 
 from __future__ import annotations
@@ -249,12 +256,29 @@ def run_process(
     """Integrate the full grid from noise to data.
 
     ``x1`` may be a single point ``(d,)`` or a batch ``(..., d)``; noise is
-    drawn from ``rng`` once per noisy interval for the whole batch.
+    drawn as ``rng.standard_normal(x1.shape)`` once per noisy interval for
+    the whole batch.  One worker thread draws each block one interval
+    ahead, during the previous interval's ``velocity`` call and step, in the
+    serial order: ``rng`` ends where a serial loop leaves it, and the
+    endpoint is bitwise the same.  So ``velocity`` must not draw from
+    ``rng``; if it raises, ``rng`` is exactly one block further on than a
+    serial loop would leave it whenever a later interval is noisy.  No
+    thread outlives the call, and a plan without noise (linear-ode, or one
+    step) starts none.
     Returns the endpoint and the per-trajectory velocity-call count (one per
     grid interval).
     """
     x = np.asarray(x1, dtype=float)
-    for i in range(plan.steps):
-        z = rng.standard_normal(x.shape) if plan.g[i] else None
-        x = denoise_interval(plan, x, i, z, velocity)
+    noisy = np.flatnonzero(plan.g).tolist()
+    # Imported here: at module level it would cost every interpreter ~5 ms.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(rng.standard_normal, x.shape) if noisy else None
+        for i in range(plan.steps):
+            z = None
+            if plan.g[i]:
+                z = ahead.result()
+                if i < noisy[-1]:
+                    ahead = worker.submit(rng.standard_normal, x.shape)
+            x = denoise_interval(plan, x, i, z, velocity)
     return x, plan.steps

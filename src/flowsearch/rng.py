@@ -34,13 +34,18 @@ INIT, PROPOSAL, FORWARD and the protocol's initial DIVERSITY latent.
 interval into one block.  smc's RESAMPLE ``choice`` draws from the shared
 generator below, reset by ``_fresh_stream`` right before the draw.  Only
 PROCESS's consumers, the callers of ``engine.run_process``, which takes a
-generator and keeps it, call ``stream``, which builds one of their own.
+generator and keeps it, call ``stream``, which builds one of their own;
+``run_process`` draws from it one interval ahead on one worker thread, in
+the serial order, so its velocity callback must not draw from it, and
+after an exception it is exactly one block further on than a serial loop
+would leave it whenever a later interval is noisy.
 
 A cache miss builds no stream: the module's one generator is reset to the
 stream's key and counter, ~4 us a block before its draw against ~13 us for
 ``stream`` (2-core Xeon, CPython 3.11, numpy 2.4).  The shared generator
 belongs to the process and takes no lock, so one thread draws at a time
-(the harness runs in parallel with processes, not threads).
+(the harness runs in parallel with processes, not threads; ``run_process``'s
+worker thread draws only from the PROCESS generator it was given).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -349,6 +350,90 @@ def test_nfe_counts_oracle_invocations():
     x1 = streams.stream(7, streams.INIT).standard_normal(2)
     _, nfe = run_process(plan, x1, streams.stream(7, streams.PROCESS), counting)
     assert nfe == 25 and calls == 25
+
+
+# --- run_process draws each interval's noise one interval ahead on a worker
+# thread: the generator must see a serial loop's draws, in the same order
+
+
+def _serial_state(shape, draws):
+    """The PROCESS generator's state, as ``_state``, after a serial loop's
+    first ``draws`` blocks of ``shape``."""
+    gen = streams.stream(3, streams.PROCESS)
+    for _ in range(draws):
+        gen.standard_normal(shape)
+    return _state(gen)
+
+
+def _state(gen):
+    """The whole state of ``gen``'s bit generator (Philox's counter, key and
+    buffered output), comparable with ``==``."""
+    return repr(gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("steps", [10, 1])
+@pytest.mark.parametrize("process", PROCESS_NAMES)
+def test_run_process_leaves_the_generator_where_a_serial_loop_does(process, steps):
+    plan = make_plan(process, steps)
+    x1 = streams.stream(3, streams.INIT).standard_normal((64, 2))
+    gen = streams.stream(3, streams.PROCESS)
+    x0, _ = run_process(plan, x1, gen, oracle(GMM))
+    assert _state(gen) == _serial_state(x1.shape, np.count_nonzero(plan.g))
+    serial = streams.stream(3, streams.PROCESS)
+    x = x1
+    for i in range(steps):
+        z = serial.standard_normal(x.shape) if plan.g[i] else None
+        x = denoise_interval(plan, x, i, z, oracle(GMM))
+    np.testing.assert_array_equal(x0, x)
+
+
+@pytest.mark.parametrize("steps", [10, 1])
+@pytest.mark.parametrize("process", PROCESS_NAMES)
+def test_run_process_propagates_a_velocity_error_and_joins_its_thread(process, steps):
+    plan = make_plan(process, steps)
+    fail_at = steps // 2
+    error = RuntimeError("oracle failed")
+    calls = 0
+
+    def failing(x, t):
+        nonlocal calls
+        calls += 1
+        if calls > fail_at:
+            raise error
+        return velocity_at(GMM, LINEAR, t, x)
+
+    x1 = streams.stream(3, streams.INIT).standard_normal((64, 2))
+    gen = streams.stream(3, streams.PROCESS)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        run_process(plan, x1, gen, failing)
+    assert raised.value is error and calls == fail_at + 1
+    assert threading.active_count() == threads
+    # a serial loop has drawn interval fail_at's block when the oracle
+    # raises; the worker has finished the next noisy interval's too
+    drawn = np.count_nonzero(plan.g[:fail_at + 1])
+    ahead = int(plan.g[fail_at + 1:].any())
+    assert _state(gen) == _serial_state(x1.shape, drawn + ahead)
+
+
+@pytest.mark.parametrize("steps", [10, 1])
+def test_run_process_never_draws_on_a_noiseless_plan(steps):
+    calls = []
+
+    class Refusing:
+        def standard_normal(self, shape):
+            calls.append(shape)
+            raise AssertionError("a noiseless plan drew noise")
+
+    plan = make_plan("linear-ode", steps)
+    x1 = streams.stream(3, streams.INIT).standard_normal((64, 2))
+    threads = threading.active_count()
+    x0, _ = run_process(plan, x1, Refusing(), oracle(GMM))
+    assert calls == [] and threading.active_count() == threads
+    x = x1
+    for i in range(steps):
+        x = denoise_interval(plan, x, i, None, oracle(GMM))
+    np.testing.assert_array_equal(x0, x)
 
 
 @pytest.mark.parametrize(

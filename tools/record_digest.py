@@ -14,11 +14,15 @@ A last line per process hashes ``engine.run_process`` endpoints, which no
 record reaches: 10^3 rows of the benchmark mixture at 10 steps for seeds
 0-3, from ``stream(seed, INIT, i)`` through ``stream(seed, PROCESS, i)``
 for the process's index i, as the benchmark's marginal-transport workload
-draws them.  A line per stream domain hashes ``stream(seed, domain)
-.standard_normal((1000, 2))`` for seeds 0-3: a stream without indices is
-the SeedSequence-seeded Philox of ``(seed, domain)``.  Two source trees
-give the same line exactly when their results agree bit for bit, so a diff
-of two outputs names the cells a change moved:
+draws them, together with that generator's whole final state
+(``repr(bit_generator.state)``: Philox's counter and key and its buffered
+output): a change that draws one block too many or too few, or only part
+of one, moves the line even where the endpoints agree.  A line per
+stream domain hashes ``stream(seed, domain).standard_normal((1000, 2))``
+for seeds 0-3: a stream without indices is the SeedSequence-seeded Philox
+of ``(seed, domain)``.  Two source trees give the same line exactly when
+their results agree bit for bit, so a diff of two outputs names the cells a
+change moved:
 
     python tools/record_digest.py --src /path/to/parent/src > parent.txt
     python tools/record_digest.py > change.txt
@@ -101,9 +105,10 @@ def main(argv: list[str] | None = None) -> int:
         digest = hashlib.sha256()
         for seed in ENDPOINT_SEEDS:
             x1 = streams.stream(seed, streams.INIT, i).standard_normal((ENDPOINT_ROWS, gmm.dim))
-            x0, _ = run_process(plan, x1, streams.stream(seed, streams.PROCESS, i),
+            gen = streams.stream(seed, streams.PROCESS, i)
+            x0, _ = run_process(plan, x1, gen,
                                 lambda x, t: velocity_at(gmm, plan.src_schedule, t, x))
-            digest.update(x0.tobytes())
+            digest.update(x0.tobytes() + repr(gen.bit_generator.state).encode())
         print(f"run_process {process} steps={ENDPOINT_STEPS} rows={ENDPOINT_ROWS} "
               f"{digest.hexdigest()}")
 

@@ -7,10 +7,11 @@ module does (``analytic_flow, engine, harness, interpolants``, then
 each process in ``PROCESS_NAMES`` order, ``ROWS`` trajectories of the
 benchmark mixture over ``STEPS`` intervals, from ``stream(SEED, INIT, i)``
 through ``stream(SEED, PROCESS, i)``.  One warm-up pass is discarded; per
-process the child reports the fastest of ``PASSES`` timed passes, which
-sheds most interference from other work on the host, and the median count
-of minor page faults a pass took (``getrusage``), which does not depend on
-the host's load at all.
+process, and for the whole pass, the child reports the fastest of
+``PASSES`` timed passes, which sheds most interference from other work on
+the host, and the median count of minor page faults a pass took
+(``getrusage``), which does not depend on the host's load at all.  It also reports its peak resident set
+(``ru_maxrss``), the measure marginal-transport's ``peak_rss_mb`` takes.
 
 Glibc returns freed heap memory to the system when its top exceeds
 ``M_TRIM_THRESHOLD``, which it adjusts as the program frees large blocks, so
@@ -26,7 +27,11 @@ Children run in ``PAIRS`` pairs per mode, A then B and B then A in turn,
 so drift in the host's speed falls on both trees alike.  The output is one
 line per (mode, process): both trees' medians and ranges over the pairs,
 in ms, the median of the paired ratios B/A, and both trees' median page
-faults per pass (about a minute in all).
+faults per pass.  A ``whole pass`` line per mode does the same for the
+five processes timed together, the pass the benchmark times (each child's
+fastest whole pass, not a sum of per-process minima), and a ``peak RSS``
+line gives both trees' median peak resident set in MB (about a minute in
+all).
 
     python tools/transport_split.py --a /path/to/parent/src --b src
 
@@ -57,9 +62,12 @@ from flowsearch import rng as streams
 
 gmm = analytic_flow.default_benchmark_gmm()
 plans = [engine.make_plan(p, steps) for p in engine.PROCESS_NAMES]
-times = {plan.process: [] for plan in plans}
-faults = {plan.process: [] for plan in plans}
+names = [plan.process for plan in plans] + ["whole pass"]
+times = {name: [] for name in names}
+faults = {name: [] for name in names}
 for k in range(passes + 1):
+    pass_minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pass_start = time.perf_counter()
     for i, plan in enumerate(plans):
         x1 = streams.stream(seed, streams.INIT, i).standard_normal((rows, gmm.dim))
         velocity = lambda x, t, sched=plan.src_schedule: analytic_flow.velocity_at(gmm, sched, t, x)
@@ -69,11 +77,15 @@ for k in range(passes + 1):
         if k:
             times[plan.process].append(time.perf_counter() - start)
             faults[plan.process].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
-print(json.dumps({p: (min(times[p]), statistics.median(faults[p])) for p in times}))
+    if k:
+        times["whole pass"].append(time.perf_counter() - pass_start)
+        faults["whole pass"].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - pass_minflt)
+print(json.dumps({"times": {p: (min(times[p]), statistics.median(faults[p])) for p in times},
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 
-def _child(src: str, pinned: bool) -> dict[str, float]:
+def _child(src: str, pinned: bool) -> dict:
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
     if pinned:
         env.update(PINNED)
@@ -95,14 +107,16 @@ def main(argv: list[str] | None = None) -> int:
         for pair in range(PAIRS):
             for name in ("AB" if pair % 2 == 0 else "BA"):
                 runs[name].append(_child(trees[name], pinned))
-        for process in runs["A"][0]:
-            a, b = ([r[process][0] * 1e3 for r in runs[name]] for name in "AB")
-            fa, fb = (statistics.median(r[process][1] for r in runs[name]) for name in "AB")
+        for label in runs["A"][0]["times"]:
+            a, b = ([r["times"][label][0] * 1e3 for r in runs[name]] for name in "AB")
+            fa, fb = (statistics.median(r["times"][label][1] for r in runs[name]) for name in "AB")
             ratio = statistics.median(y / x for x, y in zip(a, b))
-            print(f"{mode:8s} {process:28s} A {statistics.median(a):6.1f} "
+            print(f"{mode:8s} {label:28s} A {statistics.median(a):6.1f} "
                   f"[{min(a):.1f}, {max(a):.1f}]  B {statistics.median(b):6.1f} "
                   f"[{min(b):.1f}, {max(b):.1f}] ms  B/A {ratio:.3f}  "
                   f"faults A {fa:.0f} B {fb:.0f}")
+        ra, rb = (statistics.median(r["maxrss_mb"] for r in runs[name]) for name in "AB")
+        print(f"{mode:8s} {'peak RSS':28s} A {ra:6.2f}  B {rb:6.2f} MB")
     return 0
 
 
