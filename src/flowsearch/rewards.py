@@ -100,8 +100,8 @@ def estimate_value(
 ) -> np.ndarray | float:
     """Value of a latent through its posterior mean: r(E[x0 | x_t]).
 
-    The NFE ledger lives in ``samplers.SearchBudget``; the ``samplers``
-    module docstring says which valuations are charged.
+    The samplers do not call it: ``samplers._Runner.value`` values a latent
+    at its next step's query point, and its run keeps the NFE ledger.
     """
     return evaluate_reward(spec, posterior_mean(gmm, sched, t, np.asarray(x_t, dtype=float)))
 

@@ -7,15 +7,16 @@ per-step argmax selection (svdd), and rollover budget forcing (rbf).
 Budget accounting
 -----------------
 The unit of compute is one velocity-field evaluation (NFE).  Producing a
-new latent (one denoising or ODE step) is charged 1 NFE; the value of the
-produced latent comes bundled with that step, since the same velocity
-evaluation yields both the proposal and the Tweedie posterior mean.
-Valuing a latent nobody stepped to is not uniform: rbf charges 1 NFE per
-batch for its initial noise, while smc values its initial latents without
-charging them.  ``SearchBudget`` holds only ``total_nfe`` and may be
-reused: the run keeps the ledger.  ``_Runner.charge`` is the only place that
-spends NFE (rbf's initial valuing is booked on no interval), the plan owns
-the step count, and ``_Runner`` refuses a total below ``plan.steps``.
+new latent (one denoising or ODE step) is charged 1 NFE; a latent's value
+comes bundled with its next step, since one posterior evaluation at that
+step's query point yields both the value and the step.  smc's initial
+values are step 0's query, paid for by step 0's charge; rbf's 1 NFE per
+batch pays for the query its initial value and first step share.  A final
+latent's value is its reward.  ``SearchBudget`` holds only ``total_nfe``
+and may be reused: the run keeps the ledger.  ``_Runner.charge`` is the
+only place that spends NFE (rbf's initial valuing is booked on no
+interval), the plan owns the step count, and ``_Runner`` refuses a total
+below ``plan.steps``.
 ``nfe_used`` is the run's own count and never exceeds ``total_nfe``.
 
 Per-step quotas follow one rule, ``_uniform_split``: a share split evenly
@@ -37,9 +38,9 @@ A latent is stepped from its posterior mean x̂0 = E[x0 | x_t], the
 oracle's one output, at the interval's query point (``engine.step_from_x0``).
 ``_Runner.value`` returns the x̂0 it valued at that point with the values,
 a sampler indexes it with the rows it keeps, and ``_Runner.step_batch``
-steps from the x̂0 it is passed, else from one fresh query.  At nfe 1000
-and 10 steps smc, code, svdd and rbf make 10 to 12 posterior evaluations a
-run (bon 10, sop 27).
+steps from the x̂0 it is passed, else from one fresh query.  So bon, smc,
+code, svdd and rbf make one posterior evaluation per interval, 10 a run at
+10 steps (sop 26 at nfe 1000).
 
 Every sampler is built on ``_Runner``, which owns the run's NFE ledger
 (the count spent and its per-step booking), the per-step proposal noise,
@@ -67,12 +68,13 @@ import numpy as np
 
 from . import rng as streams
 from . import analytic_flow
-# Unused here, velocity_at and denoise_interval stay bound for bench/'s span wrappers.
+# Unused here, velocity_at, denoise_interval and estimate_value stay bound for
+# bench/'s span wrappers.
 from .analytic_flow import GaussianMixtureModel, posterior_mean, velocity_at  # noqa: F401
 from .engine import StepPlan, denoise_interval, step_from_x0  # noqa: F401
 from .errors import BudgetError, DomainError
 from .interpolants import T_MIN, eval_schedule
-from .rewards import RewardSpec, estimate_value, evaluate_reward
+from .rewards import RewardSpec, estimate_value, evaluate_reward  # noqa: F401
 
 def _uniform_split(total: int, parts: int) -> list[int]:
     """Split ``total`` into ``parts`` integers, remainder to the earliest."""
@@ -177,17 +179,11 @@ class _Runner:
             self.per_step[i] += n
 
     def value(self, x: np.ndarray, k: int):
-        """``(values, x0)`` of latents at grid point k: r(x̂0) with x̂0 =
-        E[x0 | x_t] (bundled with their step's NFE), and x̂0 itself.  For
-        T_MIN <= t <= 1 - T_MIN x̂0 is the next step's ``query``; else (t = 1,
-        the final point, or within T_MIN of either) it is taken in the
-        latent's own coordinates at min(t, 1 - T_MIN), and ``x0`` is None."""
-        plan = self.plan
-        t = plan.times[k]
-        if not T_MIN <= t <= 1.0 - T_MIN:
-            return np.asarray(estimate_value(self.reward, self.gmm, plan.schedule,
-                                             min(t, 1.0 - T_MIN), x)), None
-        x0 = self.query(x, k)
+        """``(values, x0)`` of latents at grid point k: r(x̂0) (bundled with
+        their step's NFE) and x̂0 itself, the ``query`` of step k, so the
+        rows kept step from it; at the final point x̂0 is x and the value
+        its reward."""
+        x0 = x if k == self.plan.steps else self.query(x, k)
         return np.asarray(evaluate_reward(self.reward, x0)), x0
 
     def query(self, x: np.ndarray, i: int) -> np.ndarray:
@@ -203,10 +199,7 @@ class _Runner:
     def select(self, x: np.ndarray, k: int):
         """``(rows, x0)``: per batch, the highest-value latent at grid point
         k, lowest index on ties, ``(B, n, d)`` to ``(B, d)`` in one value
-        call, and the x̂0 of the rows kept.  n == 1 (one draw, or copies a
-        noiseless step left as one) needs no valuing, and ``x0`` is None."""
-        if x.shape[1] == 1:
-            return x[:, 0], None
+        call, and the x̂0 of the rows kept."""
         values, x0 = self.value(x, k)
         best = np.arange(x.shape[0]), values.argmax(axis=1)
         return x[best], x0 if x0 is None else x0[best]
@@ -342,7 +335,7 @@ def run_smc(
     n = budget.total_nfe // plan.steps
     beta = reward.kl_temperature
     x = r.initials(n)
-    values, x0 = r.value(x, 0)  # initial noises: uncharged by convention
+    values, x0 = r.value(x, 0)  # step 0's query, charged with that step
     log_w = np.zeros(n)
     trace = {"resampled": [], "weights_after_resample": []}
     for i in range(plan.steps):

@@ -267,9 +267,10 @@ def test_selection_correctness_svdd(monkeypatch):
     monkeypatch.setattr(_Runner, "value", value_spy)
     monkeypatch.setattr(_Runner, "select", select_spy)
     run_svdd(make_plan("linear-sde", 4), GMM, RARE, budget(40), seed=5, k=10)
-    selections = [(x, out) for x, out in kept if x.shape[1] > 1]
-    assert len(selections) == len(valued) > 0
-    for (x, out), values in zip(selections, valued):
+    # every selection values its rows, one-draw chains (n == 1) included
+    assert len(kept) == len(valued) > 0
+    assert any(x.shape[1] == 1 for x, _ in kept)
+    for (x, out), values in zip(kept, valued):
         assert values.shape == x.shape[:2]
         np.testing.assert_array_equal(out, x[np.arange(x.shape[0]), _first_max(values)])
 
@@ -382,9 +383,10 @@ def test_smc_uniform_values_never_resample():
                          + [("linear-sde", 1001)])
 def test_smc_resampling_on_uneven_weights_runs_on_every_process(process, steps):
     # ess_threshold_frac=1.0 resamples whenever the weights are uneven: never
-    # at the first step (uniform weights: ESS = N), where the initial values
-    # carry no x̂0 on the plan-grid modes, and at the second.  At 1001 steps
-    # grid point 1 lies above 1 - T_MIN, so its values carry no x̂0 either.
+    # at the first step (uniform weights: ESS = N), and at the second, where
+    # the x̂0 of the values follows the ancestors.  At 1001 steps grid point 1
+    # lies above 1 - T_MIN, and its values come from step 1's query all the
+    # same.
     res = run_smc(make_plan(process, steps), GMM, RARE, budget(2 * steps), seed=0,
                   ess_threshold_frac=1.0)
     assert res.trace["resampled"][:2] == [False, True]
@@ -831,27 +833,25 @@ def test_rbf_values_each_step_in_one_call(monkeypatch, process):
 
 # Posterior evaluations (``analytic_flow._posterior_mean_unchecked``, which
 # every velocity and value query makes) per run at nfe 1000 and 10 steps, in
-# PROCESS_NAMES order.  A selected latent is valued and stepped from one
-# query; the first step queries afresh, except where the initial value's
-# query is that step's (smc and rbf on the matched-grid modes, whose first
-# time is below 1 - T_MIN).  code on linear-ode selects nothing: its
-# noiseless chains stay one row each.
+# PROCESS_NAMES order.  A latent is valued at its next step's query and
+# stepped from it, and a final value is the reward of the latent itself, so
+# every sampler but sop makes one evaluation per interval.
 ORACLE_CALLS = {
     "bon": (10, 10, 10, 10, 10),
-    "sop": (27, 27, 27, 27, 27),
-    "smc": (12, 12, 11, 11, 12),
-    "code": (10, 11, 11, 11, 11),
+    "sop": (26, 26, 26, 26, 26),
+    "smc": (10, 10, 10, 10, 10),
+    "code": (10, 10, 10, 10, 10),
     "svdd": (10, 10, 10, 10, 10),
-    "rbf": (12, 12, 11, 11, 12),
+    "rbf": (10, 10, 10, 10, 10),
 }
 # The rows those evaluations take, in the same runs.  On linear-ode a
 # noiseless step leaves code's and svdd's draws as copies of one parent,
 # so they query one row per batch.  rbf's rows depend on the seed.
 ORACLE_ROWS = {
     "bon": (1000,) * 5,
-    "sop": (270,) * 5,
-    "smc": (1200, 1200, 1100, 1100, 1200),
-    "code": (40, 1004, 1004, 1004, 1004),
+    "sop": (260,) * 5,
+    "smc": (1000,) * 5,
+    "code": (40, 904, 904, 904, 904),
     "svdd": (40, 904, 904, 904, 904),
 }
 
@@ -890,6 +890,29 @@ def test_oracle_calls_per_run(monkeypatch, name):
         assert tuple(rows) == ORACLE_ROWS[name]
 
 
+@pytest.mark.parametrize("steps, nfe", [(1, 7), (5, 100), (10, 1000), (1001, 2002)])
+def test_smc_oracle_rows_equal_its_nfe(monkeypatch, steps, nfe):
+    # smc values each particle at its next step's query and steps from it,
+    # and values the finals by their reward: one evaluation per interval, and
+    # one oracle row per charged NFE, the initial values included
+    calls = _count_posterior(monkeypatch)
+    for process in PROCESS_NAMES:
+        calls[:] = [0, 0]
+        res = run_smc(make_plan(process, steps), GMM, RARE, budget(nfe), seed=0)
+        assert (calls[0], calls[1]) == (steps, res.nfe_used), process
+
+
+def test_no_sampler_values_through_estimate_value(monkeypatch):
+    import flowsearch.samplers as S
+
+    calls = []
+    monkeypatch.setattr(S, "estimate_value", lambda *args: calls.append(args))
+    for name in SAMPLERS:
+        for process in PROCESS_NAMES:
+            SAMPLERS[name](make_plan(process, 5), GMM, RARE, budget(100), seed=0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
 def test_sop_truncated_finish_steps_from_the_selected_x0(monkeypatch, process):
     # a truncated sop finishes its survivors from the x̂0 its last selection
@@ -914,9 +937,9 @@ def test_sop_truncated_finish_steps_from_the_selected_x0(monkeypatch, process):
                                      "linear-sde-scaled-diffusion", "vp-sde"])
 def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, process):
     # rows kept by select step from the x̂0 select returned with them, bitwise
-    # the x̂0-basis step from a fresh posterior query, with no oracle call
-    # wherever the value queried the step's own point; without it the step
-    # queries the oracle once
+    # the x̂0-basis step from a fresh posterior query, with no oracle call at
+    # any grid point, t = 1 included; without it the step queries the oracle
+    # once
     from flowsearch.analytic_flow import _at_time, _posterior_mean_unchecked, posterior_mean
     from flowsearch.engine import step_from_x0
     from flowsearch.interpolants import SOURCE, T_MIN
@@ -940,12 +963,11 @@ def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, proce
         chains = 3.0 * gen.standard_normal((4, 5, GMM.dim))
         z = gen.standard_normal((4, 3, GMM.dim)) if plan.g[k] else None
         x, x0 = r.select(chains, k)
-        interior = T_MIN <= plan.times[k] <= 1.0 - T_MIN
-        assert (x0 is not None) == interior
+        assert x0 is not None
         want = oracle_step(x[:, None], k, z)
         calls[0] = 0
         np.testing.assert_array_equal(r.step_batch(x[:, None], k, z, x0), want)
-        assert calls[0] == (0 if interior else 1)
+        assert calls[0] == 0
         calls[0] = 0
         np.testing.assert_array_equal(r.step_batch(x[:, None], k, z), want)
         assert calls[0] == 1

@@ -10,7 +10,12 @@ the sampler itself, hashing each ``SearchResult``'s ``best_x`` bytes and
 also moves with the ledger's per-step booking and the samplers' traces.
 A ``result rbf batches=3`` line per (steps, budget) hashes the same runs of
 rbf with three batches, whose uneven shares give ragged per-step quotas.
-A last line per process hashes ``engine.run_process`` endpoints, which no
+An ``oracle`` line per sampler is not a hash: it gives the posterior
+evaluations (``analytic_flow._posterior_mean_unchecked`` calls, which every
+velocity and value query makes) and the rows they take, per run at nfe
+1000, 10 steps and seed 0 on each process in ``PROCESS_NAMES`` order, so a
+diff shows changed oracle work beside the records.
+A line per process hashes ``engine.run_process`` endpoints, which no
 record reaches: 10^3 rows of the benchmark mixture at 10 steps for seeds
 0-3, from ``stream(seed, INIT, i)`` through ``stream(seed, PROCESS, i)``
 for the process's index i, as the benchmark's marginal-transport workload
@@ -20,7 +25,7 @@ output): a change that draws one block too many or too few, or only part
 of one, moves the line even where the endpoints agree.  A line per
 stream domain hashes ``stream(seed, domain).standard_normal((1000, 2))``
 for seeds 0-3: a stream without indices is the SeedSequence-seeded Philox
-of ``(seed, domain)``.  Two source trees give the same line exactly when
+of ``(seed, domain)``.  Two source trees give the same hash line exactly when
 their results agree bit for bit, so a diff of two outputs names the cells a
 change moved:
 
@@ -43,6 +48,7 @@ BUDGETS = (100, 300, 1000)
 STEPS = (5, 10)
 ENDPOINT_ROWS, ENDPOINT_STEPS, ENDPOINT_SEEDS = 1000, 10, (0, 1, 2, 3)
 RBF_BATCHES = 3
+ORACLE_NFE, ORACLE_STEPS, ORACLE_SEED = 1000, 10, 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,6 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import flowsearch
+    from flowsearch import analytic_flow
     from flowsearch import rng as streams
     from flowsearch.analytic_flow import default_benchmark_gmm, velocity_at
     from flowsearch.engine import PROCESS_NAMES, make_plan, run_process
@@ -98,6 +105,30 @@ def main(argv: list[str] | None = None) -> int:
                                                          batches=RBF_BATCHES))
             print(f"result rbf batches={RBF_BATCHES} steps={steps} nfe={budget} "
                   f"{results.hexdigest()}")
+
+    posterior = analytic_flow._posterior_mean_unchecked
+    oracle = [0, 0]
+
+    def counted(gmm, at, x):
+        oracle[0] += 1
+        oracle[1] += x.size // gmm.dim
+        return posterior(gmm, at, x)
+
+    analytic_flow._posterior_mean_unchecked = counted
+    try:
+        for sampler in SAMPLER_NAMES:
+            config = load_config({"sampler": sampler})
+            calls, rows = [], []
+            for process in PROCESS_NAMES:
+                oracle[:] = [0, 0]
+                SAMPLERS[sampler](make_plan(process, ORACLE_STEPS), config.gmm, config.reward,
+                                  SearchBudget(ORACLE_NFE), ORACLE_SEED, **config.sampler_opts)
+                calls.append(str(oracle[0]))
+                rows.append(str(oracle[1]))
+            print(f"oracle {sampler} steps={ORACLE_STEPS} nfe={ORACLE_NFE} seed={ORACLE_SEED} "
+                  f"calls={','.join(calls)} rows={','.join(rows)}")
+    finally:
+        analytic_flow._posterior_mean_unchecked = posterior
 
     gmm = default_benchmark_gmm()
     for i, process in enumerate(PROCESS_NAMES):
