@@ -229,16 +229,14 @@ def posterior_mean(
     t: float,
     x: np.ndarray,
 ) -> np.ndarray:
-    """Tweedie posterior mean E[x0 | x_t = x].
+    """Tweedie posterior mean E[x0 | x_t = x], for t in [0, 1].
 
     Computed through per-component posteriors, which stays finite on the
-    whole clamp domain; equal to (x + sigma^2 * score) / alpha wherever
-    alpha > 0.  Times above 1 - T_MIN are rejected: the estimate there
-    carries no information beyond the prior mean.
+    whole domain; equal to (x + sigma^2 * score) / alpha wherever
+    alpha > 0, x itself at t = 0, and the prior mean sum_k w_k mu_k where
+    alpha = 0 (the linear schedule's t = 1).
     """
     x = _check_finite(x)
-    if not 0.0 <= t <= 1.0 - T_MIN:
-        raise DomainError(f"posterior mean needs t in [0, {1.0 - T_MIN}], got {t}")
     return _posterior_mean_unchecked(gmm, _at_time(gmm, sched, float(t)), x)
 
 

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--budgets",
                 default=",".join(str(b) for b in DEFAULT_SWEEP_BUDGETS),
-                help="comma-separated ascending NFE budgets",
+                help="comma-separated, strictly ascending NFE budgets",
             )
     return parser
 

@@ -126,6 +126,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be nonnegative, got {min(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.reward.kind == "target-point":
             shape = self.reward.params["target"].shape
             if shape != (self.gmm.dim,):
@@ -205,6 +207,9 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
     out = doc.get("out")
     if out is not None and not (isinstance(out, str) and out):
         raise ConfigError(f"out must be a non-empty path string or null, got {out!r}")
+    seeds = doc.get("seeds", [0])
+    if not isinstance(seeds, list):
+        raise ConfigError(f"seeds must be a JSON array of integers, got {seeds!r}")
     try:
         gmm = _gmm_from_dict(doc["gmm"]) if "gmm" in doc else default_benchmark_gmm()
         reward = _reward_from_dict(_object(doc, "reward", "reward"), gmm)
@@ -215,7 +220,7 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
             sampler=doc.get("sampler", "rbf"),
             nfe=doc.get("nfe", 500),
             steps=doc.get("steps", 10),
-            seeds=tuple(doc.get("seeds", [0])),
+            seeds=tuple(seeds),
             sampler_opts=dict(_object(doc, "sampler_opts", "sampler_opts")),
             out=out,
         )
@@ -371,10 +376,10 @@ def sweep(
     budgets=DEFAULT_SWEEP_BUDGETS,
     jobs: int = 1,
 ) -> list[RunRecord]:
-    """One record per (budget, seed); budgets must be non-empty and ascending."""
+    """One record per (budget, seed); budgets must be non-empty and strictly ascending."""
     budgets = [_integer("budget", b) for b in budgets]
-    if not budgets or budgets != sorted(budgets):
-        raise ConfigError(f"budgets must be non-empty and sorted ascending, got {budgets}")
+    if not budgets or any(a >= b for a, b in zip(budgets, budgets[1:])):
+        raise ConfigError(f"budgets must be non-empty and strictly ascending, got {budgets}")
     for b in budgets:
         _check_nfe(b)
     return _records(config, [config.process], budgets, jobs)

@@ -67,13 +67,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as streams
-from . import analytic_flow
 # Unused here, velocity_at, denoise_interval and estimate_value stay bound for
 # bench/'s span wrappers.
 from .analytic_flow import GaussianMixtureModel, posterior_mean, velocity_at  # noqa: F401
 from .engine import StepPlan, denoise_interval, step_from_x0  # noqa: F401
 from .errors import BudgetError, DomainError
-from .interpolants import T_MIN, eval_schedule
+from .interpolants import eval_schedule
 from .rewards import RewardSpec, estimate_value, evaluate_reward  # noqa: F401
 
 def _uniform_split(total: int, parts: int) -> list[int]:
@@ -187,14 +186,10 @@ class _Runner:
         return np.asarray(evaluate_reward(self.reward, x0)), x0
 
     def query(self, x: np.ndarray, i: int) -> np.ndarray:
-        """x̂0 = E[x0 | x / c, t] at interval i's query point (one evaluation);
-        at t = 1, which ``posterior_mean`` refuses, by ``velocity_at``'s call."""
+        """x̂0 = E[x0 | x / c, t] at interval i's query point: one
+        ``posterior_mean`` call, the prior mean at t = 1."""
         (c, t, *_), _ = self.plan.intervals[i]
-        y, src = x if c is None else x / c, self.plan.src_schedule
-        if t <= 1.0 - T_MIN:
-            return posterior_mean(self.gmm, src, t, y)
-        return analytic_flow._posterior_mean_unchecked(
-            self.gmm, analytic_flow._at_time(self.gmm, src, t), y)
+        return posterior_mean(self.gmm, self.plan.src_schedule, t, x if c is None else x / c)
 
     def select(self, x: np.ndarray, k: int):
         """``(rows, x0)``: per batch, the highest-value latent at grid point
@@ -202,7 +197,7 @@ class _Runner:
         call, and the x̂0 of the rows kept."""
         values, x0 = self.value(x, k)
         best = np.arange(x.shape[0]), values.argmax(axis=1)
-        return x[best], x0 if x0 is None else x0[best]
+        return x[best], x0[best]
 
     def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None,
                    x0: np.ndarray | None = None) -> np.ndarray:
@@ -306,7 +301,7 @@ def search_over_paths(
             branched = r.step_batch(branched, pos, None)
         values, x0 = r.value(branched, idx)
         keep = _top_k_first(values, n_keep)
-        x, x0 = branched[keep], x0 if x0 is None else x0[keep]
+        x, x0 = branched[keep], x0[keep]
         round_no += 1
     while idx < steps:  # deterministic finish after truncation
         r.charge(idx, x.shape[0])
@@ -344,7 +339,7 @@ def run_smc(
         if resampled:
             gen = streams._fresh_stream(seed, (streams.RESAMPLE, i))  # stream(seed, RESAMPLE, i)
             ancestors = resample_multinomial(w, n, gen)
-            x, x0 = x[ancestors], x0 if x0 is None else x0[ancestors]
+            x, x0 = x[ancestors], x0[ancestors]
             values = values[ancestors]
             log_w = np.zeros(n)
         trace["resampled"].append(resampled)
@@ -452,7 +447,7 @@ def run_rbf(
         hit = beats.any(axis=1)
         j = np.where(hit, beats.argmax(axis=1), q - 1)
         pick = np.where(hit, j, values.argmax(axis=1))
-        x, x0 = proposals[rows, pick], x0 if x0 is None else x0[rows, pick]
+        x, x0 = proposals[rows, pick], x0[rows, pick]
         r_star = np.where(hit, values[rows, pick], r_star)
         if i + 1 < steps:
             quotas[:, i + 1] += q - 1 - j

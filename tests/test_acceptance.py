@@ -350,15 +350,16 @@ def test_criterion_10_rbf_accounting():
     # step 1, so step 2's quota must become 5 + (5 - 2) = 8
     script = iter([0.0, -1.0, 1.0])  # init, j=1 (no), j=2 (improves)
 
+    orig_value = samplers_mod._Runner.value
+
     def scripted(self, x, s):
         # one scripted value per valued latent, in proposal order, shaped
-        # like the latents' batch, and no x̂0; past the script (step 2)
-        # nothing improves
+        # like the latents' batch, with the real x̂0; past the script (step
+        # 2) nothing improves
         shape = np.shape(x)[:-1]
         values = [next(script, -10.0) for _ in range(int(np.prod(shape)))]
-        return np.reshape(values, shape), None
+        return np.reshape(values, shape), orig_value(self, x, s)[1]
 
-    orig_value = samplers_mod._Runner.value
     samplers_mod._Runner.value = scripted
     try:
         plan = make_plan("linear-sde", 2)

@@ -203,8 +203,21 @@ def test_posterior_mean_examples():
 
 
 def test_posterior_mean_domain():
-    with pytest.raises(DomainError):
-        posterior_mean(SINGLE, LINEAR, 0.9999, np.zeros(2))
+    # the domain is [0, 1]: at t = 1 the latent carries no information and
+    # x̂0 is the prior mean, and the schedule rejects any time outside it
+    from flowsearch.rewards import estimate_value, evaluate_reward, ring_reward
+
+    gmm = default_benchmark_gmm()
+    prior = gmm.weights @ gmm.means
+    x = 3.0 * np.random.default_rng(4).standard_normal((100, 2))
+    got = posterior_mean(gmm, LINEAR, 1.0, x)
+    assert np.max(np.abs(got - prior)) <= 1e-15 * np.max(np.abs(gmm.means))
+    for t in (1.0 + 1e-12, -1e-12, float("nan")):
+        with pytest.raises(DomainError):
+            posterior_mean(gmm, LINEAR, t, x)
+    reward = ring_reward(2.0)
+    np.testing.assert_allclose(estimate_value(reward, gmm, LINEAR, 1.0, x),
+                               np.full(100, evaluate_reward(reward, prior)), rtol=0, atol=1e-14)
 
 
 def test_tweedie_duality():
@@ -311,6 +324,37 @@ def test_import_leaves_scipy_unloaded():
     proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_reaches_into_the_oracles_private_names():
+    # the public functions are the oracle's only entry points: no other
+    # flowsearch module imports, or reads as an attribute, a name of
+    # analytic_flow that begins with an underscore
+    import ast
+    from pathlib import Path
+
+    import flowsearch
+
+    reached = []
+    for path in sorted(Path(flowsearch.__file__).parent.glob("*.py")):
+        if path.stem == "analytic_flow":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {"analytic_flow"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if (node.module or "").split(".")[-1] == "analytic_flow":
+                    reached += [(path.name, a.name) for a in node.names
+                                if a.name.startswith("_")]
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "analytic_flow"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                owner = node.value
+                name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                if name in aliases:
+                    reached.append((path.name, node.attr))
+    assert reached == []
 
 
 # Reference: the row-major (..., K, d) oracle that the component-major one

@@ -7,11 +7,10 @@ import pytest
 from flowsearch import engine
 from flowsearch import rng as streams
 from flowsearch.analytic_flow import (
-    _at_time,
-    _posterior_mean_unchecked,
     GaussianMixtureModel,
     default_benchmark_gmm,
     mode_assignments,
+    posterior_mean,
     score_at,
     velocity_at,
 )
@@ -755,8 +754,7 @@ def drift_form_step(plan, x, i, z, u):
 @pytest.mark.parametrize("process", PROCESS_NAMES)
 def test_both_bases_match_the_drift_form_step(process, steps):
     # every interval, with and without noise: the velocity basis from the
-    # same u, and the x̂0 basis from the posterior mean at the same point (at
-    # t = 1, which posterior_mean refuses, the one velocity_at computes),
+    # same u, and the x̂0 basis from the posterior mean at the same point,
     # within 2e-15 of the result's largest entry
     plan = make_plan(process, steps)
     gen = np.random.default_rng(steps)
@@ -764,7 +762,7 @@ def test_both_bases_match_the_drift_form_step(process, steps):
         x = 3.0 * gen.standard_normal((1000, 2))
         query = x if step.c is None else x / step.c
         u = velocity_at(GMM, LINEAR, step.t, query)
-        x0 = _posterior_mean_unchecked(GMM, _at_time(GMM, LINEAR, step.t), query)
+        x0 = posterior_mean(GMM, LINEAR, step.t, query)
         for z in (None, gen.standard_normal(x.shape)):
             want = drift_form_step(plan, x, i, z, u)
             tol = 2e-15 * np.max(np.abs(want))

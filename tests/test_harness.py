@@ -186,8 +186,9 @@ def test_write_csv_schema(tmp_path):
 
 def test_sweep_budgets_must_ascend():
     cfg = small_config()
-    with pytest.raises(ConfigError):
-        sweep(cfg, budgets=[100, 50])
+    for budgets in ([100, 50], [50, 50], [12, 24, 24]):
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            sweep(cfg, budgets=budgets)
     records = sweep(cfg, budgets=[12, 24])
     assert len(records) == 2 * len(cfg.seeds)
     assert [(r.seed, r.nfe_budget) for r in records] == [
@@ -287,11 +288,11 @@ def _read_rows_without_wall(path):
 @pytest.mark.parametrize("command", ["run", "sweep", "ablate", "diversity"])
 def test_cli_run_and_parallel_determinism(tmp_path, command):
     # identical rows (wall_ms excluded, per the determinism contract) for
-    # repeated runs and for --jobs 1 vs --jobs 8; unsorted, repeated seeds
-    # and a non-default reward check that workers get the whole config
+    # repeated runs and for --jobs 1 vs --jobs 8; unsorted seeds and a
+    # non-default reward check that workers get the whole config
     cfg_path = _write_config(
         tmp_path,
-        seeds=[3, 0, 2, 0],
+        seeds=[3, 0, 2, 1],
         reward={"kind": "target-point", "params": {"target": [1.0, -2.0]}, "beta": 0.2},
     )
     extra = ["--budgets", "12,40"] if command == "sweep" else []
@@ -303,7 +304,17 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         assert proc.returncode == 0, proc.stderr
         outs.append(_read_rows_without_wall(out))
     assert outs[0] == outs[1] == outs[2]
-    assert [row[0] for row in outs[0][1:3]] == ["0", "0"]  # sorted by seed
+    seeds = [int(row[0]) for row in outs[0][1:]]
+    assert seeds == sorted(seeds) and set(seeds) == {0, 1, 2, 3}  # sorted by seed
+
+
+# Cases whose message is checked: it names the field and what is wrong.
+CONFIG_ERROR_MESSAGES = {
+    "seeds-string": "seeds must be a JSON array of integers, got '12'",
+    "seeds-number": "seeds must be a JSON array of integers, got 12",
+    "seeds-repeated": "seeds must be distinct",
+    "sweep-budgets-repeated": "budgets must be non-empty and strictly ascending",
+}
 
 
 @pytest.mark.parametrize(
@@ -328,6 +339,9 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         ("run", {"nfe": float("inf")}, []),
         ("run", {"nfe": 60.9}, []),
         ("run", {"seeds": "12"}, []),
+        ("run", {"seeds": 12}, []),
+        ("run", {"seeds": [0, 0]}, []),
+        ("sweep", {"seeds": [0]}, ["--budgets", "50,50"]),
         ("sweep", {}, ["--budgets", f"10,{MAX_NFE + 1}"]),
         ("run", {"sampler": "smc", "sampler_opts": {},
                  "reward": {"kind": "rare-mode", "beta": float("nan")}}, []),
@@ -362,7 +376,8 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         "reward-not-object", "reward-params-not-object", "sampler-opts-not-object",
         "out-not-string", "out-empty", "out-directory", "out-under-file",
         "sweep-budget-not-integer", "nfe-over-cap", "nfe-infinite",
-        "nfe-float", "seeds-string",
+        "nfe-float", "seeds-string", "seeds-number", "seeds-repeated",
+        "sweep-budgets-repeated",
         "sweep-budget-over-cap", "beta-nan", "beta-infinite", "radius-nan",
         "radius-infinite", "target-nan", "jobs-zero", "jobs-negative",
         "smc-with-trace", "rbf-with-trace", "variance-infinite", "component-float",
@@ -372,7 +387,7 @@ def test_cli_run_and_parallel_determinism(tmp_path, command):
         "sweep-budgets-comma", *NON_NUMBER_FLOAT_IDS,
     ],
 )
-def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
+def test_cli_config_error_exit_code(request, tmp_path, command, overrides, extra_args):
     # extra_args None: no --out, so the config's own "out" is the one used;
     # in extra_args, {tmp} is a directory and {cfg} a regular file
     cfg_path = _write_config(tmp_path, **overrides)
@@ -382,6 +397,7 @@ def test_cli_config_error_exit_code(tmp_path, command, overrides, extra_args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: ")
     assert "Traceback" not in proc.stderr
+    assert CONFIG_ERROR_MESSAGES.get(request.node.callspec.id, "") in proc.stderr
 
 
 def test_cli_resolves_the_output_path_before_running(tmp_path, monkeypatch, capsys):

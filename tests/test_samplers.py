@@ -281,7 +281,9 @@ def test_tie_break_lowest_index(monkeypatch):
     from flowsearch.samplers import _Runner
 
     scripted = np.array([[0.1, 0.9, 0.9, 0.2], [0.5, 0.5, 0.5, 0.5], [-1.0, 0.3, -2.0, 0.3]])
-    monkeypatch.setattr(_Runner, "value", lambda self, x, k: (scripted, None))
+    orig_value = _Runner.value
+    monkeypatch.setattr(_Runner, "value",
+                        lambda self, x, k: (scripted, orig_value(self, x, k)[1]))
     r = _Runner(make_plan("linear-sde", 4), GMM, RARE, budget(), seed=0)
     x = np.random.default_rng(0).standard_normal((3, 4, 2))
     assert _first_max(scripted) == [1, 0, 1]
@@ -366,8 +368,7 @@ def test_smc_uniform_values_never_resample():
         return orig_resample(w, n, rng)
 
     def flat_value(self, x, k):
-        x = np.asarray(x)
-        return (np.zeros(x.shape[0]) if x.ndim > 1 else 0.0), None
+        return np.zeros(np.shape(x)[0]), orig_value(self, x, k)[1]
 
     S.resample_multinomial = spy
     S._Runner.value = flat_value
@@ -488,10 +489,7 @@ def test_rbf_worst_case_consumes_everything():
 
     def declining(self, x, k):
         # strictly declining values: the initial estimate is never beaten
-        base = -100.0 * k
-        if np.asarray(x).ndim > 1:
-            return np.full(np.shape(x)[:-1], base), None
-        return base, None
+        return np.full(np.shape(x)[:-1], -100.0 * k), orig_value(self, x, k)[1]
 
     samplers_mod._Runner.value = declining
     try:
@@ -511,9 +509,7 @@ def test_rbf_immediate_improvement_spends_minimum():
 
     def rising(self, x, k):
         counter["v"] += 1.0
-        if np.asarray(x).ndim > 1:
-            return np.full(np.shape(x)[:-1], counter["v"]), None
-        return counter["v"], None
+        return np.full(np.shape(x)[:-1], counter["v"]), orig_value(self, x, k)[1]
 
     samplers_mod._Runner.value = rising
     try:
@@ -940,9 +936,9 @@ def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, proce
     # the x̂0-basis step from a fresh posterior query, with no oracle call at
     # any grid point, t = 1 included; without it the step queries the oracle
     # once
-    from flowsearch.analytic_flow import _at_time, _posterior_mean_unchecked, posterior_mean
+    from flowsearch.analytic_flow import posterior_mean
     from flowsearch.engine import step_from_x0
-    from flowsearch.interpolants import SOURCE, T_MIN
+    from flowsearch.interpolants import SOURCE
     from flowsearch.samplers import _Runner
 
     plan = make_plan(process, 6)
@@ -950,11 +946,7 @@ def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, proce
 
     def oracle_step(x, k, z):
         c, t = plan.intervals[k][0][:2]
-        y = x if c is None else x / c
-        if t <= 1.0 - T_MIN:
-            x0 = posterior_mean(GMM, SOURCE, t, y)
-        else:  # t = 1, which posterior_mean refuses: velocity_at's own query
-            x0 = _posterior_mean_unchecked(GMM, _at_time(GMM, SOURCE, t), y)
+        x0 = posterior_mean(GMM, SOURCE, t, x if c is None else x / c)
         return step_from_x0(plan, x, k, z, x0)
 
     gen = np.random.default_rng(1)
