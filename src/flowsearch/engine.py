@@ -41,7 +41,7 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def _interval_steps(sched: InterpolantSchedule, t: float, dt: float, g: float,
     return quiet, step(h, alpha, alpha_dot, g * math.sqrt(dt))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class StepPlan:
     """Everything fixed about a generative run, worked out once per interval.
 
@@ -147,24 +147,25 @@ class StepPlan:
         if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
             raise DomainError(f"steps must be an integer >= 1, got {steps!r}")
         matched = self.process in _MATCHED_GRID
-        self.src_schedule = SOURCE
+        put = partial(object.__setattr__, self)  # frozen: shared plans refuse assignment
+        put("src_schedule", SOURCE)
         if self.dst_schedule is None:
             converted = self.process in _CONVERTED or matched
-            self.dst_schedule = InterpolantSchedule("vp") if converted else self.src_schedule
+            put("dst_schedule", InterpolantSchedule("vp") if converted else self.src_schedule)
         if matched and self.src_schedule == self.dst_schedule:
             raise DomainError(f"{self.process} needs distinct src/dst schedules")
-        grid = self.grid = np.linspace(1.0, 0.0, steps + 1)
-        left = grid[:-1]
+        put("grid", np.linspace(1.0, 0.0, steps + 1))
+        left = self.grid[:-1]
         maps = [self.scale_map(s) for s in left]
         if matched:
             # Source coordinates, stepped between matched source times.
-            self.schedule = self.src_schedule
+            put("schedule", self.src_schedule)
             times = [m.t_s for m in maps] + [0.0]
         else:
             # Target coordinates on the plan grid.
-            self.schedule = self.dst_schedule
-            times = list(grid)
-        self.maps = tuple(None if self.schedule == self.src_schedule else m for m in maps)
+            put("schedule", self.dst_schedule)
+            times = list(self.grid)
+        put("maps", tuple(None if self.schedule == self.src_schedule else m for m in maps))
         if self.process == "linear-ode":
             g = [0.0] * steps
         elif self.process == "linear-sde-adaptive-time":
@@ -173,7 +174,7 @@ class StepPlan:
             # The converted process's noise magnitude in source coordinates.
             g = [
                 diffusion(s) / m.c_s * math.sqrt((s - s_next) / (t - t_next))
-                for s, s_next, m, t, t_next in zip(left, grid[1:], maps, times, times[1:])
+                for s, s_next, m, t, t_next in zip(left, self.grid[1:], maps, times, times[1:])
             ]
         else:
             g = [diffusion(s) for s in left]
@@ -181,13 +182,13 @@ class StepPlan:
         # is integrated without noise (with g ~ t^2 the discarded noise is
         # O(T_MIN^2)).
         g[-1] = 0.0
-        self.times = np.array(times)
-        self.g = np.array(g)
+        put("times", np.array(times))
+        put("g", np.array(g))
         for arr in (self.grid, self.times, self.g):
             arr.flags.writeable = False
         t = self.times.tolist()
-        self.intervals = tuple(_interval_steps(self.schedule, t[i], t[i] - t[i + 1], g, m)
-                               for i, (g, m) in enumerate(zip(self.g.tolist(), self.maps)))
+        put("intervals", tuple(_interval_steps(self.schedule, t[i], t[i] - t[i + 1], g, m)
+                               for i, (g, m) in enumerate(zip(self.g.tolist(), self.maps))))
 
     def scale_map(self, s: float) -> ScaleTimeMap:
         """Scale-time map from the target to the source interpolant at plan

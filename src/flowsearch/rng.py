@@ -32,7 +32,7 @@ is ``stream(seed, *key).standard_normal(shape)`` through the cache, for
 INIT, PROPOSAL, FORWARD and the protocol's initial DIVERSITY latent.
 ``branch_normals`` stacks the protocol's per-branch DIVERSITY draws of one
 interval into one block.  smc's RESAMPLE ``choice`` draws from the shared
-generator below, reset by ``_fresh_stream`` right before the draw.  Only
+generator below, reset by ``shared_stream`` right before the draw.  Only
 PROCESS's consumers, the callers of ``engine.run_process``, which takes a
 generator and keeps it, call ``stream``, which builds one of their own;
 ``run_process`` draws from it one interval ahead on one worker thread, in
@@ -105,10 +105,10 @@ def _shared_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(0))
 
 
-def _fresh_stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+def shared_stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
     """``stream(seed, *key)`` without building it: the shared generator, reset
     to that stream's key and counter with an empty buffer, exactly the state
-    ``stream`` builds.  Valid until the next call."""
+    ``stream`` builds.  Valid until the next call or cache miss."""
     philox_key, counter = _state(seed, key)
     generator = _shared_generator()
     generator.bit_generator.state = {
@@ -127,9 +127,9 @@ def _block(seed: int, key: tuple[int, ...], shape: tuple, branches: int | None,
     """``stream(seed, *key).standard_normal(shape)``, or with ``branches``
     one such draw per branch ``(*key, j)`` stacked, as a read-only array."""
     if branches is None:
-        block = _fresh_stream(seed, key).standard_normal(shape)
+        block = shared_stream(seed, key).standard_normal(shape)
     else:
-        block = np.stack([_fresh_stream(seed, (*key, j)).standard_normal(shape)
+        block = np.stack([shared_stream(seed, (*key, j)).standard_normal(shape)
                           for j in range(branches)])
     block.flags.writeable = False
     return block

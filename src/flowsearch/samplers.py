@@ -30,17 +30,18 @@ The ledger charges proposals, not oracle rows.  Every selecting sampler
 (svdd, code, rbf) advances all its batches together, with one step per
 interval and one value call per selection point; proposals that share a
 parent share that parent's oracle row while each is charged 1 NFE.  rbf
-pads a step's proposal blocks to its largest batch quota and charges each
-batch up to its accepted index; the rows past it, padding included, are
-uncharged, speculative oracle work.
+values each step's own quota (its largest before rollover) first and the
+rolled-over rows, padded to the largest batch quota, only on a miss, and
+charges each batch up to its accepted index; the rows past it, padding
+included, are uncharged, speculative oracle work.
 
 A latent is stepped from its posterior mean x̂0 = E[x0 | x_t], the
 oracle's one output, at the interval's query point (``engine.step_from_x0``).
 ``_Runner.value`` returns the x̂0 it valued at that point with the values,
 a sampler indexes it with the rows it keeps, and ``_Runner.step_batch``
 steps from the x̂0 it is passed, else from one fresh query.  So bon, smc,
-code, svdd and rbf make one posterior evaluation per interval, 10 a run at
-10 steps (sop 26 at nfe 1000).
+code and svdd make one posterior evaluation per interval, 10 a run at 10
+steps; rbf one more per step that reads its rollover (sop 26 at nfe 1000).
 
 Every sampler is built on ``_Runner``, which owns the run's NFE ledger
 (the count spent and its per-step booking), the per-step proposal noise,
@@ -337,7 +338,7 @@ def run_smc(
         w = np.exp(log_w - log_w.max())
         resampled = ess(w) < ess_threshold_frac * n
         if resampled:
-            gen = streams._fresh_stream(seed, (streams.RESAMPLE, i))  # stream(seed, RESAMPLE, i)
+            gen = streams.shared_stream(seed, (streams.RESAMPLE, i))
             ancestors = resample_multinomial(w, n, gen)
             x, x0 = x[ancestors], x0[ancestors]
             values = values[ancestors]
@@ -417,11 +418,13 @@ def run_rbf(
     step.  If the quota is exhausted the argmax-value proposal is taken
     (without updating r*).
 
-    All batches advance together, as in svdd and code: a step pads every
-    batch's proposal block to the largest quota, steps and values it in one
-    step and one value call, and charges each batch up to its accepted
-    proposal.  The rows past it, padding included, are uncharged,
-    speculative work; a miss accepts the last index, so nothing rolls over.
+    All batches advance together, as in svdd and code: a step values every
+    batch's own quota (the step's largest before rollover) in one step and
+    value call, and its rolled-over rows, padded to the largest quota, in
+    one more only when a batch missed r* in its own.  Each batch is charged
+    up to its accepted proposal; the rows past it, padding included, are
+    uncharged, speculative work; a miss accepts the last index, so nothing
+    rolls over.
     """
     r = _Runner(plan, gmm, reward, budget, seed)
     if batches < 1:
@@ -431,23 +434,32 @@ def run_rbf(
         raise BudgetError("each rbf batch needs at least steps + 1 NFEs")
     quotas = np.array([_uniform_split(share - 1, steps)
                        for share in _uniform_split(budget.total_nfe, batches)])
+    own = quotas.max(axis=0).tolist()  # each step's largest quota before rollover
     accepted, entry, rows = np.zeros_like(quotas), [], np.arange(batches)
     x = r.initials(batches)
     r.charge(None, batches)  # valuing each fresh initial latent costs one call
     r_star, x0 = r.value(x, 0)
+
+    def propose(i, lo, hi):
+        """Rows [lo, hi) of each batch's step-i proposals from x, valued."""
+        z = np.stack([r.noise(i, b, hi)[lo:] for b in range(batches)]) if plan.g[i] else None
+        proposals = r.step_batch(x[:, None], i, z, x0)
+        return (proposals, *r.value(proposals, i + 1))
+
     for i in range(steps):
         q = quotas[:, i]
         entry.append(quotas[:, i:].tolist())
-        z = np.stack([r.noise(i, b, int(q.max())) for b in range(batches)]) if plan.g[i] else None
-        proposals = r.step_batch(x[:, None], i, z, x0)
-        values, x0 = r.value(proposals, i + 1)
+        proposals, values, post = parts = propose(i, 0, own[i])
+        if plan.g[i] and np.any((q > own[i]) & ~(values > r_star[:, None]).any(axis=1)):
+            rest = propose(i, own[i], int(q.max()))  # only a batch missing r* reads on
+            proposals, values, post = (np.concatenate(p, axis=1) for p in zip(parts, rest))
         padding = np.arange(values.shape[1]) >= q[:, None]
         values = np.where(padding, -np.inf, values)  # padding never wins
         beats = values > r_star[:, None]
         hit = beats.any(axis=1)
         j = np.where(hit, beats.argmax(axis=1), q - 1)
         pick = np.where(hit, j, values.argmax(axis=1))
-        x, x0 = proposals[rows, pick], x0[rows, pick]
+        x, x0 = proposals[rows, pick], post[rows, pick]
         r_star = np.where(hit, values[rows, pick], r_star)
         if i + 1 < steps:
             quotas[:, i + 1] += q - 1 - j

@@ -327,33 +327,34 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_no_module_reaches_into_the_oracles_private_names():
-    # the public functions are the oracle's only entry points: no other
-    # flowsearch module imports, or reads as an attribute, a name of
-    # analytic_flow that begins with an underscore
+    # the public functions are each module's only entry points, the oracle's
+    # included: no flowsearch module imports, or reads as an attribute, a
+    # name of another flowsearch module that begins with an underscore
     import ast
     from pathlib import Path
 
     import flowsearch
 
+    paths = sorted(Path(flowsearch.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
     reached = []
-    for path in sorted(Path(flowsearch.__file__).parent.glob("*.py")):
-        if path.stem == "analytic_flow":
-            continue
+    for path in paths:
         tree = ast.parse(path.read_text())
-        aliases = {"analytic_flow"}
+        aliases = {name: name for name in modules - {path.stem}}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                if (node.module or "").split(".")[-1] == "analytic_flow":
-                    reached += [(path.name, a.name) for a in node.names
+                owner = (node.module or "").split(".")[-1]
+                if owner in aliases:
+                    reached += [(path.name, owner, a.name) for a in node.names
                                 if a.name.startswith("_")]
-                aliases |= {a.asname or a.name for a in node.names
-                            if a.name == "analytic_flow"}
+                aliases |= {a.asname or a.name: a.name for a in node.names
+                            if a.name in modules - {path.stem}}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
                 owner = node.value
                 name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
                 if name in aliases:
-                    reached.append((path.name, node.attr))
+                    reached.append((path.name, aliases[name], node.attr))
     assert reached == []
 
 

@@ -263,6 +263,20 @@ def test_make_plan_shares_one_read_only_plan_per_process_and_steps():
             make_plan("vp-sde", steps)
 
 
+def test_shared_plans_refuse_assignment():
+    # one stray assignment would reach every later run of that (process,
+    # steps) in the process, so a plan's fields cannot be reassigned
+    import dataclasses
+
+    plan = make_plan("vp-sde", 10)
+    intervals = plan.intervals
+    for name in ("intervals", "g", "steps", "process", "dst_schedule"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plan, name, ())
+    assert make_plan("vp-sde", 10) is plan
+    assert plan.intervals is intervals and len(plan.intervals) == 10
+
+
 def test_stoch_denoise_linear_ode_matches_ode_step():
     plan = make_plan("linear-ode", 10)
     x = np.array([0.4, -0.9])

@@ -71,8 +71,8 @@ def test_memo_blocks_are_read_only(memo):
 
 def test_repeated_draw_is_a_memo_hit(memo, monkeypatch):
     calls = []
-    fresh = memo._fresh_stream
-    monkeypatch.setattr(memo, "_fresh_stream",
+    fresh = memo.shared_stream
+    monkeypatch.setattr(memo, "shared_stream",
                         lambda seed, key: calls.append(key) or fresh(seed, key))
     first = memo.normals(3, (streams.PROPOSAL, 1, 0), (5, 2))
     assert memo.normals(3, (streams.PROPOSAL, 1, 0), (5, 2)) is first
@@ -134,8 +134,8 @@ def test_memo_serves_a_seeds_runs_on_every_process(memo, monkeypatch):
     every block in the cache: it fails if the cache is too small or a key
     names the process."""
     calls = []
-    fresh = memo._fresh_stream
-    monkeypatch.setattr(memo, "_fresh_stream",
+    fresh = memo.shared_stream
+    monkeypatch.setattr(memo, "shared_stream",
                         lambda seed, key: calls.append(key) or fresh(seed, key))
     _protocol_diversity.cache_clear()
     for process in ("linear-sde", "vp-sde"):
@@ -223,8 +223,8 @@ def test_interleaved_draws_equal_fresh_streams(seed):
     streams._philox_key.cache_clear()
     for order in (range(len(draws)), reversed(range(len(draws)))):  # cold, then cached
         for i in order:
-            partly = streams._fresh_stream(seed, (streams.PROCESS, i))
+            partly = streams.shared_stream(seed, (streams.PROCESS, i))
             partly.random(3)
             partly.integers(2**20, size=3, dtype=np.uint32)
             key, shape = draws[i]
-            assert np.array_equal(streams._fresh_stream(seed, key).standard_normal(shape), want[i])
+            assert np.array_equal(streams.shared_stream(seed, key).standard_normal(shape), want[i])

@@ -661,17 +661,22 @@ def test_shared_parent_stepping_matches_per_row_reference(monkeypatch, process):
 
 
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
-def test_rbf_matches_the_sequential_loop(process):
+def test_rbf_matches_the_sequential_loop(monkeypatch, process):
     # same acceptance index, rollover, charges and winner as stepping and
     # valuing one proposal at a time
+    second_calls = 0
     for seed in range(6):
         for total, steps, batches in ((100, 5, 2), (61, 4, 1), (157, 6, 3), (90, 4, 4)):
             plan = make_plan(process, steps)
-            res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed, batches=batches)
+            with monkeypatch.context() as m:
+                log = _spy_oracle(m)
+                res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed, batches=batches)
+            second_calls += len(log["step"]) - steps
             ref, accepted_at = _sequential_rbf(plan, GMM, RARE, SearchBudget(total),
                                                seed, batches)
             _same(res, ref)
             assert [j for bt in res.trace["batches"] for j in bt["accepted_at"]] == accepted_at
+    assert second_calls > 0  # some step read past its own quota
 
 
 # --- batched selection: svdd and code advance all batches together
@@ -798,13 +803,32 @@ def test_svdd_and_code_make_one_oracle_call_per_interval(monkeypatch, process):
             ref.nfe_used, ref.per_step_consumption)
 
 
+def _rbf_oracle_log(plan, traces):
+    """The ``(step intervals, (grid point, rows) value calls)`` an rbf run
+    makes, from its trace: the initial latents in one call; a noisy step
+    values each batch's own rows, the step's largest quota before rollover,
+    and the rows up to the largest quota in one more call only when some
+    batch accepted past them; a noiseless step values one row per batch."""
+    batches = len(traces)
+    steps_at, values_at = [], [(0, batches)]
+    for i in range(plan.steps):
+        width = max(bt["quotas_at_entry"][i][0] for bt in traces)
+        own = max(bt["quotas_at_entry"][0][i] for bt in traces)  # before rollover
+        cuts = [0, 1] if not plan.g[i] else [0, own] + (
+            [width] if any(bt["accepted_at"][i] > own for bt in traces) else [])
+        for lo, hi in zip(cuts, cuts[1:]):
+            steps_at.append(i)
+            values_at.append((i + 1, batches * (hi - lo)))
+    return steps_at, values_at
+
+
 @pytest.mark.parametrize("process", ["linear-sde", "vp-sde"])
-def test_rbf_values_each_step_in_one_call(monkeypatch, process):
-    # every batch together: one value call for the initial latents and one
-    # per step, one step per interval.  A step values each batch's block
-    # padded to the largest quota (one row on the noiseless interval) but
-    # charges only up to the accepted index, so the rows past it are
-    # declared speculative oracle work.
+def test_rbf_values_its_own_quota_then_its_rollover_on_a_miss(monkeypatch, process):
+    # every batch together: one value call for the initial latents, one per
+    # step over the step's own quota, and one more over the rolled-over rows
+    # only when a batch found nothing beating r* in its own rows; charges and
+    # the winner are the sequential loop's
+    second_calls = 0
     for seed in range(3):
         for total, steps, batches in RBF_CASES:
             plan = make_plan(process, steps)
@@ -815,14 +839,32 @@ def test_rbf_values_each_step_in_one_call(monkeypatch, process):
                 res = run_rbf(plan, GMM, RARE, SearchBudget(total), seed, batches=batches)
             traces = res.trace["batches"]
             assert len(traces) == batches
-            assert [k for k, _ in log["value"]] == list(range(steps + 1))
-            widths = [max(bt["quotas_at_entry"][i][0] for bt in traces) if plan.g[i] else 1
-                      for i in range(steps)]
-            assert sum(n for _, n in log["value"]) == batches + batches * sum(widths)
-            assert sorted(log["step"]) == list(range(steps))
+            assert (log["step"], log["value"]) == _rbf_oracle_log(plan, traces)
+            second_calls += len(log["step"]) - steps
             assert (res.nfe_used, res.per_step_consumption) == (
                 ref.nfe_used, ref.per_step_consumption)
             assert res.best_reward == ref.best_reward
+    assert second_calls > 0
+
+
+def test_rbf_reads_one_rolled_over_row_on_a_miss(monkeypatch):
+    # a hit at index 3 of step 0's five proposals rolls one NFE over, so
+    # step 1 holds six: its own five miss r* = 1, so the sixth is stepped and
+    # valued in a second call; it wins, and its r* = 2 beats the final 1.5
+    import flowsearch.samplers as S
+
+    script = iter([[0.0], [[-1.0, -1.0, -1.0, 1.0, -1.0]], [[0.5] * 5], [[2.0]], [[1.5]]])
+    orig = S._Runner.value
+    monkeypatch.setattr(S._Runner, "value",
+                        lambda self, x, k: (np.array(next(script)), orig(self, x, k)[1]))
+    log = _spy_oracle(monkeypatch)
+    res = run_rbf(make_plan("linear-sde", 3), GMM, RARE, SearchBudget(16), seed=0, batches=1)
+    batch = res.trace["batches"][0]
+    assert batch["accepted_at"] == [4, 6, 5]
+    assert [q[0] for q in batch["quotas_at_entry"]] == [5, 6, 5]
+    assert log["step"] == [0, 1, 1, 2]
+    assert log["value"] == [(0, 1), (1, 5), (2, 5), (2, 1), (3, 1)]
+    assert (res.nfe_used, res.per_step_consumption) == (16, [4, 6, 5])
 
 
 # --- one oracle query per latent and grid point: valuing and stepping share x̂0
@@ -831,14 +873,16 @@ def test_rbf_values_each_step_in_one_call(monkeypatch, process):
 # every velocity and value query makes) per run at nfe 1000 and 10 steps, in
 # PROCESS_NAMES order.  A latent is valued at its next step's query and
 # stepped from it, and a final value is the reward of the latent itself, so
-# every sampler but sop makes one evaluation per interval.
+# every sampler but sop makes one evaluation per interval; rbf makes one more
+# on a step where a batch reads past its own quota, so its count depends on
+# the seed (a set: the counts seeds 0-2 read).
 ORACLE_CALLS = {
     "bon": (10, 10, 10, 10, 10),
     "sop": (26, 26, 26, 26, 26),
     "smc": (10, 10, 10, 10, 10),
     "code": (10, 10, 10, 10, 10),
     "svdd": (10, 10, 10, 10, 10),
-    "rbf": (10, 10, 10, 10, 10),
+    "rbf": (10, 10, 10, {10, 11}, {10, 11}),
 }
 # The rows those evaluations take, in the same runs.  On linear-ode a
 # noiseless step leaves code's and svdd's draws as copies of one parent,
