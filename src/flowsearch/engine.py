@@ -205,15 +205,6 @@ def make_plan(process: str, steps: int) -> StepPlan:
     return StepPlan(process, steps)
 
 
-def score_from_velocity(sched: InterpolantSchedule, t: float, x: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
-    """Recover grad log p_t from the velocity field at the same point."""
-    if not T_MIN <= t <= 1.0:
-        raise DomainError(f"score-from-velocity needs t in [{T_MIN}, 1], got {t}")
-    alpha, sigma, alpha_dot, sigma_dot = eval_schedule(sched, t)
-    return (alpha * u - alpha_dot * x) / (sigma * (alpha_dot * sigma - alpha * sigma_dot))
-
-
 def _affine(x: np.ndarray, cx: float, y: np.ndarray, cy: float, z, cz: float) -> np.ndarray:
     """``cx x + cy y + cz z`` (no z term for ``z`` None or ``cz`` 0) in new arrays,
     in the one order tried that slows no process at 10^4 rows under glibc's

@@ -199,8 +199,8 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
     if isinstance(doc, (str, Path)):
         path = Path(doc)
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(path.read_bytes())  # UTF-8, -16 or -32, detected
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -211,7 +211,8 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
     if not isinstance(seeds, list):
         raise ConfigError(f"seeds must be a JSON array of integers, got {seeds!r}")
     try:
-        gmm = _gmm_from_dict(doc["gmm"]) if "gmm" in doc else default_benchmark_gmm()
+        gmm = (_gmm_from_dict(_object(doc, "gmm", "gmm")) if "gmm" in doc
+               else default_benchmark_gmm())
         reward = _reward_from_dict(_object(doc, "reward", "reward"), gmm)
         return ExperimentConfig(
             gmm=gmm,

@@ -212,12 +212,11 @@ class _Runner:
             x0 = self.query(x, i)
         return step_from_x0(self.plan, x, i, z, x0.reshape(x.shape))
 
-    def result(self, finals, values=None, trace: dict | None = None) -> SearchResult:
-        """The highest-reward final latent, lowest index on ties; ``values``
-        stand in for the rewards when the caller already holds them."""
+    def result(self, finals, trace: dict | None = None) -> SearchResult:
+        """The highest-reward final latent, lowest index on ties, with the
+        run's ledger and ``trace``."""
         x = np.asarray(finals)
-        if values is None:
-            values = np.asarray(evaluate_reward(self.reward, x))
+        values = np.asarray(evaluate_reward(self.reward, x))
         best = np.argmax(values)
         return SearchResult(
             best_x=x[best],
@@ -352,7 +351,7 @@ def run_smc(
         new_values, x0 = r.value(x, i + 1)
         log_w = log_w + (new_values - values) / beta
         values = new_values
-    return r.result(x, values, trace)  # at t=0 the value is the reward itself
+    return r.result(x, trace)
 
 
 def run_svdd(

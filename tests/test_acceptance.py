@@ -41,7 +41,6 @@ from flowsearch.engine import (
     StepPlan,
     make_plan,
     run_process,
-    score_from_velocity,
 )
 from flowsearch.harness import CSV_COLUMNS, branched_proposals, diversity_mpd
 from flowsearch.interpolants import (
@@ -66,6 +65,7 @@ from flowsearch.samplers import (
 )
 
 from child import python
+from reference import score_from_velocity
 
 LINEAR = InterpolantSchedule("linear")
 VP = vp_schedule()

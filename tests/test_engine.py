@@ -21,7 +21,6 @@ from flowsearch.engine import (
     denoise_interval,
     make_plan,
     run_process,
-    score_from_velocity,
     step_from_x0,
 )
 from flowsearch.errors import DomainError
@@ -32,6 +31,8 @@ from flowsearch.interpolants import (
     scale_time_transform,
     vp_schedule,
 )
+
+from reference import score_from_velocity
 
 LINEAR = InterpolantSchedule("linear")
 VP = vp_schedule()

@@ -314,6 +314,21 @@ CONFIG_ERROR_MESSAGES = {
     "seeds-number": "seeds must be a JSON array of integers, got 12",
     "seeds-repeated": "seeds must be distinct",
     "sweep-budgets-repeated": "budgets must be non-empty and strictly ascending",
+    "gmm-string": "gmm must be a JSON object, got 'abc'",
+    "gmm-array": "gmm must be a JSON object, got [1, 2]",
+    "top-level-array": "config must be a JSON object",
+    "undecodable-bytes": "cannot read config",
+    "nested-too-deep": "cannot read config",
+    "reward-kind-unknown": "unknown reward kind 'gold'",
+    "ring-no-radius": "ring reward needs params.radius",
+    "ablate-bon": "ablation needs a sampler with stochastic proposals",
+    "component-out-of-range": "component 7 out of range",
+    "sop-keep-zero": "n_keep and k_branch must be >= 1",
+    "sop-keep-over-budget": "budget cannot finish the survivors deterministically",
+    "code-interval-zero": "interval and k must be >= 1",
+    "rbf-batches-zero": "batches must be >= 1",
+    "gmm-weights-empty": "weights must be a non-empty 1-D sequence",
+    "gmm-weight-zero": "all mixture weights must be positive",
 }
 
 
@@ -369,6 +384,22 @@ CONFIG_ERROR_MESSAGES = {
         ("sweep", {}, ["--budgets", ""]),
         ("sweep", {}, ["--budgets", ","]),
         *[("run", overrides, []) for overrides, _ in NON_NUMBER_FLOATS],
+        ("run", {"gmm": "abc"}, []),
+        ("run", {"gmm": [1, 2]}, []),
+        # bytes: the config file's whole content
+        ("run", b'[{"nfe": 40, "steps": 4}]', []),
+        ("run", b"\xff{}", []),
+        ("run", b"[" * 100_000 + b"]" * 100_000, []),
+        ("run", {"reward": {"kind": "gold"}}, []),
+        ("run", {"reward": {"kind": "ring", "params": {}}}, []),
+        ("ablate", {"sampler": "bon", "sampler_opts": {}}, []),
+        ("run", {"reward": {"kind": "rare-mode", "params": {"component": 7}}}, []),
+        ("run", {"sampler": "sop", "sampler_opts": {"n_keep": 0}}, []),
+        ("run", {"sampler": "sop", "sampler_opts": {"n_keep": 100}}, []),
+        ("run", {"sampler": "code", "sampler_opts": {"interval": 0}}, []),
+        ("run", {"sampler": "rbf", "sampler_opts": {"batches": 0}}, []),
+        ("run", {"gmm": {"weights": [], "means": [], "variances": []}}, []),
+        ("run", {"gmm": {**TWO_MODES, "weights": [0.0, 1.0]}}, []),
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
@@ -384,13 +415,21 @@ CONFIG_ERROR_MESSAGES = {
         "component-bool", "component-string", "dim-float", "dim-string",
         "smc-threshold-negative", "smc-threshold-nan", "smc-threshold-above-one",
         "smc-threshold-infinite", "gmm-zero-dim", "sweep-budgets-empty",
-        "sweep-budgets-comma", *NON_NUMBER_FLOAT_IDS,
+        "sweep-budgets-comma", *NON_NUMBER_FLOAT_IDS, "gmm-string", "gmm-array",
+        "top-level-array", "undecodable-bytes", "nested-too-deep", "reward-kind-unknown",
+        "ring-no-radius", "ablate-bon", "component-out-of-range", "sop-keep-zero",
+        "sop-keep-over-budget", "code-interval-zero", "rbf-batches-zero",
+        "gmm-weights-empty", "gmm-weight-zero",
     ],
 )
 def test_cli_config_error_exit_code(request, tmp_path, command, overrides, extra_args):
     # extra_args None: no --out, so the config's own "out" is the one used;
     # in extra_args, {tmp} is a directory and {cfg} a regular file
-    cfg_path = _write_config(tmp_path, **overrides)
+    if isinstance(overrides, bytes):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(overrides)
+    else:
+        cfg_path = _write_config(tmp_path, **overrides)
     out_args = [] if extra_args is None else ["--out", str(tmp_path / "x.csv"), *extra_args]
     out_args = [a.format(tmp=tmp_path, cfg=cfg_path) for a in out_args]
     proc = python("-m", "flowsearch.cli", command, str(cfg_path), *out_args)
@@ -398,6 +437,36 @@ def test_cli_config_error_exit_code(request, tmp_path, command, overrides, extra
     assert proc.stderr.startswith("config error: ")
     assert "Traceback" not in proc.stderr
     assert CONFIG_ERROR_MESSAGES.get(request.node.callspec.id, "") in proc.stderr
+
+
+def test_cli_reads_a_utf16_config_as_its_utf8_twin(tmp_path):
+    # json detects UTF-8, -16 and -32 from the bytes; wall_ms is excluded
+    utf8 = _write_config(tmp_path)
+    utf16 = tmp_path / "config16.json"
+    utf16.write_bytes(utf8.read_text().encode("utf-16"))
+    rows = []
+    for cfg_path in (utf8, utf16):
+        out = tmp_path / f"{cfg_path.stem}.csv"
+        proc = python("-m", "flowsearch.cli", "run", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows.append(_read_rows_without_wall(out))
+    assert rows[0] == rows[1] and len(rows[0]) == 4
+
+
+def test_cli_invariant_violation_exit_code(tmp_path):
+    # means at 1e154 overflow the squared distance to the target, so the
+    # record's best_reward is -inf; in a child process, because the tests'
+    # own interpreter turns the overflow RuntimeWarning into an error
+    cfg_path = _write_config(
+        tmp_path,
+        gmm={"weights": [1.0], "means": [[1e154, 1e154]], "variances": [[1.0, 1.0]]},
+        reward={"kind": "target-point", "params": {"target": [0.0, 0.0]}},
+        process="linear-ode", sampler="bon", sampler_opts={}, nfe=10, steps=2,
+    )
+    proc = python("-m", "flowsearch.cli", "run", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 3
+    assert "invariant violation: best_reward must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_resolves_the_output_path_before_running(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from flowsearch.analytic_flow import default_benchmark_gmm
 from flowsearch.engine import PROCESS_NAMES, make_plan
 from flowsearch.errors import BudgetError, DomainError
 from flowsearch.harness import branched_proposals, diversity_mpd
-from flowsearch.rewards import rare_mode_reward, target_point_reward
+from flowsearch.rewards import evaluate_reward, rare_mode_reward, target_point_reward
 from flowsearch.samplers import (
     SAMPLERS,
     SearchBudget,
@@ -136,7 +136,6 @@ def test_best_of_n_is_argmax_over_trajectory_endpoints():
     res = best_of_n(plan, GMM, RARE, b, seed=3)
     from flowsearch.engine import run_process
     from flowsearch.analytic_flow import velocity_at
-    from flowsearch.rewards import evaluate_reward
 
     endpoints = []
     starts = streams.stream(3, streams.INIT).standard_normal((3, 2))  # the run's INIT block
@@ -277,18 +276,23 @@ def test_selection_correctness_svdd(monkeypatch):
 
 def test_tie_break_lowest_index(monkeypatch):
     # tied values scripted through _Runner.value: select keeps the lowest
-    # index in every batch, and the final pick the lowest tied final
+    # index in every batch; v and -v tie bitwise as the best finals under a
+    # target at the origin, and the final pick is the lower index
     from flowsearch.samplers import _Runner
 
     scripted = np.array([[0.1, 0.9, 0.9, 0.2], [0.5, 0.5, 0.5, 0.5], [-1.0, 0.3, -2.0, 0.3]])
     orig_value = _Runner.value
     monkeypatch.setattr(_Runner, "value",
                         lambda self, x, k: (scripted, orig_value(self, x, k)[1]))
-    r = _Runner(make_plan("linear-sde", 4), GMM, RARE, budget(), seed=0)
+    origin = target_point_reward([0.0, 0.0])
+    r = _Runner(make_plan("linear-sde", 4), GMM, origin, budget(), seed=0)
     x = np.random.default_rng(0).standard_normal((3, 4, 2))
     assert _first_max(scripted) == [1, 0, 1]
     np.testing.assert_array_equal(r.select(x, 1)[0], x[[0, 1, 2], [1, 0, 1]])
-    res = r.result(x[0], values=np.array([1.0, 3.0, 3.0, 2.0]))
+    finals = np.array([[2.0, 1.0], x[0, 1], -x[0, 1], [1.5, -1.0]])
+    values = evaluate_reward(origin, finals)
+    assert values[1] == values[2] == values.max() and finals[1, 0] != finals[2, 0]
+    res = r.result(finals)
     np.testing.assert_array_equal(res.best_x, x[0, 1])
 
 
