@@ -154,10 +154,16 @@ def _check_sampler_opts(sampler: str, opts: dict) -> None:
             raise ConfigError(f"sampler option {name!r} must be {kind.__name__}, got {value!r}")
 
 
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+GMM_KEYS = ("dim", "weights", "means", "variances")
+REWARD_KEYS = ("kind", "params", "beta")
+REWARD_PARAMS = {"target-point": "target", "ring": "radius", "rare-mode": "component"}
+
+
 def _gmm_from_dict(doc: dict) -> GaussianMixtureModel:
     try:
         gmm = GaussianMixtureModel(
-            **{key: _numbers(f"gmm.{key}", doc[key]) for key in ("weights", "means", "variances")}
+            **{key: _numbers(f"gmm.{key}", doc[key]) for key in GMM_KEYS[1:]}
         )
     except KeyError as exc:
         raise ConfigError(f"gmm config missing key {exc}") from exc
@@ -166,32 +172,33 @@ def _gmm_from_dict(doc: dict) -> GaussianMixtureModel:
     return gmm
 
 
-def _object(doc: dict, key: str, name: str) -> dict:
-    """``doc[key]`` (default ``{}``), which must be a JSON object."""
-    value = doc.get(key, {})
+def _object(value, name: str, known: tuple | None) -> dict:
+    """``value``, a JSON object with no key outside ``known`` (None: any)."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        raise ConfigError(f"{name} must be a JSON object, got {value!r:.200}")
+    unknown = sorted(set(value) - set(value if known is None else known))
+    if unknown:
+        raise ConfigError(f"{name} has no key {unknown[0]!r}; its keys are {sorted(known)}")
     return value
 
 
 def _reward_from_dict(doc: dict, gmm: GaussianMixtureModel) -> RewardSpec:
     kind = doc.get("kind", "rare-mode")
-    params = _object(doc, "params", "reward.params")
+    if not isinstance(kind, str) or kind not in REWARD_PARAMS:
+        raise ConfigError(f"unknown reward kind {kind!r}")
+    key = REWARD_PARAMS[kind]
+    params = _object(doc.get("params", {}), "reward.params", (key,))
     beta = _number("reward.beta", doc.get("beta", 0.1))
-    if kind == "target-point":
-        if "target" not in params:
-            raise ConfigError("target-point reward needs params.target")
-        return target_point_reward(_numbers("reward.params.target", params["target"]), beta)
-    if kind == "ring":
-        if "radius" not in params:
-            raise ConfigError("ring reward needs params.radius")
-        return ring_reward(_number("reward.params.radius", params["radius"]), beta)
     if kind == "rare-mode":
-        component = params.get("component")
+        component = params.get(key)
         if component is not None:
             _integer("reward.params.component", component)
         return rare_mode_reward(gmm, component, beta)
-    raise ConfigError(f"unknown reward kind {kind!r}")
+    if key not in params:
+        raise ConfigError(f"{kind} reward needs params.{key}")
+    if kind == "ring":
+        return ring_reward(_number("reward.params.radius", params[key]), beta)
+    return target_point_reward(_numbers("reward.params.target", params[key]), beta)
 
 
 def load_config(doc: dict | str | Path) -> ExperimentConfig:
@@ -202,8 +209,7 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
             doc = json.loads(path.read_bytes())  # UTF-8, -16 or -32, detected
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+    doc = _object(doc, "config", CONFIG_KEYS)
     out = doc.get("out")
     if out is not None and not (isinstance(out, str) and out):
         raise ConfigError(f"out must be a non-empty path string or null, got {out!r}")
@@ -211,9 +217,9 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
     if not isinstance(seeds, list):
         raise ConfigError(f"seeds must be a JSON array of integers, got {seeds!r}")
     try:
-        gmm = (_gmm_from_dict(_object(doc, "gmm", "gmm")) if "gmm" in doc
+        gmm = (_gmm_from_dict(_object(doc["gmm"], "gmm", GMM_KEYS)) if "gmm" in doc
                else default_benchmark_gmm())
-        reward = _reward_from_dict(_object(doc, "reward", "reward"), gmm)
+        reward = _reward_from_dict(_object(doc.get("reward", {}), "reward", REWARD_KEYS), gmm)
         return ExperimentConfig(
             gmm=gmm,
             reward=reward,
@@ -222,7 +228,7 @@ def load_config(doc: dict | str | Path) -> ExperimentConfig:
             nfe=doc.get("nfe", 500),
             steps=doc.get("steps", 10),
             seeds=tuple(seeds),
-            sampler_opts=dict(_object(doc, "sampler_opts", "sampler_opts")),
+            sampler_opts=dict(_object(doc.get("sampler_opts", {}), "sampler_opts", None)),
             out=out,
         )
     except (TypeError, ValueError, OverflowError) as exc:

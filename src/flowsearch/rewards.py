@@ -100,8 +100,8 @@ def estimate_value(
 ) -> np.ndarray | float:
     """Value of a latent through its posterior mean: r(E[x0 | x_t]).
 
-    The samplers do not call it: ``samplers._Runner.value`` values a latent
-    at its next step's query point, and its run keeps the NFE ledger.
+    The samplers do not call it: a latent carries its x̂0 from its next
+    step's ``samplers._Runner.query``, and ``_Runner.value`` is r(x̂0).
     """
     return evaluate_reward(spec, posterior_mean(gmm, sched, t, np.asarray(x_t, dtype=float)))
 

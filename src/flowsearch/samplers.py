@@ -7,17 +7,16 @@ per-step argmax selection (svdd), and rollover budget forcing (rbf).
 Budget accounting
 -----------------
 The unit of compute is one velocity-field evaluation (NFE).  Producing a
-new latent (one denoising or ODE step) is charged 1 NFE; a latent's value
-comes bundled with its next step, since one posterior evaluation at that
-step's query point yields both the value and the step.  smc's initial
-values are step 0's query, paid for by step 0's charge; rbf's 1 NFE per
-batch pays for the query its initial value and first step share.  A final
-latent's value is its reward.  ``SearchBudget`` holds only ``total_nfe``
-and may be reused: the run keeps the ledger.  ``_Runner.charge`` is the
-only place that spends NFE (rbf's initial valuing is booked on no
-interval), the plan owns the step count, and ``_Runner`` refuses a total
-below ``plan.steps``.
-``nfe_used`` is the run's own count and never exceeds ``total_nfe``.
+new latent (one denoising or ODE step) is charged 1 NFE, with the query of
+that latent, which yields its value and its next step, bundled in.  The
+initial latents' query is step 0's, paid for by step 0's charge; rbf's 1
+NFE per batch pays for the query its initial value and first step share.
+A final latent's value is its reward.
+``SearchBudget`` holds only ``total_nfe`` and may be reused: the run keeps
+the ledger.  ``_Runner.charge`` is the only place that spends NFE (rbf's
+initial valuing is booked on no interval), the plan owns the step count,
+and ``_Runner`` refuses a total below ``plan.steps``.  ``nfe_used`` is the
+run's own count and never exceeds ``total_nfe``.
 
 Per-step quotas follow one rule, ``_uniform_split``: a share split evenly
 over the steps, remainder to the earliest.  svdd is code at interval 1.
@@ -35,18 +34,18 @@ rolled-over rows, padded to the largest batch quota, only on a miss, and
 charges each batch up to its accepted index; the rows past it, padding
 included, are uncharged, speculative oracle work.
 
-A latent is stepped from its posterior mean x̂0 = E[x0 | x_t], the
-oracle's one output, at the interval's query point (``engine.step_from_x0``).
-``_Runner.value`` returns the x̂0 it valued at that point with the values,
-a sampler indexes it with the rows it keeps, and ``_Runner.step_batch``
-steps from the x̂0 it is passed, else from one fresh query.  So bon, smc,
+A latent carries x̂0 = E[x0 | x_t], the oracle's one output, at its next
+step's query point: ``_Runner.initials`` and ``_Runner.step`` hand out
+``(x, x0)`` pairs, a step advances rows from their x̂0
+(``engine.step_from_x0``) and queries the rows it produced, a value is
+r(x̂0), and a sampler indexes x̂0 with the rows it keeps.  So bon, smc,
 code and svdd make one posterior evaluation per interval, 10 a run at 10
-steps; rbf one more per step that reads its rollover (sop 26 at nfe 1000).
+steps; rbf one more per step that reads its rollover, and sop one more
+per round, its branches' first query (26 at nfe 1000).
 
-Every sampler is built on ``_Runner``, which owns the run's NFE ledger
-(the count spent and its per-step booking), the per-step proposal noise,
-stepping, valuing, per-batch selection and the final highest-reward pick.
-smc and rbf always return their small trace dicts in ``SearchResult.trace``.
+Every sampler is built on ``_Runner``, which owns the run's NFE ledger,
+per-step noise, stepping, valuing, selection and the final pick; smc and
+rbf always return their small trace dicts in ``SearchResult.trace``.
 
 Determinism
 -----------
@@ -155,9 +154,10 @@ class _Runner:
         self.used = 0
         self.per_step = [0] * plan.steps
 
-    def initials(self, count: int) -> np.ndarray:
-        """Initial latents: the first ``count`` rows of the run's INIT block."""
-        return streams.normals(self.seed, (streams.INIT,), (count, self.gmm.dim))
+    def initials(self, count: int):
+        """``(x, x0)``: the first ``count`` rows of the INIT block, x̂0 at step 0."""
+        x = streams.normals(self.seed, (streams.INIT,), (count, self.gmm.dim))
+        return x, self.query(x, 0)
 
     def noise(self, i: int, batch: int, count: int) -> np.ndarray | None:
         """Proposal noise of ``batch`` on grid interval i, one ``(count, d)``
@@ -178,39 +178,32 @@ class _Runner:
         if i is not None:
             self.per_step[i] += n
 
-    def value(self, x: np.ndarray, k: int):
-        """``(values, x0)`` of latents at grid point k: r(x̂0) (bundled with
-        their step's NFE) and x̂0 itself, the ``query`` of step k, so the
-        rows kept step from it; at the final point x̂0 is x and the value
-        its reward."""
-        x0 = x if k == self.plan.steps else self.query(x, k)
-        return np.asarray(evaluate_reward(self.reward, x0)), x0
-
-    def query(self, x: np.ndarray, i: int) -> np.ndarray:
-        """x̂0 = E[x0 | x / c, t] at interval i's query point: one
-        ``posterior_mean`` call, the prior mean at t = 1."""
-        (c, t, *_), _ = self.plan.intervals[i]
+    def query(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x̂0 = E[x0 | x / c, t] at grid point k: one ``posterior_mean`` call
+        (the prior mean at t = 1); at the final point x itself, with no call."""
+        if k == self.plan.steps:
+            return x
+        (c, t, *_), _ = self.plan.intervals[k]
         return posterior_mean(self.gmm, self.plan.src_schedule, t, x if c is None else x / c)
 
-    def select(self, x: np.ndarray, k: int):
-        """``(rows, x0)``: per batch, the highest-value latent at grid point
-        k, lowest index on ties, ``(B, n, d)`` to ``(B, d)`` in one value
-        call, and the x̂0 of the rows kept."""
-        values, x0 = self.value(x, k)
-        best = np.arange(x.shape[0]), values.argmax(axis=1)
+    def value(self, x0: np.ndarray) -> np.ndarray:
+        """r(x̂0), bundled with the NFE of the step that queried x̂0."""
+        return np.asarray(evaluate_reward(self.reward, x0))
+
+    def select(self, x: np.ndarray, x0: np.ndarray):
+        """``(rows, x0)``: per batch, the highest-value latent, lowest index on
+        ties, ``(B, n, d)`` to ``(B, d)`` in one value call, and its x̂0."""
+        best = np.arange(x.shape[0]), self.value(x0).argmax(axis=1)
         return x[best], x0[best]
 
-    def step_batch(self, x: np.ndarray, i: int, z: np.ndarray | None,
-                   x0: np.ndarray | None = None) -> np.ndarray:
-        """Advance a batch over grid interval i (``z`` None: the flow step)
-        from ``x0``, the x̂0 of these rows at the interval's query point that
-        ``value`` returned, else from one ``query``; the caller charges it.
-        Proposals sharing a parent are one call on ``x[None, :]`` with their
-        ``(q, d)`` noise block (or ``(B, 1, d)`` with ``(B, q, d)``), so each
-        parent is queried once."""
-        if x0 is None:
-            x0 = self.query(x, i)
-        return step_from_x0(self.plan, x, i, z, x0.reshape(x.shape))
+    def step(self, x: np.ndarray, x0: np.ndarray, i: int, z: np.ndarray | None):
+        """``(x', x0')``: a batch advanced over grid interval i (``z`` None:
+        the flow step) from its x̂0, and the ``query`` of x' at i + 1; the
+        caller charges it.  Proposals sharing a parent are one step of
+        ``x[None, :]`` with their ``(q, d)`` noise (or ``(B, 1, d)`` with
+        ``(B, q, d)``), so each parent is queried once."""
+        x = step_from_x0(self.plan, x, i, z, x0.reshape(x.shape))
+        return x, self.query(x, i + 1)
 
     def result(self, finals, trace: dict | None = None) -> SearchResult:
         """The highest-reward final latent, lowest index on ties, with the
@@ -238,10 +231,10 @@ def best_of_n(
     return the highest-reward endpoint (rejection sampling)."""
     r = _Runner(plan, gmm, reward, budget, seed)
     n = budget.total_nfe // plan.steps
-    x = r.initials(n)
+    x, x0 = r.initials(n)
     for i in range(plan.steps):
         r.charge(i, n)
-        x = r.step_batch(x, i, None)
+        x, x0 = r.step(x, x0, i, None)
     return r.result(x)
 
 
@@ -281,9 +274,7 @@ def search_over_paths(
     steps = plan.steps
     if budget.total_nfe < n_keep * steps:
         raise BudgetError("budget cannot finish the survivors deterministically")
-    x, x0 = r.initials(n_keep), None
-    idx = 0
-    round_no = 0
+    idx = round_no = 0
     while idx < steps:
         fwd_idx = max(idx - 1, 0)
         db = min(2, steps - fwd_idx)
@@ -295,17 +286,19 @@ def search_over_paths(
         branched = zeta  # at the noise end the branches are fresh latents
         if idx:
             branched = _forward_noise(plan, np.repeat(x, k_branch, axis=0), idx, zeta)
+        post = r.query(branched, fwd_idx)
         idx = fwd_idx + db
         for pos in range(fwd_idx, idx):
             r.charge(pos, branched.shape[0])
-            branched = r.step_batch(branched, pos, None)
-        values, x0 = r.value(branched, idx)
-        keep = _top_k_first(values, n_keep)
-        x, x0 = branched[keep], x0[keep]
+            branched, post = r.step(branched, post, pos, None)
+        keep = _top_k_first(r.value(post), n_keep)
+        x, x0 = branched[keep], post[keep]
         round_no += 1
+    if not round_no:  # no round fits: the initial latents are finished
+        x, x0 = r.initials(n_keep)
     while idx < steps:  # deterministic finish after truncation
         r.charge(idx, x.shape[0])
-        x, x0 = r.step_batch(x, idx, None, x0), None
+        x, x0 = r.step(x, x0, idx, None)
         idx += 1
     return r.result(x)
 
@@ -329,8 +322,8 @@ def run_smc(
         raise DomainError(f"ess_threshold_frac must be in [0, 1], got {ess_threshold_frac}")
     n = budget.total_nfe // plan.steps
     beta = reward.kl_temperature
-    x = r.initials(n)
-    values, x0 = r.value(x, 0)  # step 0's query, charged with that step
+    x, x0 = r.initials(n)
+    values = r.value(x0)  # step 0's query, charged with that step
     log_w = np.zeros(n)
     trace = {"resampled": [], "weights_after_resample": []}
     for i in range(plan.steps):
@@ -347,8 +340,8 @@ def run_smc(
             trace["weights_after_resample"].append(np.exp(log_w))
         z = r.noise(i, 0, n)
         r.charge(i, n)
-        x = r.step_batch(x, i, z, x0)
-        new_values, x0 = r.value(x, i + 1)
+        x, x0 = r.step(x, x0, i, z)
+        new_values = r.value(x0)
         log_w = log_w + (new_values - values) / beta
         values = new_values
     return r.result(x, trace)
@@ -382,12 +375,13 @@ def run_code(
     Batches and window draws follow the module's quota rule; all batches
     advance together, and the best final sample across them is returned."""
     r = _Runner(plan, gmm, reward, budget, seed)
-    if interval < 1 or k < 1:
-        raise DomainError("interval and k must be >= 1")
+    for name, opt in (("interval", interval), ("k", k)):
+        if opt < 1:
+            raise DomainError(f"{name} must be >= 1, got {opt}")
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
     quotas = _uniform_split(budget.total_nfe // batches, steps)
-    x, x0 = r.initials(batches), None
+    x, x0 = r.initials(batches)
     for i0 in range(0, steps, interval):
         span = min(interval, steps - i0)
         draws = min(k, sum(quotas[i0:i0 + span]) // span)
@@ -395,8 +389,8 @@ def run_code(
         for i in range(i0, i0 + span):
             r.charge(i, batches * draws)
             z = np.stack([r.noise(i, b, draws) for b in range(batches)]) if plan.g[i] else None
-            chains = r.step_batch(chains, i, z, x0 if i == i0 else None)
-        x, x0 = r.select(chains, i0 + span)
+            chains, x0 = r.step(chains, x0, i, z)
+        x, x0 = r.select(chains, x0)
     return r.result(x)
 
 
@@ -435,15 +429,15 @@ def run_rbf(
                        for share in _uniform_split(budget.total_nfe, batches)])
     own = quotas.max(axis=0).tolist()  # each step's largest quota before rollover
     accepted, entry, rows = np.zeros_like(quotas), [], np.arange(batches)
-    x = r.initials(batches)
+    x, x0 = r.initials(batches)
     r.charge(None, batches)  # valuing each fresh initial latent costs one call
-    r_star, x0 = r.value(x, 0)
+    r_star = r.value(x0)
 
     def propose(i, lo, hi):
         """Rows [lo, hi) of each batch's step-i proposals from x, valued."""
         z = np.stack([r.noise(i, b, hi)[lo:] for b in range(batches)]) if plan.g[i] else None
-        proposals = r.step_batch(x[:, None], i, z, x0)
-        return (proposals, *r.value(proposals, i + 1))
+        proposals, post = r.step(x[:, None], x0, i, z)
+        return proposals, r.value(post), post
 
     for i in range(steps):
         q = quotas[:, i]

@@ -352,13 +352,12 @@ def test_criterion_10_rbf_accounting():
 
     orig_value = samplers_mod._Runner.value
 
-    def scripted(self, x, s):
+    def scripted(self, x0):
         # one scripted value per valued latent, in proposal order, shaped
-        # like the latents' batch, with the real x̂0; past the script (step
-        # 2) nothing improves
-        shape = np.shape(x)[:-1]
+        # like the latents' batch; past the script (step 2) nothing improves
+        shape = np.shape(x0)[:-1]
         values = [next(script, -10.0) for _ in range(int(np.prod(shape)))]
-        return np.reshape(values, shape), orig_value(self, x, s)[1]
+        return np.reshape(values, shape)
 
     samplers_mod._Runner.value = scripted
     try:

@@ -62,6 +62,16 @@ def test_load_config_defaults_and_errors(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
+def test_a_non_object_is_echoed_in_at_most_200_characters():
+    # the message quotes the value it refuses, cut to 200 characters, so a
+    # large array in place of the config or a block cannot flood stderr
+    for doc in ([1] * 100_000, {"gmm": [1] * 100_000}):
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert " must be a JSON object, got [1, 1, 1" in str(err.value)
+        assert len(str(err.value)) < 250
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"seeds": "12"}, {"seeds": [1.9, 2]}, {"seeds": [0, True]}, {"seeds": ["1"]},
@@ -325,7 +335,13 @@ CONFIG_ERROR_MESSAGES = {
     "component-out-of-range": "component 7 out of range",
     "sop-keep-zero": "n_keep and k_branch must be >= 1",
     "sop-keep-over-budget": "budget cannot finish the survivors deterministically",
-    "code-interval-zero": "interval and k must be >= 1",
+    "code-interval-zero": "interval must be >= 1, got 0",
+    "svdd-k-zero": "k must be >= 1, got 0",
+    "misspelled-sampler": "config has no key 'sampelr'; its keys are [",
+    "misspelled-sampler-opts": "config has no key 'sampler_opt'; its keys are [",
+    "misspelled-beta": "reward has no key 'betta'; its keys are ['beta', 'kind', 'params']",
+    "misspelled-radius": "reward.params has no key 'radios'; its keys are ['radius']",
+    "misspelled-gmm-dim": "gmm has no key 'dims'; its keys are ['dim', 'means', 'variances', 'weights']",
     "rbf-batches-zero": "batches must be >= 1",
     "gmm-weights-empty": "weights must be a non-empty 1-D sequence",
     "gmm-weight-zero": "all mixture weights must be positive",
@@ -400,6 +416,12 @@ CONFIG_ERROR_MESSAGES = {
         ("run", {"sampler": "rbf", "sampler_opts": {"batches": 0}}, []),
         ("run", {"gmm": {"weights": [], "means": [], "variances": []}}, []),
         ("run", {"gmm": {**TWO_MODES, "weights": [0.0, 1.0]}}, []),
+        ("run", {"sampler": "svdd", "sampler_opts": {"k": 0}}, []),
+        ("run", {"sampelr": "smc"}, []),
+        ("run", {"sampler_opt": {"k": 5}}, []),
+        ("run", {"reward": {"kind": "rare-mode", "betta": 0.5}}, []),
+        ("run", {"reward": {"kind": "ring", "params": {"radios": 2.0}}}, []),
+        ("run", {"gmm": {**TWO_MODES, "dims": 2}}, []),
     ],
     ids=[
         "unknown-sampler", "unknown-option", "option-type", "negative-seed",
@@ -419,7 +441,8 @@ CONFIG_ERROR_MESSAGES = {
         "top-level-array", "undecodable-bytes", "nested-too-deep", "reward-kind-unknown",
         "ring-no-radius", "ablate-bon", "component-out-of-range", "sop-keep-zero",
         "sop-keep-over-budget", "code-interval-zero", "rbf-batches-zero",
-        "gmm-weights-empty", "gmm-weight-zero",
+        "gmm-weights-empty", "gmm-weight-zero", "svdd-k-zero", "misspelled-sampler",
+        "misspelled-sampler-opts", "misspelled-beta", "misspelled-radius", "misspelled-gmm-dim",
     ],
 )
 def test_cli_config_error_exit_code(request, tmp_path, command, overrides, extra_args):

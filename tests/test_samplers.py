@@ -253,13 +253,13 @@ def test_selection_correctness_svdd(monkeypatch):
     value, select = _Runner.value, _Runner.select
     valued, kept = [], []
 
-    def value_spy(self, x, k):
-        out = value(self, x, k)
-        valued.append(out[0])
+    def value_spy(self, x0):
+        out = value(self, x0)
+        valued.append(out)
         return out
 
-    def select_spy(self, x, k):
-        out = select(self, x, k)
+    def select_spy(self, x, x0):
+        out = select(self, x, x0)
         kept.append((x, out[0]))
         return out
 
@@ -281,14 +281,12 @@ def test_tie_break_lowest_index(monkeypatch):
     from flowsearch.samplers import _Runner
 
     scripted = np.array([[0.1, 0.9, 0.9, 0.2], [0.5, 0.5, 0.5, 0.5], [-1.0, 0.3, -2.0, 0.3]])
-    orig_value = _Runner.value
-    monkeypatch.setattr(_Runner, "value",
-                        lambda self, x, k: (scripted, orig_value(self, x, k)[1]))
+    monkeypatch.setattr(_Runner, "value", lambda self, x0: scripted)
     origin = target_point_reward([0.0, 0.0])
     r = _Runner(make_plan("linear-sde", 4), GMM, origin, budget(), seed=0)
     x = np.random.default_rng(0).standard_normal((3, 4, 2))
     assert _first_max(scripted) == [1, 0, 1]
-    np.testing.assert_array_equal(r.select(x, 1)[0], x[[0, 1, 2], [1, 0, 1]])
+    np.testing.assert_array_equal(r.select(x, r.query(x, 1))[0], x[[0, 1, 2], [1, 0, 1]])
     finals = np.array([[2.0, 1.0], x[0, 1], -x[0, 1], [1.5, -1.0]])
     values = evaluate_reward(origin, finals)
     assert values[1] == values[2] == values.max() and finals[1, 0] != finals[2, 0]
@@ -344,14 +342,14 @@ def test_sop_never_steps_identical_proposals(monkeypatch, process):
     # every round, the noise end included, branches into distinct latents
     import flowsearch.samplers as S
 
-    orig = S._Runner.step_batch
+    orig = S._Runner.step
     batches = []
 
-    def spy(self, x, i, z, x0=None):
+    def spy(self, x, x0, i, z):
         batches.append(np.array(x))
-        return orig(self, x, i, z, x0)
+        return orig(self, x, x0, i, z)
 
-    monkeypatch.setattr(S._Runner, "step_batch", spy)
+    monkeypatch.setattr(S._Runner, "step", spy)
     search_over_paths(make_plan(process, 5), GMM, RARE, budget(100), seed=0)
     assert batches
     for x in batches:
@@ -371,8 +369,8 @@ def test_smc_uniform_values_never_resample():
         calls.append(len(w))
         return orig_resample(w, n, rng)
 
-    def flat_value(self, x, k):
-        return np.zeros(np.shape(x)[0]), orig_value(self, x, k)[1]
+    def flat_value(self, x0):
+        return np.zeros(np.shape(x0)[0])
 
     S.resample_multinomial = spy
     S._Runner.value = flat_value
@@ -490,10 +488,12 @@ def test_rbf_worst_case_consumes_everything():
     import flowsearch.samplers as samplers_mod
 
     orig_value = samplers_mod._Runner.value
+    counter = {"v": 0.0}
 
-    def declining(self, x, k):
+    def declining(self, x0):
         # strictly declining values: the initial estimate is never beaten
-        return np.full(np.shape(x)[:-1], -100.0 * k), orig_value(self, x, k)[1]
+        counter["v"] -= 100.0
+        return np.full(np.shape(x0)[:-1], counter["v"])
 
     samplers_mod._Runner.value = declining
     try:
@@ -511,9 +511,9 @@ def test_rbf_immediate_improvement_spends_minimum():
     orig_value = samplers_mod._Runner.value
     counter = {"v": 0.0}
 
-    def rising(self, x, k):
+    def rising(self, x0):
         counter["v"] += 1.0
-        return np.full(np.shape(x)[:-1], counter["v"]), orig_value(self, x, k)[1]
+        return np.full(np.shape(x0)[:-1], counter["v"])
 
     samplers_mod._Runner.value = rising
     try:
@@ -546,15 +546,15 @@ def test_blocks_have_the_prefix_property():
         full = r.noise(i, b, 40)
         for j in range(1, 41):
             np.testing.assert_array_equal(r.noise(i, b, j), full[:j])
-    full = r.initials(40)
+    full = r.initials(40)[0]
     for j in range(1, 41):
-        np.testing.assert_array_equal(r.initials(j), full[:j])
+        np.testing.assert_array_equal(r.initials(j)[0], full[:j])
 
 
 def test_block_keys_give_distinct_rows():
     r = _runner(steps=5)
     blocks = [r.noise(i, b, 30) for i in range(4) for b in range(3)]
-    rows = np.concatenate(blocks + [r.initials(30)])
+    rows = np.concatenate(blocks + [r.initials(30)[0]])
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     assert r.noise(4, 0, 30) is None  # the final interval injects no noise
     assert r.noise(0, 0, 1).shape == (1, GMM.dim)
@@ -565,14 +565,14 @@ def _record_noise(monkeypatch):
     import flowsearch.samplers as S
 
     seen = {}
-    orig = S._Runner.step_batch
+    orig = S._Runner.step
 
-    def spy(self, x, i, z, x0=None):
+    def spy(self, x, x0, i, z):
         if z is not None:
             seen.setdefault(i, []).append(np.array(z))
-        return orig(self, x, i, z, x0)
+        return orig(self, x, x0, i, z)
 
-    monkeypatch.setattr(S._Runner, "step_batch", spy)
+    monkeypatch.setattr(S._Runner, "step", spy)
     return seen
 
 
@@ -589,21 +589,23 @@ def test_no_two_proposals_share_a_noise_row(monkeypatch, name, process):
 
 def _step_each_row(monkeypatch):
     """Reference stepping: a proposal block from one parent is stepped one
-    row at a time, each with its own ``step_batch(x[None], i, z[j])`` and
-    its own oracle query; B parents ``(B, 1, d)`` are stepped one parent at
-    a time."""
+    row at a time, each with its own ``step(x[None], x0, i, z[j])`` and its
+    own oracle query; B parents ``(B, 1, d)`` are stepped one parent at a
+    time."""
     import flowsearch.samplers as S
 
-    orig = S._Runner.step_batch
+    orig = S._Runner.step
 
-    def per_row(self, x, i, z, x0=None):
+    def per_row(self, x, x0, i, z):
         if z is None or x.shape[-2] != 1:
-            return orig(self, x, i, z, x0)
+            return orig(self, x, x0, i, z)
         if x.ndim == 3:
-            return np.stack([per_row(self, xb, i, zb) for xb, zb in zip(x, z)])
-        return np.concatenate([orig(self, x, i, z[j : j + 1]) for j in range(z.shape[0])])
+            parts = [per_row(self, xb, x0b, i, zb) for xb, x0b, zb in zip(x, x0, z)]
+            return tuple(np.stack(part) for part in zip(*parts))
+        parts = [orig(self, x, x0, i, z[j : j + 1]) for j in range(z.shape[0])]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
-    monkeypatch.setattr(S._Runner, "step_batch", per_row)
+    monkeypatch.setattr(S._Runner, "step", per_row)
 
 
 def _sequential_rbf(plan, gmm, reward, budget, seed, batches=2):
@@ -612,31 +614,31 @@ def _sequential_rbf(plan, gmm, reward, budget, seed, batches=2):
     from flowsearch.samplers import _Runner
 
     r = _Runner(plan, gmm, reward, budget, seed)
-    starts = r.initials(batches)
+    starts, posts = r.initials(batches)
     finals, accepted_at = [], []
     for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         quotas = _uniform_split(share - 1, plan.steps)
-        x = starts[b]
+        x, x0 = starts[b], posts[b]
         r.charge(None, 1)
-        r_star = float(r.value(x, 0)[0])
+        r_star = float(r.value(x0))
         for i in range(plan.steps):
             q = quotas[i]
             z = r.noise(i, b, q)
             proposals, values = [], []
             for j in range(q):
                 r.charge(i, 1)
-                xj = r.step_batch(x[None, :], i, None if z is None else z[j : j + 1])[0]
-                proposals.append(xj)
-                values.append(float(r.value(xj, i + 1)[0]))
+                xj, x0j = r.step(x[None, :], x0, i, None if z is None else z[j : j + 1])
+                proposals.append((xj[0], x0j[0]))
+                values.append(float(r.value(x0j[0])))
                 if values[-1] > r_star:
                     break
             if values[-1] > r_star:
                 if i + 1 < plan.steps:
                     quotas[i + 1] += q - len(values)
                 r_star = values[-1]
-                x = proposals[-1]
+                x, x0 = proposals[-1]
             else:
-                x = proposals[int(np.argmax(values))]
+                x, x0 = proposals[int(np.argmax(values))]
             accepted_at.append(len(values))
         finals.append(x)
     return r.result(finals), accepted_at
@@ -686,10 +688,11 @@ def test_rbf_matches_the_sequential_loop(monkeypatch, process):
 # --- batched selection: svdd and code advance all batches together
 
 
-def _best_row(r, x, k):
-    """One batch's selection: the argmax-value row of x, lowest index on
-    ties; a single row is taken without valuing."""
-    return x[0] if x.shape[0] == 1 else x[int(np.argmax(r.value(x, k)[0]))]
+def _best_row(r, x, x0):
+    """One batch's selection: the argmax-value row of x with its x̂0, lowest
+    index on ties; a single row is taken without valuing."""
+    j = 0 if x.shape[0] == 1 else int(np.argmax(r.value(x0)))
+    return x[j], x0[j]
 
 
 def _per_batch_svdd(plan, gmm, reward, budget, seed, k=25):
@@ -699,15 +702,15 @@ def _per_batch_svdd(plan, gmm, reward, budget, seed, k=25):
 
     r = _Runner(plan, gmm, reward, budget, seed)
     batches = max(1, budget.total_nfe // (plan.steps * k))
-    starts = r.initials(batches)
+    starts, posts = r.initials(batches)
     finals = []
     for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         quotas = _uniform_split(share, plan.steps)
-        x = starts[b]
+        x, x0 = starts[b], posts[b]
         for i in range(plan.steps):
             draws = min(k, quotas[i])
             r.charge(i, draws)
-            x = _best_row(r, r.step_batch(x[None, :], i, r.noise(i, b, draws)), i + 1)
+            x, x0 = _best_row(r, *r.step(x[None, :], x0, i, r.noise(i, b, draws)))
         finals.append(x)
     return r.result(finals)
 
@@ -720,19 +723,19 @@ def _per_batch_code(plan, gmm, reward, budget, seed, interval=2, k=25):
     r = _Runner(plan, gmm, reward, budget, seed)
     steps = plan.steps
     batches = max(1, budget.total_nfe // (steps * k))
-    starts = r.initials(batches)
+    starts, posts = r.initials(batches)
     finals = []
     for b, share in enumerate(_uniform_split(budget.total_nfe, batches)):
         quotas = _uniform_split(share, steps)
-        x, i0 = starts[b], 0
+        x, x0, i0 = starts[b], posts[b], 0
         while i0 < steps:
             span = min(interval, steps - i0)
             draws = min(k, sum(quotas[i0:i0 + span]) // span)
             chains = x[None, :]
             for i in range(i0, i0 + span):
                 r.charge(i, draws)
-                chains = r.step_batch(chains, i, r.noise(i, b, draws))
-            x = _best_row(r, chains, i0 + span)
+                chains, x0 = r.step(chains, x0, i, r.noise(i, b, draws))
+            x, x0 = _best_row(r, chains, x0)
             i0 += span
         finals.append(x)
     return r.result(finals)
@@ -766,22 +769,28 @@ def test_batched_svdd_and_code_match_the_per_batch_loops(process):
 def _spy_oracle(monkeypatch):
     """Log the samplers' oracle work: the interval of every step (each makes
     at most one oracle query), and the grid point and row count of every
-    value call."""
+    value call; a value call's grid point is that of the latest query, the
+    one that gave its x̂0."""
     import flowsearch.samplers as S
 
-    log = {"step": [], "value": []}
-    orig_step, orig_value = S._Runner.step_batch, S._Runner.value
+    log = {"step": [], "value": [], "query": []}
+    orig_step, orig_value, orig_query = S._Runner.step, S._Runner.value, S._Runner.query
 
-    def step(self, x, i, z, x0=None):
+    def step(self, x, x0, i, z):
         log["step"].append(i)
-        return orig_step(self, x, i, z, x0)
+        return orig_step(self, x, x0, i, z)
 
-    def value(self, x, k):
-        log["value"].append((k, int(np.prod(np.shape(x)[:-1]))))
-        return orig_value(self, x, k)
+    def value(self, x0):
+        log["value"].append((log["query"][-1], int(np.prod(np.shape(x0)[:-1]))))
+        return orig_value(self, x0)
 
-    monkeypatch.setattr(S._Runner, "step_batch", step)
+    def query(self, x, k):
+        log["query"].append(k)
+        return orig_query(self, x, k)
+
+    monkeypatch.setattr(S._Runner, "step", step)
     monkeypatch.setattr(S._Runner, "value", value)
+    monkeypatch.setattr(S._Runner, "query", query)
     return log
 
 
@@ -858,9 +867,7 @@ def test_rbf_reads_one_rolled_over_row_on_a_miss(monkeypatch):
     import flowsearch.samplers as S
 
     script = iter([[0.0], [[-1.0, -1.0, -1.0, 1.0, -1.0]], [[0.5] * 5], [[2.0]], [[1.5]]])
-    orig = S._Runner.value
-    monkeypatch.setattr(S._Runner, "value",
-                        lambda self, x, k: (np.array(next(script)), orig(self, x, k)[1]))
+    monkeypatch.setattr(S._Runner, "value", lambda self, x0: np.array(next(script)))
     log = _spy_oracle(monkeypatch)
     res = run_rbf(make_plan("linear-sde", 3), GMM, RARE, SearchBudget(16), seed=0, batches=1)
     batch = res.trace["batches"][0]
@@ -967,9 +974,16 @@ def test_sop_truncated_finish_steps_from_the_selected_x0(monkeypatch, process):
     calls = _count_posterior(monkeypatch)
     res = search_over_paths(plan, GMM, RARE, budget(100), seed=0)
     reused = calls[0]
-    orig = S._Runner.step_batch
-    monkeypatch.setattr(S._Runner, "step_batch",
-                        lambda self, x, i, z, x0=None: orig(self, x, i, z))
+    orig, finishing = S._Runner.step, []
+
+    def fresh_finish(self, x, x0, i, z):
+        # the finish's first step (the n_keep = 2 survivors) queries them afresh
+        if len(x) == 2 and not finishing:
+            finishing.append(i)
+            x0 = self.query(x, i)
+        return orig(self, x, x0, i, z)
+
+    monkeypatch.setattr(S._Runner, "step", fresh_finish)
     calls[0] = 0
     fresh = search_over_paths(plan, GMM, RARE, budget(100), seed=0)
     _same(res, fresh)
@@ -981,9 +995,9 @@ def test_sop_truncated_finish_steps_from_the_selected_x0(monkeypatch, process):
                                      "linear-sde-scaled-diffusion", "vp-sde"])
 def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, process):
     # rows kept by select step from the x̂0 select returned with them, bitwise
-    # the x̂0-basis step from a fresh posterior query, with no oracle call at
-    # any grid point, t = 1 included; without it the step queries the oracle
-    # once
+    # the x̂0-basis step from a fresh posterior query, with no oracle call for
+    # the held rows at any grid point, t = 1 included: the step's one call
+    # queries the rows it produced, and none is made at the final point
     from flowsearch.analytic_flow import posterior_mean
     from flowsearch.engine import step_from_x0
     from flowsearch.interpolants import SOURCE
@@ -1002,15 +1016,12 @@ def test_step_from_the_held_posterior_mean_is_the_oracle_step(monkeypatch, proce
     for k in range(plan.steps):
         chains = 3.0 * gen.standard_normal((4, 5, GMM.dim))
         z = gen.standard_normal((4, 3, GMM.dim)) if plan.g[k] else None
-        x, x0 = r.select(chains, k)
+        x, x0 = r.select(chains, r.query(chains, k))
         assert x0 is not None
         want = oracle_step(x[:, None], k, z)
         calls[0] = 0
-        np.testing.assert_array_equal(r.step_batch(x[:, None], k, z, x0), want)
-        assert calls[0] == 0
-        calls[0] = 0
-        np.testing.assert_array_equal(r.step_batch(x[:, None], k, z), want)
-        assert calls[0] == 1
+        np.testing.assert_array_equal(r.step(x[:, None], x0, k, z)[0], want)
+        assert calls[0] == (k + 1 < plan.steps)
 
 
 def test_vp_sde_values_through_the_source_query(monkeypatch):
@@ -1030,7 +1041,8 @@ def test_vp_sde_values_through_the_source_query(monkeypatch):
         source = posterior_mean(GMM, SOURCE, m.t_s, x / m.c_s)
         vp = posterior_mean(GMM, plan.schedule, plan.grid[k], x)
         assert np.max(np.abs(source - vp)) <= 1e-13 * max(1.0, np.max(np.abs(vp)))
-        values, x0 = r.value(x, k)
+        x0 = r.query(x, k)
+        values = r.value(x0)
         np.testing.assert_array_equal(values, evaluate_reward(RARE, source))
         np.testing.assert_array_equal(x0, source)
 
@@ -1039,7 +1051,8 @@ def test_vp_sde_values_through_the_source_query(monkeypatch):
                                      "linear-sde-scaled-diffusion"])
 def test_final_step_returns_the_posterior_mean_bitwise(process):
     # in source coordinates the last interval lands on x̂0 exactly, whether
-    # it steps from a fresh query or from the x̂0 a value returned
+    # it steps single rows or parents ``(n, 1, d)`` from the x̂0 a query
+    # returned
     from flowsearch.analytic_flow import posterior_mean
     from flowsearch.engine import StepPlan
     from flowsearch.interpolants import SOURCE
@@ -1052,9 +1065,44 @@ def test_final_step_returns_the_posterior_mean_bitwise(process):
         k = steps - 1
         x = 3.0 * gen.standard_normal((20, GMM.dim))
         x0 = posterior_mean(GMM, SOURCE, plan.intervals[k][0].t, x)
-        assert r.step_batch(x, k, None).tobytes() == x0.tobytes()
-        valued = r.value(x, k)[1]
-        assert r.step_batch(x[:, None], k, None, valued).tobytes() == x0.tobytes()
+        assert r.step(x, r.query(x, k), k, None)[0].tobytes() == x0.tobytes()
+        valued = r.query(x, k)
+        assert r.step(x[:, None], valued, k, None)[0].tobytes() == x0.tobytes()
+
+
+@pytest.mark.parametrize("process", PROCESS_NAMES)
+def test_query_is_one_posterior_call_and_the_latent_at_the_final_point(monkeypatch, process):
+    # x̂0 at a grid point k < steps is one posterior_mean call at interval
+    # k's query point, t = 1 included; at the final point it is the latent
+    # itself, with no oracle call; the initial latents come with their x̂0
+    # at step 0's query
+    import flowsearch.samplers as S
+    from flowsearch.analytic_flow import posterior_mean
+    from flowsearch.interpolants import SOURCE
+
+    plan = make_plan(process, 5)
+    r = S._Runner(plan, GMM, RARE, budget(), seed=0)
+
+    def fresh(x, k):
+        c, t = plan.intervals[k][0][:2]
+        return posterior_mean(GMM, SOURCE, t, x if c is None else x / c)
+
+    x = 3.0 * np.random.default_rng(4).standard_normal((7, GMM.dim))
+    want = [fresh(x, k) for k in range(plan.steps)]
+    mean_calls = []
+    monkeypatch.setattr(S, "posterior_mean",
+                        lambda *args: mean_calls.append(args) or posterior_mean(*args))
+    oracle = _count_posterior(monkeypatch)
+    for k in range(plan.steps):
+        mean_calls.clear()
+        assert r.query(x, k).tobytes() == want[k].tobytes()
+        assert len(mean_calls) == 1
+    oracle[0] = 0
+    assert r.query(x, plan.steps) is x
+    assert oracle[0] == 0 and len(mean_calls) == 1
+    init, init0 = r.initials(6)
+    np.testing.assert_array_equal(init, streams.normals(0, (streams.INIT,), (6, GMM.dim)))
+    assert init0.tobytes() == fresh(init, 0).tobytes()
 
 
 def test_runner_keeps_only_its_inputs_and_ledger(monkeypatch):
