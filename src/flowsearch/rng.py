@@ -30,22 +30,24 @@ not kept.  The cached blocks are shared, so every block is read-only: a
 consumer that wants to write copies first.  ``normals(seed, key, shape)``
 is ``stream(seed, *key).standard_normal(shape)`` through the cache, for
 INIT, PROPOSAL, FORWARD and the protocol's initial DIVERSITY latent.
-``branch_normals`` stacks the protocol's per-branch DIVERSITY draws of one
-interval into one block.  smc's RESAMPLE ``choice`` draws from the shared
-generator below, reset by ``shared_stream`` right before the draw.  Only
-PROCESS's consumers, the callers of ``engine.run_process``, which takes a
-generator and keeps it, call ``stream``, which builds one of their own;
-``run_process`` draws from it one interval ahead on one worker thread, in
-the serial order, so its velocity callback must not draw from it, and
-after an exception it is exactly one block further on than a serial loop
-would leave it whenever a later interval is noisy.
+``branch_normals`` draws the protocol's per-branch DIVERSITY streams of one
+interval straight into the rows of one block.  smc's RESAMPLE ``choice``
+draws from the shared generator below, reset by ``shared_stream`` right
+before the draw.  Only PROCESS's consumers, the callers of
+``engine.run_process``, which takes a generator and keeps it, call
+``stream``, which builds one of their own; ``run_process`` draws from it
+one interval ahead on one worker thread, in the serial order, so its
+velocity callback must not draw from it, and after an exception it is
+exactly one block further on than a serial loop would leave it whenever a
+later interval is noisy.
 
 A cache miss builds no stream: the module's one generator is reset to the
-stream's key and counter, ~4 us a block before its draw against ~13 us for
-``stream`` (2-core Xeon, CPython 3.11, numpy 2.4).  The shared generator
-belongs to the process and takes no lock, so one thread draws at a time
-(the harness runs in parallel with processes, not threads; ``run_process``'s
-worker thread draws only from the PROCESS generator it was given).
+stream's key and counter, ~3 us a branch of a cold ``(50, 2)`` protocol
+block with its draw (``tools/protocol_split.py``), against ~12 us for
+``stream`` and the same draw (2-core Xeon, CPython 3.11, numpy 2.4).  The
+shared generator belongs to the process and takes no lock, so one thread
+draws at a time (the harness runs in parallel with processes, not threads;
+``run_process``'s worker thread draws only from its PROCESS generator).
 """
 
 from __future__ import annotations
@@ -82,11 +84,12 @@ def _philox_key(seed: int, domain: int) -> tuple[int, int]:
 
 def _state(seed: int, key: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, ...]]:
     """The Philox key and counter of the stream ``(seed, *key)``: the one
-    definition of a stream.  ``key`` is a domain and at most two indices."""
-    indices = [int(i) for i in key[1:]]
-    if not 1 <= len(key) <= 3 or min(indices, default=0) < 0 or max(indices, default=0) >= 2**64:
+    definition of a stream.  ``key`` is a domain and at most two indices:
+    their words' OR (unused words 0) is in [0, 2**64) exactly when both are."""
+    words = (*map(int, key[1:]), 0, 0)
+    if not 1 <= len(key) <= 3 or (words[0] | words[1]) >> 64:
         raise ValueError(f"expected a domain and at most two indices in [0, 2**64), got {key}")
-    return _philox_key(int(seed), int(key[0])), (0, len(indices), *indices, 0, 0)[:4]
+    return _philox_key(int(seed), int(key[0])), (0, len(key) - 1, *words[:2])
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -125,12 +128,13 @@ def shared_stream(seed: int, key: tuple[int, ...]) -> np.random.Generator:
 def _block(seed: int, key: tuple[int, ...], shape: tuple, branches: int | None,
            types: tuple[type, ...]) -> np.ndarray:
     """``stream(seed, *key).standard_normal(shape)``, or with ``branches``
-    one such draw per branch ``(*key, j)`` stacked, as a read-only array."""
+    one such draw per branch ``(*key, j)`` in row j, as a read-only array."""
     if branches is None:
         block = shared_stream(seed, key).standard_normal(shape)
     else:
-        block = np.stack([shared_stream(seed, (*key, j)).standard_normal(shape)
-                          for j in range(branches)])
+        block = np.empty((branches, *shape))
+        for j in range(branches):
+            shared_stream(seed, (*key, j)).standard_normal(out=block[j])
     block.flags.writeable = False
     return block
 

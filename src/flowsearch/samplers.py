@@ -269,8 +269,9 @@ def search_over_paths(
     search truncates and the survivors are completed deterministically.
     """
     r = _Runner(plan, gmm, reward, budget, seed)
-    if n_keep < 1 or k_branch < 1:
-        raise DomainError("n_keep and k_branch must be >= 1")
+    for name, opt in (("n_keep", n_keep), ("k_branch", k_branch)):
+        if opt < 1:
+            raise DomainError(f"{name} must be >= 1, got {opt}")
     steps = plan.steps
     if budget.total_nfe < n_keep * steps:
         raise BudgetError("budget cannot finish the survivors deterministically")

@@ -333,7 +333,8 @@ CONFIG_ERROR_MESSAGES = {
     "ring-no-radius": "ring reward needs params.radius",
     "ablate-bon": "ablation needs a sampler with stochastic proposals",
     "component-out-of-range": "component 7 out of range",
-    "sop-keep-zero": "n_keep and k_branch must be >= 1",
+    "sop-keep-zero": "n_keep must be >= 1, got 0",
+    "sop-branch-zero": "k_branch must be >= 1, got 0",
     "sop-keep-over-budget": "budget cannot finish the survivors deterministically",
     "code-interval-zero": "interval must be >= 1, got 0",
     "svdd-k-zero": "k must be >= 1, got 0",
@@ -411,6 +412,7 @@ CONFIG_ERROR_MESSAGES = {
         ("ablate", {"sampler": "bon", "sampler_opts": {}}, []),
         ("run", {"reward": {"kind": "rare-mode", "params": {"component": 7}}}, []),
         ("run", {"sampler": "sop", "sampler_opts": {"n_keep": 0}}, []),
+        ("run", {"sampler": "sop", "sampler_opts": {"k_branch": 0}}, []),
         ("run", {"sampler": "sop", "sampler_opts": {"n_keep": 100}}, []),
         ("run", {"sampler": "code", "sampler_opts": {"interval": 0}}, []),
         ("run", {"sampler": "rbf", "sampler_opts": {"batches": 0}}, []),
@@ -440,7 +442,7 @@ CONFIG_ERROR_MESSAGES = {
         "sweep-budgets-comma", *NON_NUMBER_FLOAT_IDS, "gmm-string", "gmm-array",
         "top-level-array", "undecodable-bytes", "nested-too-deep", "reward-kind-unknown",
         "ring-no-radius", "ablate-bon", "component-out-of-range", "sop-keep-zero",
-        "sop-keep-over-budget", "code-interval-zero", "rbf-batches-zero",
+        "sop-branch-zero", "sop-keep-over-budget", "code-interval-zero", "rbf-batches-zero",
         "gmm-weights-empty", "gmm-weight-zero", "svdd-k-zero", "misspelled-sampler",
         "misspelled-sampler-opts", "misspelled-beta", "misspelled-radius", "misspelled-gmm-dim",
     ],

@@ -33,6 +33,7 @@ BRANCHES = [
     ((streams.DIVERSITY, 1), 50, 2),
     ((streams.DIVERSITY, 9), 50, 2),
     ((streams.DIVERSITY, 3), 7, 4),
+    ((streams.DIVERSITY, 2**64 - 1), 5, 3),  # counter word 2 full, branch j in word 3
 ]
 
 
@@ -67,6 +68,14 @@ def test_memo_blocks_are_read_only(memo):
             block *= 2.0
     assert np.array_equal(memo.normals(0, (streams.INIT,), (4, 2)),
                           streams.stream(0, streams.INIT).standard_normal((4, 2)))
+
+
+def test_branch_blocks_are_c_contiguous_rows(memo):
+    # Kept and past the cap, cold and from the cache: one (branches, dim) array.
+    for branches in (3, 129):
+        for _ in range(2):
+            block = memo.branch_normals(0, (streams.DIVERSITY, 1), branches, 2)
+            assert block.shape == (branches, 2) and block.flags.c_contiguous
 
 
 def test_repeated_draw_is_a_memo_hit(memo, monkeypatch):
